@@ -112,7 +112,7 @@ def _load_suite(path: str):
             return suite_from_json(fh.read())
     except OSError as exc:
         raise CliDataError(f"cannot read {path}: {exc}")
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # SuiteInvalid, or not UTF-8
         raise CliDataError(f"{path}: bad test suite: {exc}")
 
 

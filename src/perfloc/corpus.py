@@ -34,6 +34,7 @@ from .lang.parser import ParseError, parse_program
 from .runtime.exec import (
     TestCase, baseline_limits, compile_program, run_suite, BaselineDiverged,
 )
+from .runtime.ir import HEAP_LIMIT, INT_MIN
 
 DEFAULT_SEED = 20220822
 CORPUS_VERSION = "1"
@@ -91,10 +92,50 @@ def suite_to_json(suite: Sequence[TestCase]) -> str:
     return json.dumps(rows, indent=1) + "\n"
 
 
+class SuiteInvalid(ValueError):
+    """A suite file that is not a list of well-formed cases."""
+
+
+def _int32_list(row: dict, key: str, where: str) -> tuple[int, ...]:
+    values = row.get(key)
+    if not isinstance(values, list):
+        raise SuiteInvalid(f"{where}: {key!r} must be a list of ints")
+    for v in values:
+        # bool is a subclass of int, but true is not a test value
+        if type(v) is not int or not INT_MIN <= v < -INT_MIN:
+            raise SuiteInvalid(
+                f"{where}: {key!r} holds {json.dumps(v)}, not an int32")
+    return tuple(values)
+
+
 def suite_from_json(text: str) -> list[TestCase]:
-    return [TestCase(tuple(row["input"]), tuple(row["args"]),
-                     tuple(row["expected"]))
-            for row in json.loads(text)]
+    """Parse a suite, rejecting anything the engines could not run as
+    given: every value an int32 (no bools or floats), ``expected`` as long
+    as ``input``, and ``input`` no longer than the heap."""
+    try:
+        rows = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SuiteInvalid(f"not JSON: {exc}")
+    if not isinstance(rows, list):
+        raise SuiteInvalid("a suite must be a list of cases")
+    suite = []
+    for i, row in enumerate(rows):
+        where = f"case {i}"
+        if not isinstance(row, dict):
+            raise SuiteInvalid(f"{where}: not an object")
+        inp = _int32_list(row, "input", where)
+        expected = _int32_list(row, "expected", where)
+        args = _int32_list(row, "args", where)
+        if len(expected) != len(inp):
+            raise SuiteInvalid(
+                f"{where}: 'expected' has {len(expected)} values, "
+                f"'input' {len(inp)}")
+        if len(inp) > HEAP_LIMIT:
+            raise SuiteInvalid(
+                f"{where}: 'input' has {len(inp)} values, over the heap "
+                f"limit of {HEAP_LIMIT}")
+        suite.append(TestCase(inp, args, expected))
+    return suite
 
 
 # AST diff -----------------------------------------------------------------
@@ -190,8 +231,11 @@ def load_problem(directory: str) -> ProblemSpec:
         raise CorpusInvalid(
             [f"{directory}: designated version {designated_name} missing"])
     designated = improved_names.index(designated_name)
-    suite = tuple(suite_from_json(
-        _read(os.path.join(directory, "suite.json"))))
+    suite_path = os.path.join(directory, "suite.json")
+    try:
+        suite = tuple(suite_from_json(_read(suite_path)))
+    except ValueError as exc:  # SuiteInvalid, or not UTF-8
+        raise CorpusInvalid([f"{suite_path}: bad test suite: {exc}"])
     annotation = diff_improvement_nodes(original, improved[designated])
     pct = meta.get("improvement_pct")
     return ProblemSpec(

@@ -1,23 +1,1 @@
 """Parsing, printing, static checks and tree edits for the toy language."""
-
-from .ast import (
-    AstNode, Program, CATEGORY, STATEMENT_KINDS, EXPRESSION_KINDS,
-    BINARY_OPS, UNARY_OPS, INCDEC_OPS, structurally_equal, programs_equal,
-)
-from .parser import parse_program, parse_expression, ParseError
-from .printer import render_program, render_function, render_expr, render_snippet
-from .check import static_check, is_compilable, Violation
-from .edit import (
-    statement_nodes, delete_statement, empty_function_body, replace_node,
-    subtree, function_of, NotAStatement, CategoryMismatch,
-)
-
-__all__ = [
-    "AstNode", "Program", "CATEGORY", "STATEMENT_KINDS", "EXPRESSION_KINDS",
-    "BINARY_OPS", "UNARY_OPS", "INCDEC_OPS", "structurally_equal",
-    "programs_equal", "parse_program", "parse_expression", "ParseError",
-    "render_program", "render_function", "render_expr", "render_snippet",
-    "static_check", "is_compilable", "Violation", "statement_nodes",
-    "delete_statement", "empty_function_body", "replace_node", "subtree",
-    "function_of", "NotAStatement", "CategoryMismatch",
-]

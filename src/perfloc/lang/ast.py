@@ -23,7 +23,6 @@ Shape conventions, fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator, Optional
 
 KIND_FUNCTION = "FunctionDecl"
@@ -148,21 +147,34 @@ class AstNode:
         return h
 
     def clone(self) -> "AstNode":
-        n = AstNode(self.kind, [c.clone() for c in self.children],
-                    name=self.name, value=self.value, op=self.op,
-                    decl_type=self.decl_type, ret_type=self.ret_type,
-                    params=list(self.params) if self.params is not None else None,
-                    then_count=self.then_count, loop_var=self.loop_var,
-                    loop_step=self.loop_step, line=self.line, col=self.col)
+        return self.copy_with([c.clone() for c in self.children])
+
+    def copy_with(self, children: list["AstNode"]) -> "AstNode":
+        """This node's payload and source span over ``children``, unindexed.
+        Sets the slots directly: it is the inner loop of every tree edit."""
+        n = object.__new__(AstNode)
+        n.kind = self.kind
+        n.children = children
+        n.name = self.name
+        n.value = self.value
+        n.op = self.op
+        n.decl_type = self.decl_type
+        n.ret_type = self.ret_type
+        n.params = list(self.params) if self.params is not None else None
+        n.then_count = self.then_count
+        n.loop_var = self.loop_var
+        n.loop_step = self.loop_step
+        n.node_id = -1
+        n.parent_id = -1
+        n.line = self.line
+        n.col = self.col
+        n._hash = None
         return n
 
     def walk(self) -> Iterator["AstNode"]:
         yield self
         for c in self.children:
             yield from c.walk()
-
-    def subtree_size(self) -> int:
-        return 1 + sum(c.subtree_size() for c in self.children)
 
     def __repr__(self):
         bits = [self.kind]
@@ -181,54 +193,32 @@ def structurally_equal(a: AstNode, b: AstNode) -> bool:
 
 
 class Program:
-    """A parsed program: an ordered list of function declarations plus the
-    node table. Construct through ``from_functions`` so ids are assigned."""
+    """An ordered list of function declarations plus the node table.
+    Constructing one assigns every node its id and parent id, so the
+    functions' nodes must belong to no other program."""
 
     def __init__(self, functions: list[AstNode]):
         self.functions = functions
-        self.nodes: list[AstNode] = []
         self._index()
-
-    @classmethod
-    def from_functions(cls, functions: list[AstNode]) -> "Program":
-        return cls(functions)
 
     def _index(self) -> None:
-        self.nodes = []
-        queue: deque[AstNode] = deque()
-        for f in self.functions:
+        nodes = list(self.functions)
+        for f in nodes:
             f.parent_id = -1
-            queue.append(f)
-        while queue:
-            node = queue.popleft()
-            node.node_id = len(self.nodes)
-            self.nodes.append(node)
-            queue.extend(node.children)
-        for node in self.nodes:
+        # breadth-first: the loop visits the children it appends
+        for i, node in enumerate(nodes):
+            node.node_id = i
             for c in node.children:
-                c.parent_id = node.node_id
-
-    def reindex(self) -> None:
-        self._index()
+                c.parent_id = i
+            nodes.extend(node.children)
+        self.nodes: list[AstNode] = nodes
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def node(self, node_id: int) -> AstNode:
-        return self.nodes[node_id]
-
     def parent(self, node_id: int) -> Optional[AstNode]:
         pid = self.nodes[node_id].parent_id
         return None if pid < 0 else self.nodes[pid]
-
-    def clone(self) -> "Program":
-        return Program([f.clone() for f in self.functions])
-
-    def function_named(self, name: str) -> Optional[AstNode]:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        return None
 
     def enclosing_statement(self, node_id: int) -> Optional[AstNode]:
         """Nearest self-or-ancestor node whose kind is a statement."""

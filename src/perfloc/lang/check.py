@@ -311,7 +311,3 @@ def _definitely_returns(stmts) -> bool:
 
 def static_check(program: Program) -> list[Violation]:
     return Checker(program).run()
-
-
-def is_compilable(program: Program) -> bool:
-    return not static_check(program)

@@ -1,9 +1,8 @@
 """Tree surgery used by the localisation techniques.
 
-All edits work on a clone; the input program is never touched. Node ids in a
-clone match the original (cloning preserves shape), so callers can address
-clone nodes with original ids before the edit, then use the returned id map
-afterwards.
+Every edit returns a new program and leaves its input and any donor
+untouched; the new program shares no node with either. It is built by one
+copy that skips the subtree it drops, and is indexed once.
 """
 
 from __future__ import annotations
@@ -29,48 +28,57 @@ def statement_nodes(program: Program) -> list[AstNode]:
     return [n for n in program.nodes if n.kind in STATEMENT_KINDS]
 
 
-def _collect_ids(node: AstNode) -> set[int]:
-    return {n.node_id for n in node.walk()}
+def _substitute(program: Program, node_id: int,
+                replacement: Optional[AstNode]) -> Program:
+    """Copy of ``program`` with node ``node_id`` swapped for
+    ``replacement``, which is used as given. A ``None`` replacement drops
+    the node from its parent, keeping an If's then-branch count right.
+    Only the ancestors of ``node_id`` are rebuilt child by child; every
+    other subtree is cloned whole."""
+    ancestors = set()
+    pid = program.nodes[node_id].parent_id
+    while pid >= 0:
+        ancestors.add(pid)
+        pid = program.nodes[pid].parent_id
+
+    def copy(node: AstNode) -> AstNode:
+        if node.node_id == node_id:
+            return replacement
+        if node.node_id not in ancestors:
+            return node.clone()
+        children = []
+        then_count = node.then_count
+        for pos, child in enumerate(node.children):
+            if child.node_id != node_id or replacement is not None:
+                children.append(copy(child))
+            elif node.kind == KIND_IF and 1 <= pos <= node.then_count:
+                then_count -= 1
+        edited = node.copy_with(children)
+        edited.then_count = then_count
+        return edited
+
+    return Program([copy(f) for f in program.functions])
 
 
-def delete_statement(program: Program, node_id: int):
-    """Remove the statement with ``node_id``; return (new_program, id_map,
-    removed_ids). ``id_map`` maps old ids of surviving nodes to their new
-    ids. Function bodies cannot be detached (every function keeps a body);
-    use ``empty_function_body`` for that case."""
+def delete_statement(program: Program, node_id: int) -> Program:
+    """Remove the statement with ``node_id``. Function bodies cannot be
+    detached (every function keeps a body); use ``empty_function_body`` for
+    that case."""
     target = program.nodes[node_id]
     if target.kind not in STATEMENT_KINDS or target.kind == KIND_BLOCK:
         raise NotAStatement(f"node {node_id} is a {target.kind}")
-    clone = program.clone()
-    node = clone.nodes[node_id]
-    parent = clone.parent(node_id)
-    removed = _collect_ids(node)
-    pos = parent.children.index(node)
-    if parent.kind == KIND_IF and 1 <= pos <= parent.then_count:
-        parent.then_count -= 1
-    parent.children.pop(pos)
-    survivors = [(n, n.node_id) for f in clone.functions for n in f.walk()]
-    clone.reindex()
-    id_map = {old: n.node_id for n, old in survivors}
-    return clone, id_map, removed
+    return _substitute(program, node_id, None)
 
 
-def empty_function_body(program: Program, block_id: int):
+def empty_function_body(program: Program, block_id: int) -> Program:
     """The deletion counterpart for a function body: keep the Block, drop
-    everything inside it. Returns (new_program, id_map, removed_ids)."""
+    everything inside it."""
     target = program.nodes[block_id]
     parent = program.parent(block_id)
     if target.kind != KIND_BLOCK or parent is None or \
             parent.kind != KIND_FUNCTION:
         raise NotAStatement(f"node {block_id} is not a function body")
-    clone = program.clone()
-    node = clone.nodes[block_id]
-    removed = _collect_ids(node) - {node.node_id}
-    node.children = []
-    survivors = [(n, n.node_id) for f in clone.functions for n in f.walk()]
-    clone.reindex()
-    id_map = {old: n.node_id for n, old in survivors}
-    return clone, id_map, removed
+    return _substitute(program, block_id, target.copy_with([]))
 
 
 def replace_node(program: Program, node_id: int, donor: AstNode) -> Program:
@@ -81,27 +89,9 @@ def replace_node(program: Program, node_id: int, donor: AstNode) -> Program:
         raise CategoryMismatch(
             f"cannot put a {CATEGORY[donor.kind]} where a "
             f"{CATEGORY[target.kind]} was")
-    clone = program.clone()
-    node = clone.nodes[node_id]
-    replacement = donor.clone()
-    parent = clone.parent(node_id)
-    if parent is None:
-        pos = clone.functions.index(node)
-        clone.functions[pos] = replacement
-    else:
-        pos = parent.children.index(node)
-        parent.children[pos] = replacement
-    clone.reindex()
-    return clone
+    return _substitute(program, node_id, donor.clone())
 
 
 def subtree(program: Program, node_id: int) -> AstNode:
     """Detached copy of the subtree rooted at ``node_id``."""
     return program.nodes[node_id].clone()
-
-
-def function_of(program: Program, node_id: int) -> Optional[AstNode]:
-    n = program.nodes[node_id]
-    while n is not None and n.kind != KIND_FUNCTION:
-        n = program.parent(n.node_id)
-    return n

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lang.ast import (
-    AstNode, Program, CATEGORY, STATEMENT_KINDS,
+    AstNode, Program, CATEGORY,
     CAT_EXPRESSION, CAT_OPERATOR, CAT_STATEMENT,
     KIND_BLOCK, KIND_BINARY, KIND_UNARY, KIND_INCDEC, KIND_OPERATOR,
     BINARY_OPS, UNARY_OPS, INCDEC_OPS,
@@ -76,9 +76,9 @@ DELETE_LABEL = "<delete>"
 
 @dataclass(frozen=True)
 class MutationDescriptor:
-    kind: str                      # "Delete" or "Replace"
+    """One replacement: put ``donor`` where node ``target`` stood."""
     target: int
-    donor: Optional[AstNode]       # None for deletions
+    donor: AstNode
     donor_label: str
 
 
@@ -165,8 +165,7 @@ def _replacements_from_inventory(program, target_id, exprs, stmts):
         for sym in symbols:
             if sym != target.op:
                 donor = AstNode(KIND_OPERATOR, op=sym)
-                out.append(MutationDescriptor("Replace", target_id, donor,
-                                              sym))
+                out.append(MutationDescriptor(target_id, donor, sym))
         return out
     if category == CAT_EXPRESSION:
         pool = exprs
@@ -178,9 +177,22 @@ def _replacements_from_inventory(program, target_id, exprs, stmts):
         return []
     for donor in pool:
         if not structurally_equal(donor, target):
-            out.append(MutationDescriptor("Replace", target_id, donor,
+            out.append(MutationDescriptor(target_id, donor,
                                           render_snippet(donor)))
     return out
+
+
+# variant evaluation -------------------------------------------------------
+
+def _evaluate_variant(mutated: Program, suite: Sequence[TestCase],
+                      limits: Sequence[int], original: SuiteResult
+                      ) -> tuple[str, Optional[SuiteResult]]:
+    """Check, lower, run and classify one variant. The outcome is None when
+    the variant does not compile."""
+    if static_check(mutated):
+        return CLASS_NOT_COMPILABLE, None
+    outcome = run_suite(compile_program(mutated), suite, limits)
+    return classify_variant(original, outcome, True), outcome
 
 
 # deletion -----------------------------------------------------------------
@@ -202,17 +214,15 @@ def deletion_analysis(program: Program, suite: Sequence[TestCase],
         if stmt.kind == KIND_BLOCK:
             if sid not in body_ids:
                 continue
-            mutated, _, _ = empty_function_body(program, sid)
+            mutated = empty_function_body(program, sid)
         else:
-            mutated, _, _ = delete_statement(program, sid)
-        if static_check(mutated):
-            variants.append(VariantRecord(sid, DELETE_LABEL,
-                                          CLASS_NOT_COMPILABLE, None, None,
-                                          False, False))
+            mutated = delete_statement(program, sid)
+        klass, outcome = _evaluate_variant(mutated, suite, limits, original)
+        if outcome is None:
+            variants.append(VariantRecord(sid, DELETE_LABEL, klass, None,
+                                          None, False, False))
             continue
         executed += 1
-        outcome = run_suite(compile_program(mutated), suite, limits)
-        klass = classify_variant(original, outcome, True)
         # hung and crashed runs have no comparable cost to subtract
         saved = Fraction(0)
         if total and klass not in (CLASS_INFINITE_LOOP, CLASS_RUNTIME_ERROR):
@@ -270,35 +280,26 @@ def _evaluate_spec(task):
     ("node", source id). Returns a plain-value result row."""
     target, donor_idx, spec = task
     program = _WORKER_STATE["program"]
-    suite = _WORKER_STATE["suite"]
-    limits = _WORKER_STATE["limits"]
-    original = _WORKER_STATE["original"]
     if spec[0] == "op":
         donor = AstNode(KIND_OPERATOR, op=spec[1])
     else:
         donor = program.nodes[spec[1]]
-    mutated = replace_node(program, target, donor)
-    if static_check(mutated):
-        return (target, donor_idx, False, CLASS_NOT_COMPILABLE, 0, 0, 1)
-    outcome = run_suite(compile_program(mutated), suite, limits)
-    klass = classify_variant(original, outcome, True)
+    klass, outcome = _evaluate_variant(
+        replace_node(program, target, donor), _WORKER_STATE["suite"],
+        _WORKER_STATE["limits"], _WORKER_STATE["original"])
+    if outcome is None:
+        return (target, donor_idx, False, klass, 0, 0, 1)
     return (target, donor_idx, True, klass, outcome.total_cost,
             outcome.correctness.numerator, outcome.correctness.denominator)
 
 
-def _descriptor_spec(descriptor: MutationDescriptor,
-                     program: Program) -> tuple:
+def _descriptor_spec(descriptor: MutationDescriptor) -> tuple:
     donor = descriptor.donor
     if donor.kind == KIND_OPERATOR:
         return ("op", donor.op)
-    # Tree donors come from the program itself, so shipping the node id is
-    # enough; workers re-parse the source and look the subtree up.
-    if donor.node_id >= 0 and program.nodes[donor.node_id] is donor:
-        return ("node", donor.node_id)
-    for n in program.nodes:
-        if n.kind == donor.kind and structurally_equal(n, donor):
-            return ("node", n.node_id)
-    raise AssertionError("donor does not occur in the program")
+    # Tree donors are nodes of the program itself, so shipping the node id
+    # is enough; workers re-parse the source and look the subtree up.
+    return ("node", donor.node_id)
 
 
 def exhaustive_analysis(program: Program, suite: Sequence[TestCase],
@@ -316,7 +317,7 @@ def exhaustive_analysis(program: Program, suite: Sequence[TestCase],
                                              stmts)
         per_target.append(descs)
         for idx, d in enumerate(descs):
-            tasks.append((node.node_id, idx, _descriptor_spec(d, program)))
+            tasks.append((node.node_id, idx, _descriptor_spec(d)))
 
     init_args = (render_program(program), tuple(suite), tuple(limits),
                  original.total_cost, original.correctness.numerator,

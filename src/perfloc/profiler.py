@@ -83,9 +83,7 @@ def inherited_count(program: Program, report: ProfileReport,
     node = program.nodes[node_id]
     if node.kind == KIND_FUNCTION:
         return report.counts[node.children[0].node_id]
-    while node.kind not in STATEMENT_KINDS:
-        node = program.parent(node.node_id)
-    return report.counts[node.node_id]
+    return report.counts[program.enclosing_statement(node_id).node_id]
 
 
 def profile_scores(program: Program, report: ProfileReport

@@ -1,14 +1,5 @@
 """Interpreter: flat IR, two engines with identical step accounting."""
 
-from .exec import (
-    TestCase, ExecutionOutcome, SuiteResult, BaselineDiverged,
-    execute, run_suite, baseline_limits, compile_program, ENGINE_NAME,
-    DEFAULT_TIMEOUT_FACTOR,
-)
-from .ir import build_ir, ProgramIR
+from .exec import ENGINE_NAME
 
-__all__ = [
-    "TestCase", "ExecutionOutcome", "SuiteResult", "BaselineDiverged",
-    "execute", "run_suite", "baseline_limits", "compile_program",
-    "ENGINE_NAME", "DEFAULT_TIMEOUT_FACTOR", "build_ir", "ProgramIR",
-]
+__all__ = ["ENGINE_NAME"]

@@ -83,7 +83,6 @@ LEN_MASK = (1 << ARRAY_SHIFT) - 1
 STACK_LIMIT = 512
 
 INT_MIN = -(1 << 31)
-INT_WRAP = 1 << 32
 
 
 class FunctionInfo:
@@ -280,7 +279,3 @@ def build_ir(program: Program) -> ProgramIR:
 
 def pack_array(offset: int, length: int) -> int:
     return (offset << ARRAY_SHIFT) | length
-
-
-def unpack_array(ref: int) -> tuple[int, int]:
-    return ref >> ARRAY_SHIFT, ref & LEN_MASK

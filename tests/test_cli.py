@@ -1,6 +1,8 @@
 """Command-line interface tests, driven in process through main()."""
 
 import csv
+import hashlib
+import json
 import os
 
 import pytest
@@ -108,6 +110,14 @@ def test_localize_reruns_are_byte_identical(tmp_path):
                      "--technique", "combined", "--out", str(out)]) == 0
     for name in ("nodes.csv", "variants.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+    # Pinned digests: any change to a report byte must be deliberate.
+    assert {name: hashlib.sha256((a / name).read_bytes()).hexdigest()
+            for name in ("nodes.csv", "variants.csv")} == {
+        "nodes.csv":
+            "5d58d43dde22dffcdc90fa238f979ca30e0d1fd5d23bf0d9acb52542543f4636",
+        "variants.csv":
+            "0fa526af057221eb18d9d022e4be611f035bbfbbe3d6ffa809db9411062ebc42",
+    }
 
 
 def test_localize_unknown_technique_is_a_usage_error(tmp_path, capsys):
@@ -252,6 +262,39 @@ def test_validate_failure_exits_one(tmp_path, capsys):
     os.remove(bad / "bubble" / "improved-1.mini")
     assert main(["validate", "--corpus", str(bad)]) == 1
     assert "invalid" in capsys.readouterr().err
+
+
+# -- malformed suites ---------------------------------------------------
+
+@pytest.mark.parametrize("key, value", [
+    ("input", 2147483653),  # outside int32
+    ("input", True),
+    ("input", 1.5),
+    ("args", None),         # None: the key is missing
+])
+def test_malformed_suite_exits_one_with_one_line(tmp_path, capsys, key,
+                                                 value):
+    import shutil
+    corpus = tmp_path / "corpus"
+    shutil.copytree(os.path.join(CORPUS_DIR, "bubble"), corpus / "bubble")
+    program = corpus / "bubble" / "original.mini"
+    suite = corpus / "bubble" / "suite.json"
+    cases = json.loads(suite.read_text())
+    if value is None:
+        del cases[3][key]
+    else:
+        cases[3][key][0] = value
+    suite.write_text(json.dumps(cases))
+    out = str(tmp_path / "out")
+    for argv in (["profile", str(program), "--tests", str(suite),
+                  "--out", out],
+                 ["localize", str(program), "--tests", str(suite),
+                  "--technique", "deletion", "--out", out],
+                 ["evaluate", "--corpus", str(corpus), "--out", out],
+                 ["validate", "--corpus", str(corpus)]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "case 3" in err[0], (argv[0], err)
 
 
 # -- global flags -------------------------------------------------------

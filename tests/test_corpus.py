@@ -8,14 +8,15 @@ import shutil
 import pytest
 
 from perfloc.corpus import (
-    CorpusInvalid, DEFAULT_SEED, diff_improvement_nodes, generate_tests,
-    load_problem, measured_improvement, problem_dirs, suite_from_json,
-    suite_to_json, validate_corpus, validate_problem,
+    CorpusInvalid, DEFAULT_SEED, SuiteInvalid, diff_improvement_nodes,
+    generate_tests, load_problem, measured_improvement, problem_dirs,
+    suite_from_json, suite_to_json, validate_corpus, validate_problem,
 )
 from perfloc.lang.ast import (
     AstNode, KIND_BLOCK, KIND_FUNCTION, Program, programs_equal,
 )
 from perfloc.lang.parser import parse_program
+from perfloc.runtime.ir import HEAP_LIMIT
 
 from conftest import CORPUS_DIR, corpus_source
 
@@ -56,6 +57,32 @@ def test_suite_json_round_trip(tmp_path):
     suite = generate_tests(3)
     text = suite_to_json(suite)
     assert suite_from_json(text) == suite
+
+
+def _case(inp=(2, 1), expected=(1, 2), args=(2,)):
+    return {"input": list(inp), "expected": list(expected),
+            "args": list(args)}
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({"input": [1]}, "list of cases"),
+    ([_case(), [1, 2]], "case 1: not an object"),
+    ([_case(args=(False,))], "case 0: 'args' holds false"),
+    ([_case(expected=(1, -2147483649))], "case 0: 'expected' holds"),
+    ([_case(expected=(1,))], "case 0: 'expected' has 1 values"),
+    ([_case(inp=[0] * (HEAP_LIMIT + 1), expected=[0] * (HEAP_LIMIT + 1))],
+     "over the heap limit"),
+])
+def test_suite_from_json_rejects_malformed_cases(rows, message):
+    with pytest.raises(SuiteInvalid, match=message):
+        suite_from_json(json.dumps(rows))
+
+
+def test_suite_from_json_accepts_the_int32_extremes():
+    (case,) = suite_from_json(json.dumps(
+        [_case(inp=(2147483647, -2147483648),
+               expected=(-2147483648, 2147483647))]))
+    assert case.input_array == (2147483647, -2147483648)
 
 
 def test_committed_suites_match_the_default_seed():

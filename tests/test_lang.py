@@ -121,13 +121,13 @@ def test_scopes_allow_shadowing_across_blocks():
 
 def test_delete_statement_drops_the_subtree():
     p = parse_program(corpus_source("bubble_loops"))
-    clone, id_map, removed = delete_statement(p, 22)  # int k = a[j];
-    assert removed == {22, 31, 32, 41, 42}
-    assert len(clone.nodes) == 58 - 5
+    variant = delete_statement(p, 22)  # int k = a[j];
+    assert len(variant.nodes) == 58 - 5
     assert len(p.nodes) == 58  # input untouched
-    assert clone.nodes[id_map[17]].then_count == 2
-    assert "int k" not in render_program(clone)
-    assert set(id_map) | removed == set(range(58))
+    (branch,) = [n for n in variant.nodes if n.kind == KIND_IF]
+    assert branch.then_count == 2
+    assert "int k" not in render_program(variant)
+    assert "int k" in render_program(p)
 
 
 def test_delete_statement_refuses_blocks_and_expressions():
@@ -140,10 +140,10 @@ def test_delete_statement_refuses_blocks_and_expressions():
 
 def test_empty_function_body():
     p = parse_program(corpus_source("bubble"))
-    clone, id_map, removed = empty_function_body(p, 1)
-    assert len(clone.nodes) == 2
-    assert render_program(clone).split("{")[1].strip() == "}"
-    assert 1 not in removed and 2 in removed
+    variant = empty_function_body(p, 1)
+    assert len(variant.nodes) == 2
+    assert variant.nodes[1].kind == KIND_BLOCK
+    assert render_program(variant).split("{")[1].strip() == "}"
     with pytest.raises(NotAStatement):
         empty_function_body(p, 2)  # not a function body
 
@@ -163,6 +163,61 @@ def test_replace_node_rejects_category_mixing():
         replace_node(p, 2, expr)  # expression where a For stood
     with pytest.raises(CategoryMismatch):
         replace_node(p, 6, expr)  # expression where an Operator stood
+
+
+def _ids(program):
+    return [(n.node_id, n.parent_id) for n in program.nodes]
+
+
+def assert_fresh_index(variant, original):
+    """Ids are 0..n-1, every child points at its parent, and no node is
+    shared with the program the variant was made from."""
+    assert [n.node_id for n in variant.nodes] == list(range(len(variant)))
+    assert all(f.parent_id == -1 for f in variant.functions)
+    for node in variant.nodes:
+        assert all(c.parent_id == node.node_id for c in node.children)
+    assert not {id(n) for n in variant.nodes} & {id(n) for n in original.nodes}
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_edits_index_afresh_and_leave_the_input_alone(name):
+    p = parse_program(corpus_source(name))
+    before = _ids(p)
+    for node in p.nodes:
+        variant = replace_node(p, node.node_id, subtree(p, node.node_id))
+        assert programs_equal(variant, p)
+        assert_fresh_index(variant, p)
+        assert _ids(p) == before
+    body_ids = p.body_block_ids()
+    for stmt in statement_nodes(p):
+        if stmt.kind != KIND_BLOCK:
+            variant = delete_statement(p, stmt.node_id)
+        elif stmt.node_id in body_ids:
+            variant = empty_function_body(p, stmt.node_id)
+        else:
+            continue
+        kept = 1 if stmt.kind == KIND_BLOCK else 0  # the emptied body
+        assert len(variant) == len(p) - len(list(stmt.walk())) + kept
+        assert_fresh_index(variant, p)
+        assert _ids(p) == before
+
+
+def test_each_edit_indexes_once(monkeypatch):
+    p = parse_program(corpus_source("bubble_loops"))
+    indexed = []
+    index = Program._index
+
+    def counting_index(self):
+        indexed.append(self)
+        index(self)
+
+    monkeypatch.setattr(Program, "_index", counting_index)
+    for edit in (lambda: replace_node(p, 8, subtree(p, 3)),
+                 lambda: delete_statement(p, 22),
+                 lambda: empty_function_body(p, 1)):
+        indexed.clear()
+        variant = edit()
+        assert indexed == [variant]
 
 
 def test_categories_partition_all_kinds():
