@@ -18,15 +18,13 @@ from fractions import Fraction
 
 from . import __version__
 from .corpus import (
-    CORPUS_VERSION, CorpusInvalid, DEFAULT_SEED, load_problem, problem_dirs,
-    suite_from_json, validate_corpus,
+    CORPUS_VERSION, CorpusInvalid, DEFAULT_SEED, load_problem, load_program,
+    load_suite, problem_dirs, validate_corpus,
 )
 from .evaluation import (
     ACCURACY_BANDS, SUMMARY_ROWS, accuracy_table, bootstrap_diff,
     fractional_rank, percent_rank_error, summary_table,
 )
-from .lang.parser import ParseError, parse_program
-from .lang.check import static_check
 from .lang.printer import render_snippet
 from .mutation import (
     combined_analysis, deletion_analysis, exhaustive_analysis,
@@ -90,39 +88,13 @@ def write_variants_csv(path_dir: str, variants) -> None:
                         corr])
 
 
-def _load_program(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliDataError(f"cannot read {path}: {exc}")
-    try:
-        program = parse_program(text)
-    except ParseError as exc:
-        raise CliDataError(f"{path}: {exc}")
-    violations = static_check(program)
-    if violations:
-        raise CliDataError(f"{path}: {violations[0]}")
-    return program
-
-
-def _load_suite(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return suite_from_json(fh.read())
-    except OSError as exc:
-        raise CliDataError(f"cannot read {path}: {exc}")
-    except ValueError as exc:  # SuiteInvalid, or not UTF-8
-        raise CliDataError(f"{path}: bad test suite: {exc}")
-
-
 class CliDataError(Exception):
     """Input data problem: exit code 1, message on stderr."""
 
 
 def cmd_profile(args) -> int:
-    program = _load_program(args.program)
-    suite = _load_suite(args.tests)
+    program = load_program(args.program)
+    suite = load_suite(args.tests, program)
     report = profile(program, suite)
     with _open_csv(args.out, "profile.csv") as fh:
         w = csv.writer(fh)
@@ -137,8 +109,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    program = _load_program(args.program)
-    suite = _load_suite(args.tests)
+    program = load_program(args.program)
+    suite = load_suite(args.tests, program)
     technique = args.technique
     variants = ()
     if technique == "profile":

@@ -108,16 +108,19 @@ def _int32_list(row: dict, key: str, where: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def suite_from_json(text: str) -> list[TestCase]:
-    """Parse a suite, rejecting anything the engines could not run as
-    given: every value an int32 (no bools or floats), ``expected`` as long
-    as ``input``, and ``input`` no longer than the heap."""
+def suite_from_json(text: str, program: Program) -> list[TestCase]:
+    """Parse a suite for ``program``, rejecting anything the engines could
+    not run as given: every value an int32 (no bools or floats),
+    ``expected`` as long as ``input``, ``input`` no longer than the heap,
+    and one value in ``args`` for each parameter of the entry function
+    after the array."""
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SuiteInvalid(f"not JSON: {exc}")
     if not isinstance(rows, list):
         raise SuiteInvalid("a suite must be a list of cases")
+    entry = program.functions[program.entry_index()]
     suite = []
     for i, row in enumerate(rows):
         where = f"case {i}"
@@ -134,6 +137,11 @@ def suite_from_json(text: str) -> list[TestCase]:
             raise SuiteInvalid(
                 f"{where}: 'input' has {len(inp)} values, over the heap "
                 f"limit of {HEAP_LIMIT}")
+        if len(args) != len(entry.params) - 1:
+            raise SuiteInvalid(
+                f"{where}: 'args' has {len(args)} values, but "
+                f"{entry.name!r} takes {len(entry.params) - 1} after the "
+                f"array")
         suite.append(TestCase(inp, args, expected))
     return suite
 
@@ -212,30 +220,56 @@ def diff_improvement_nodes(original: Program,
 # loading and validation ---------------------------------------------------
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusInvalid([f"{path}: unreadable ({exc})"])
+
+
+def load_program(path: str) -> Program:
+    """Read, parse and check one program file."""
+    try:
+        program = parse_program(_read(path))
+    except ParseError as exc:
+        raise CorpusInvalid([f"{path}: {exc}"])
+    violations = static_check(program)
+    if violations:
+        raise CorpusInvalid([f"{path}: does not compile: {violations[0]}"])
+    return program
+
+
+def load_suite(path: str, program: Program) -> tuple[TestCase, ...]:
+    """Read a suite file for ``program`` (see ``suite_from_json``)."""
+    try:
+        return tuple(suite_from_json(_read(path), program))
+    except SuiteInvalid as exc:
+        raise CorpusInvalid([f"{path}: bad test suite: {exc}"])
 
 
 def load_problem(directory: str) -> ProblemSpec:
-    meta = json.loads(_read(os.path.join(directory, "problem.json")))
-    original = parse_program(_read(os.path.join(directory, "original.mini")))
+    """Raises CorpusInvalid, naming the file, on anything it cannot use."""
+    meta_path = os.path.join(directory, "problem.json")
+    try:
+        meta = json.loads(_read(meta_path))
+    except json.JSONDecodeError as exc:
+        raise CorpusInvalid([f"{meta_path}: not JSON ({exc})"])
+    if not isinstance(meta, dict) or not isinstance(meta.get("name"), str):
+        raise CorpusInvalid([f"{meta_path}: needs a \"name\" string"])
+    original = load_program(os.path.join(directory, "original.mini"))
     improved_names = sorted(
         f for f in os.listdir(directory)
         if f.startswith("improved-") and f.endswith(".mini"))
     if not improved_names:
         raise CorpusInvalid([f"{directory}: no improved versions"])
-    improved = tuple(parse_program(_read(os.path.join(directory, f)))
+    improved = tuple(load_program(os.path.join(directory, f))
                      for f in improved_names)
     designated_name = meta.get("improved", improved_names[0])
     if designated_name not in improved_names:
         raise CorpusInvalid(
             [f"{directory}: designated version {designated_name} missing"])
     designated = improved_names.index(designated_name)
-    suite_path = os.path.join(directory, "suite.json")
-    try:
-        suite = tuple(suite_from_json(_read(suite_path)))
-    except ValueError as exc:  # SuiteInvalid, or not UTF-8
-        raise CorpusInvalid([f"{suite_path}: bad test suite: {exc}"])
+    suite = load_suite(os.path.join(directory, "suite.json"), original)
     annotation = diff_improvement_nodes(original, improved[designated])
     pct = meta.get("improvement_pct")
     return ProblemSpec(
@@ -266,19 +300,9 @@ def validate_problem(directory: str) -> list[str]:
     failures = []
     try:
         problem = load_problem(directory)
-    except (OSError, KeyError, json.JSONDecodeError, ParseError) as exc:
-        return [f"{directory}: unreadable ({exc})"]
     except CorpusInvalid as exc:
         return exc.failures
     name = problem.name
-    if static_check(problem.original):
-        failures.append(f"{name}: original does not compile")
-        return failures
-    for i, imp in enumerate(problem.improved):
-        if static_check(imp):
-            failures.append(f"{name}: improved version {i} does not compile")
-    if failures:
-        return failures
     for test in problem.suite:
         if tuple(sorted(test.input_array)) != test.expected_output:
             failures.append(f"{name}: suite expectation is not sorted input")

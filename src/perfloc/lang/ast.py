@@ -83,6 +83,8 @@ TYPE_ARRAY = "int[]"
 TYPE_VOID = "void"
 TYPES = (TYPE_INT, TYPE_BOOL, TYPE_ARRAY, TYPE_VOID)
 
+ENTRY_NAME = "sort"
+
 
 class AstNode:
     __slots__ = (
@@ -195,10 +197,13 @@ def structurally_equal(a: AstNode, b: AstNode) -> bool:
 class Program:
     """An ordered list of function declarations plus the node table.
     Constructing one assigns every node its id and parent id, so the
-    functions' nodes must belong to no other program."""
+    functions' nodes must belong to no other program. ``frames`` is the
+    frame layout ``lang.check.static_check`` records when it accepts the
+    program, and None until then."""
 
     def __init__(self, functions: list[AstNode]):
         self.functions = functions
+        self.frames = None
         self._index()
 
     def _index(self) -> None:
@@ -226,6 +231,13 @@ class Program:
         while n is not None and n.kind not in STATEMENT_KINDS:
             n = self.parent(n.node_id)
         return n
+
+    def entry_index(self) -> int:
+        """The function under test: ``sort`` when present, else the first."""
+        for i, f in enumerate(self.functions):
+            if f.name == ENTRY_NAME:
+                return i
+        return 0
 
     def body_block_ids(self) -> set[int]:
         return {f.children[0].node_id for f in self.functions

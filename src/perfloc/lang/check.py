@@ -18,6 +18,13 @@ Scoping: one scope per function (params), per control body, and per for-loop
 (the header counter lives in the loop scope; its init expression is checked in
 the enclosing scope). No shadowing anywhere. Function names are not values.
 
+Frame slots: this is the only place names are resolved. Each declaration gets
+the next slot of its function's frame, in the order the walk meets them, so
+parameters hold slots 0..n-1 and sibling scopes never share a slot. A program
+the checker accepts gets ``Program.frames``: the slot each VarDecl and For
+counter binds and each identifier read or assigned, and every function's
+frame size. ``runtime.ir.build_ir`` reads those instead of resolving again.
+
 Violations come back sorted by node id.
 """
 
@@ -27,7 +34,7 @@ from typing import NamedTuple, Optional
 
 from .ast import (
     AstNode, Program,
-    KIND_FUNCTION, KIND_BLOCK, KIND_VARDECL, KIND_ASSIGN, KIND_IF, KIND_FOR,
+    KIND_BLOCK, KIND_VARDECL, KIND_ASSIGN, KIND_IF, KIND_FOR,
     KIND_WHILE, KIND_RETURN, KIND_EXPRSTMT, KIND_BINARY, KIND_UNARY,
     KIND_INCDEC, KIND_CALL, KIND_INDEX, KIND_IDENT, KIND_INT, KIND_BOOL,
     KIND_OPERATOR,
@@ -55,33 +62,55 @@ class Violation(NamedTuple):
     message: str
 
 
+class Frames(NamedTuple):
+    """Frame layout of an accepted program. ``slots[node_id]`` is the slot a
+    VarDecl or For binds, or an identifier reads or assigns; -1 elsewhere.
+    ``sizes[i]`` is the number of slots function i declares."""
+    slots: list[int]
+    sizes: list[int]
+
+
 class Checker:
     def __init__(self, program: Program):
         self.program = program
         self.violations: list[Violation] = []
         self.signatures: dict[str, tuple[str, list[str]]] = {}
-        self.scopes: list[dict[str, str]] = []
+        self.scopes: list[dict[str, tuple[str, int]]] = []  # name: type, slot
+        self.slots = [-1] * len(program.nodes)
+        self.sizes: list[int] = []
+        self.n_slots = 0
 
     def report(self, code: str, node: AstNode, message: str) -> None:
         self.violations.append(Violation(code, node.node_id, message))
 
     # scope helpers --------------------------------------------------------
 
-    def lookup(self, name: str) -> Optional[str]:
+    def resolve(self, ident: AstNode) -> Optional[str]:
+        """Type of the variable an identifier names, recording its slot;
+        None (reported) when no such variable is visible."""
+        name = ident.name
         for scope in reversed(self.scopes):
             if name in scope:
-                return scope[name]
+                var_type, slot = scope[name]
+                self.slots[ident.node_id] = slot
+                return var_type
+        self.report(UNDECLARED, ident, f"{name!r} is not declared")
         return None
 
     def visible(self, name: str) -> bool:
-        return (self.lookup(name) is not None or name in self.signatures
-                or name == BUILTIN_NEWARRAY)
+        return (any(name in scope for scope in self.scopes)
+                or name in self.signatures or name == BUILTIN_NEWARRAY)
 
-    def declare(self, node: AstNode, name: str, var_type: str) -> None:
+    def declare(self, node: AstNode, name: str, var_type: str) -> int:
+        """Bind ``name`` to the function's next frame slot and return it;
+        -1 (reported) when the name is already visible."""
         if self.visible(name):
             self.report(DUPLICATE, node, f"{name!r} is already declared")
-            return
-        self.scopes[-1][name] = var_type
+            return -1
+        slot = self.n_slots
+        self.n_slots += 1
+        self.scopes[-1][name] = (var_type, slot)
+        return slot
 
     # entry point ----------------------------------------------------------
 
@@ -96,14 +125,18 @@ class Checker:
         for func in self.program.functions:
             self.check_function(func)
         self.violations.sort(key=lambda v: (v.node_id, v.code, v.message))
+        self.program.frames = None if self.violations \
+            else Frames(self.slots, self.sizes)
         return self.violations
 
     def check_function(self, func: AstNode) -> None:
         self.scopes = [{}]
+        self.n_slots = 0
         for ptype, pname in func.params or []:
             self.declare(func, pname, ptype)
         body = func.children[0]
         self.check_statements(body.children, func)
+        self.sizes.append(self.n_slots)
         if func.ret_type != TYPE_VOID and not _definitely_returns(body.children):
             self.report(NO_RETURN, func,
                         f"{func.name!r} can finish without returning "
@@ -129,7 +162,8 @@ class Checker:
                 self.report(BAD_TARGET, node,
                             "declaration needs a plain variable name")
             else:
-                self.declare(node, node.children[0].name, node.decl_type)
+                self.slots[node.node_id] = self.declare(
+                    node, node.children[0].name, node.decl_type)
         elif kind == KIND_ASSIGN:
             self.check_assign(node)
         elif kind == KIND_IF:
@@ -140,7 +174,8 @@ class Checker:
         elif kind == KIND_FOR:
             self.check_typed(node.children[0], TYPE_INT)
             self.scopes.append({})
-            self.declare(node, node.loop_var, TYPE_INT)
+            self.slots[node.node_id] = self.declare(node, node.loop_var,
+                                                    TYPE_INT)
             self.check_typed(node.children[1], TYPE_BOOL)
             for s in node.children[2:]:
                 self.check_statement(s, func)
@@ -160,13 +195,11 @@ class Checker:
     def check_assign(self, node: AstNode) -> None:
         target, value = node.children
         if target.kind == KIND_IDENT:
-            var_type = self.lookup(target.name)
+            var_type = self.resolve(target)
             if var_type is None:
-                self.report(UNDECLARED, target,
-                            f"{target.name!r} is not declared")
                 self.type_of(value)
-                return
-            self.check_typed(value, var_type)
+            else:
+                self.check_typed(value, var_type)
         elif target.kind == KIND_INDEX:
             self.type_of(target)
             self.check_typed(value, TYPE_INT)
@@ -202,10 +235,7 @@ class Checker:
         if kind == KIND_BOOL:
             return TYPE_BOOL
         if kind == KIND_IDENT:
-            var_type = self.lookup(node.name)
-            if var_type is None:
-                self.report(UNDECLARED, node, f"{node.name!r} is not declared")
-            return var_type
+            return self.resolve(node)
         if kind == KIND_INDEX:
             base, index = node.children
             self.check_typed(base, TYPE_ARRAY)
@@ -310,4 +340,6 @@ def _definitely_returns(stmts) -> bool:
 
 
 def static_check(program: Program) -> list[Violation]:
+    """The program's violations; when there are none, its ``frames`` are
+    set as well."""
     return Checker(program).run()

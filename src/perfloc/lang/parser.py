@@ -398,12 +398,3 @@ class Parser:
 
 def parse_program(text: str) -> Program:
     return Parser(text).parse_program()
-
-
-def parse_expression(text: str) -> AstNode:
-    """Parse a bare expression (used by tests and donor round-trips)."""
-    p = Parser(text)
-    expr = p.parse_expr()
-    if p.tokens[0][0] != "eof":
-        p.error("trailing input after expression")
-    return expr

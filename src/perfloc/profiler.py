@@ -17,10 +17,7 @@ from typing import Sequence
 
 from .lang.ast import Program, STATEMENT_KINDS, KIND_FUNCTION
 from .lang.check import static_check
-from .runtime import engine_py
-from .runtime.exec import (
-    TestCase, BaselineDiverged, BOOTSTRAP_LIMIT, entry_index, pack_array,
-)
+from .runtime.exec import TestCase, baseline_limits
 from .runtime.ir import build_ir
 from .scores import NodeScore, AnalysisCost, SOURCE_PROFILER
 
@@ -33,24 +30,12 @@ class ProfileReport:
 
 
 def profile(program: Program, suite: Sequence[TestCase]) -> ProfileReport:
+    """Raises BaselineDiverged unless the program passes every test."""
     violations = static_check(program)
     if violations:
         raise ValueError(f"program does not compile: {violations[0]}")
-    ir = build_ir(program)
-    entry = entry_index(ir)
     tally = [0] * len(program.nodes)
-    for test in suite:
-        heap = list(test.input_array)
-        args = [pack_array(0, len(heap))] + list(test.extra_args)
-        counts = [0] * len(program.nodes)
-        status, _, _ = engine_py.run(ir, entry, args, heap, BOOTSTRAP_LIMIT,
-                                     counts=counts)
-        if status != 0:
-            raise BaselineDiverged(f"original program failed on test {test}")
-        if tuple(heap[:len(test.input_array)]) != test.expected_output:
-            raise BaselineDiverged(f"original program incorrect on {test}")
-        for i, c in enumerate(counts):
-            tally[i] += c
+    baseline_limits(build_ir(program), suite, counts=tally)
 
     counts_map = {n.node_id: tally[n.node_id] for n in program.nodes
                   if n.kind in STATEMENT_KINDS}

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..lang.ast import Program
-from .ir import ProgramIR, build_ir, pack_array, ARRAY_SHIFT
+from .ir import ProgramIR, build_ir, pack_array
 from . import engine_py
 
 STATUS_NAMES = {0: "Completed", 1: "Timeout", 2: "RuntimeError"}
@@ -68,36 +67,35 @@ class SuiteResult:
     per_test: tuple[ExecutionOutcome, ...]
 
 
-ENTRY_NAME = "sort"
-
-
-def entry_index(ir: ProgramIR) -> int:
-    """The function under test: ``sort`` when present, else the first one."""
-    return ir.entry.get(ENTRY_NAME, 0)
-
-
 def execute(ir: ProgramIR, test: TestCase, step_limit: int,
-            engine=None) -> ExecutionOutcome:
-    eng = engine if engine is not None else _ENGINE
+            engine=None, counts=None) -> ExecutionOutcome:
+    """Run the entry function on one test. ``counts``, when given, holds a
+    cell per node that gains one at every statement entry; only
+    ``engine_py`` counts, so it runs those tests whatever ``engine`` is."""
     heap = list(test.input_array)
     args = [pack_array(0, len(heap))] + list(test.extra_args)
-    status, steps, err = eng.run(ir, entry_index(ir), args, heap, step_limit)
+    if counts is None:
+        status, steps, err = (engine or _ENGINE).run(
+            ir, ir.entry, args, heap, step_limit)
+    else:
+        status, steps, err = engine_py.run(ir, ir.entry, args, heap,
+                                           step_limit, counts)
     final = tuple(heap[:len(test.input_array)]) if status == 0 else None
     return ExecutionOutcome(STATUS_NAMES[status], steps, final,
                             ERROR_NAMES[err])
 
 
-def compile_program(program: Program) -> ProgramIR:
-    return build_ir(program)
+compile_program = build_ir
 
 
 def run_suite(ir: ProgramIR, suite: Sequence[TestCase],
-              limits: Sequence[int], engine=None) -> SuiteResult:
+              limits: Sequence[int], engine=None,
+              counts=None) -> SuiteResult:
     outcomes = []
     correct = 0
     total = 0
     for test, limit in zip(suite, limits):
-        outcome = execute(ir, test, limit, engine=engine)
+        outcome = execute(ir, test, limit, engine, counts)
         outcomes.append(outcome)
         total += outcome.steps
         if outcome.final_array == test.expected_output:
@@ -108,24 +106,19 @@ def run_suite(ir: ProgramIR, suite: Sequence[TestCase],
 
 def baseline_limits(ir: ProgramIR, suite: Sequence[TestCase],
                     factor: float = DEFAULT_TIMEOUT_FACTOR,
-                    engine=None) -> tuple[list[int], SuiteResult]:
+                    engine=None, counts=None
+                    ) -> tuple[list[int], SuiteResult]:
     """Per-test limits of max(100, ceil(factor x original steps)). The
     original must complete and pass every test under a generous cap."""
-    limits = []
-    outcomes = []
-    total = 0
-    correct = 0
-    for test in suite:
-        outcome = execute(ir, test, BOOTSTRAP_LIMIT, engine=engine)
+    result = run_suite(ir, suite, [BOOTSTRAP_LIMIT] * len(suite), engine,
+                       counts)
+    for test, outcome in zip(suite, result.per_test):
         if outcome.status != "Completed":
             raise BaselineDiverged(
                 f"original program {outcome.status} on test {test}")
         if outcome.final_array != test.expected_output:
             raise BaselineDiverged(
                 f"original program is incorrect on test {test}")
-        limits.append(max(MIN_STEP_LIMIT, math.ceil(factor * outcome.steps)))
-        outcomes.append(outcome)
-        total += outcome.steps
-        correct += 1
-    correctness = Fraction(correct, len(suite)) if suite else Fraction(1)
-    return limits, SuiteResult(total, correctness, tuple(outcomes))
+    limits = [max(MIN_STEP_LIMIT, math.ceil(factor * o.steps))
+              for o in result.per_test]
+    return limits, result

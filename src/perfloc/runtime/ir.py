@@ -2,8 +2,10 @@
 
 The AST is lowered to parallel arrays indexed by node id. Breadth-first id
 assignment makes every node's children a contiguous id range, so child links
-are just (first_child, n_children). Identifier references are resolved to
-frame slot numbers statically; the engines never see names.
+are just (first_child, n_children). Names are resolved once, by the checker
+(``lang.check``), which records a frame slot for every declaration and every
+identifier it reads; lowering copies those slots, and the engines never see
+names.
 
 Per-node payload fields ``a`` and ``b``:
 
@@ -16,7 +18,10 @@ Per-node payload fields ``a`` and ``b``:
     Unary         a = 0 (negate) / 1 (not)
     IncDec        a = variable slot        b = +1 or -1
     Call          a = callee function index, or -1 for newArray
-    Identifier    a = slot (-1 for binding occurrences, never executed)
+                                           b = argument count
+    Identifier    a = slot; -1 for a VarDecl's name. An IncDec operand
+                  holds its variable's slot, which neither engine reads
+                  (both take it from the IncDec).
     IntLiteral    a = value (int32)
     BoolLiteral   a = 0 / 1
 
@@ -28,6 +33,7 @@ decide which interpretation applies, so no runtime tags are needed.
 from __future__ import annotations
 
 from array import array
+from typing import NamedTuple
 
 from ..lang.ast import (
     Program,
@@ -35,9 +41,8 @@ from ..lang.ast import (
     KIND_WHILE, KIND_RETURN, KIND_EXPRSTMT, KIND_BINARY, KIND_UNARY,
     KIND_INCDEC, KIND_CALL, KIND_INDEX, KIND_IDENT, KIND_INT, KIND_BOOL,
     KIND_OPERATOR,
-    TYPE_ARRAY,
 )
-from ..lang.check import BUILTIN_NEWARRAY
+from ..lang.check import BUILTIN_NEWARRAY, static_check
 
 OP_FUNC = 0
 OP_BLOCK = 1
@@ -85,196 +90,86 @@ STACK_LIMIT = 512
 INT_MIN = -(1 << 31)
 
 
-class FunctionInfo:
-    __slots__ = ("name", "body", "n_slots", "n_params", "param_is_array",
-                 "returns_value")
-
-    def __init__(self, name, body, n_slots, n_params, param_is_array,
-                 returns_value):
-        self.name = name
-        self.body = body
-        self.n_slots = n_slots
-        self.n_params = n_params
-        self.param_is_array = param_is_array
-        self.returns_value = returns_value
+class FunctionInfo(NamedTuple):
+    name: str
+    body: int       # id of the body Block
+    n_slots: int    # frame size, at least 1
+    n_params: int
 
 
-class ProgramIR:
-    __slots__ = ("kind", "a", "b", "first", "nch", "functions", "entry")
-
-    def __init__(self, kind, a, b, first, nch, functions, entry):
-        self.kind = kind
-        self.a = a
-        self.b = b
-        self.first = first
-        self.nch = nch
-        self.functions = functions
-        self.entry = entry
-
-
-class _Resolver:
-    """Static name resolution: one slot per declaration, lexical lookup for
-    every identifier read. Mirrors the checker's scope discipline, which has
-    already accepted the program."""
-
-    def __init__(self):
-        self.scopes: list[dict[str, int]] = []
-        self.n_slots = 0
-        self.slot_of_node: dict[int, int] = {}
-
-    def push(self):
-        self.scopes.append({})
-
-    def pop(self):
-        self.scopes.pop()
-
-    def declare(self, name: str) -> int:
-        slot = self.n_slots
-        self.n_slots += 1
-        self.scopes[-1][name] = slot
-        return slot
-
-    def lookup(self, name: str) -> int:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        raise KeyError(name)
-
-    def resolve_function(self, func):
-        self.push()
-        for _, pname in func.params or []:
-            self.declare(pname)
-        self.resolve_statements(func.children[0].children)
-        self.pop()
-
-    def resolve_statements(self, stmts):
-        self.push()
-        for s in stmts:
-            self.resolve_statement(s)
-        self.pop()
-
-    def resolve_statement(self, node):
-        kind = node.kind
-        if kind == KIND_BLOCK:
-            self.resolve_statements(node.children)
-        elif kind == KIND_VARDECL:
-            if len(node.children) > 1:
-                self.resolve_expr(node.children[1])
-            self.slot_of_node[node.node_id] = self.declare(
-                node.children[0].name)
-        elif kind == KIND_IF:
-            self.resolve_expr(node.children[0])
-            k = node.then_count
-            self.resolve_statements(node.children[1:1 + k])
-            self.resolve_statements(node.children[1 + k:])
-        elif kind == KIND_FOR:
-            # The init expression cannot see the counter it initialises.
-            self.resolve_expr(node.children[0])
-            self.push()
-            self.slot_of_node[node.node_id] = self.declare(node.loop_var)
-            self.resolve_expr(node.children[1])
-            for s in node.children[2:]:
-                self.resolve_statement(s)
-            self.pop()
-        elif kind == KIND_WHILE:
-            self.resolve_expr(node.children[0])
-            self.resolve_statements(node.children[1:])
-        elif kind == KIND_RETURN:
-            if node.children:
-                self.resolve_expr(node.children[0])
-        elif kind == KIND_EXPRSTMT:
-            self.resolve_expr(node.children[0])
-        elif kind == KIND_ASSIGN:
-            target, value = node.children
-            if target.kind == KIND_IDENT:
-                self.slot_of_node[target.node_id] = self.lookup(target.name)
-            else:
-                self.resolve_expr(target)
-            self.resolve_expr(value)
-
-    def resolve_expr(self, node):
-        kind = node.kind
-        if kind == KIND_IDENT:
-            self.slot_of_node[node.node_id] = self.lookup(node.name)
-        elif kind == KIND_INCDEC:
-            self.slot_of_node[node.node_id] = self.lookup(
-                node.children[1].name)
-        elif kind in (KIND_BINARY, KIND_UNARY):
-            for c in node.children[1:]:
-                self.resolve_expr(c)
-        elif kind in (KIND_CALL, KIND_INDEX):
-            for c in node.children:
-                self.resolve_expr(c)
+class ProgramIR(NamedTuple):
+    kind: array
+    a: array
+    b: array
+    first: array
+    nch: array
+    functions: list[FunctionInfo]
+    entry: int      # index of the function under test
 
 
 def build_ir(program: Program) -> ProgramIR:
-    """Lower a statically valid program. Precondition: zero violations from
-    the checker (undefined names would raise KeyError here)."""
+    """Lower a program in one pass over its node table, taking frame slots
+    from ``program.frames``. A program not yet checked is checked here; one
+    the checker rejects raises ValueError."""
+    if program.frames is None:
+        violations = static_check(program)
+        if violations:
+            raise ValueError(f"cannot lower a program that does not "
+                             f"compile: {violations[0]}")
+    slots, sizes = program.frames
     n = len(program.nodes)
     kind = array("i", [0] * n)
     a = array("q", [0] * n)
     b = array("i", [0] * n)
     first = array("i", [0] * n)
     nch = array("i", [0] * n)
-
     func_index = {f.name: i for i, f in enumerate(program.functions)}
-    functions = []
 
-    for idx, func in enumerate(program.functions):
-        resolver = _Resolver()
-        resolver.resolve_function(func)
-        slots = resolver.slot_of_node
-        for node in func.walk():
-            i = node.node_id
-            k = node.kind
-            kind[i] = KIND_CODE[k]
-            if node.children:
-                first[i] = node.children[0].node_id
-            nch[i] = len(node.children)
-            if k == KIND_FUNCTION:
-                a[i] = node.children[0].node_id
-                b[i] = idx
-            elif k == KIND_VARDECL:
-                a[i] = slots[i]
-                b[i] = 1 if len(node.children) > 1 else 0
-            elif k == KIND_IF:
-                a[i] = node.then_count
-            elif k == KIND_FOR:
-                a[i] = slots[i]
-                b[i] = 1 if node.loop_step == "++" else -1
-            elif k == KIND_RETURN:
-                b[i] = 1 if node.children else 0
-            elif k == KIND_BINARY:
-                a[i] = BINARY_CODE[node.children[0].op]
-            elif k == KIND_UNARY:
-                a[i] = 0 if node.children[0].op == "-" else 1
-            elif k == KIND_INCDEC:
-                a[i] = slots[i]
-                b[i] = 1 if node.children[0].op == "++" else -1
-            elif k == KIND_CALL:
-                a[i] = -1 if node.name == BUILTIN_NEWARRAY \
-                    else func_index[node.name]
-                b[i] = len(node.children)
-            elif k == KIND_IDENT:
-                a[i] = slots.get(i, -1)
-            elif k == KIND_INT:
-                # Literals are int32 like everything else; oversized source
-                # literals wrap here so both engines see the same value.
-                a[i] = ((node.value + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-            elif k == KIND_BOOL:
-                a[i] = 1 if node.value else 0
-        params = func.params or []
-        functions.append(FunctionInfo(
-            name=func.name,
-            body=func.children[0].node_id,
-            n_slots=max(resolver.n_slots, 1),
-            n_params=len(params),
-            param_is_array=[t == TYPE_ARRAY for t, _ in params],
-            returns_value=func.ret_type != "void",
-        ))
+    for i, node in enumerate(program.nodes):
+        k = node.kind
+        children = node.children
+        kind[i] = KIND_CODE[k]
+        if children:
+            first[i] = children[0].node_id
+            nch[i] = len(children)
+        if k == KIND_IDENT:
+            a[i] = slots[i]
+        elif k == KIND_INT:
+            # Literals are int32 like everything else; oversized source
+            # literals wrap here so both engines see the same value.
+            a[i] = ((node.value + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+        elif k == KIND_BINARY:
+            a[i] = BINARY_CODE[children[0].op]
+        elif k == KIND_INCDEC:
+            a[i] = slots[children[1].node_id]
+            b[i] = 1 if children[0].op == "++" else -1
+        elif k == KIND_CALL:
+            a[i] = -1 if node.name == BUILTIN_NEWARRAY \
+                else func_index[node.name]
+            b[i] = len(children)
+        elif k == KIND_BOOL:
+            a[i] = 1 if node.value else 0
+        elif k == KIND_UNARY:
+            a[i] = 0 if children[0].op == "-" else 1
+        elif k == KIND_VARDECL:
+            a[i] = slots[i]
+            b[i] = 1 if len(children) > 1 else 0
+        elif k == KIND_FOR:
+            a[i] = slots[i]
+            b[i] = 1 if node.loop_step == "++" else -1
+        elif k == KIND_IF:
+            a[i] = node.then_count
+        elif k == KIND_RETURN:
+            b[i] = 1 if children else 0
+        elif k == KIND_FUNCTION:
+            a[i] = children[0].node_id
+            b[i] = i  # functions take ids 0..F-1, in declaration order
 
+    functions = [FunctionInfo(func.name, func.children[0].node_id,
+                              max(size, 1), len(func.params))
+                 for func, size in zip(program.functions, sizes)]
     return ProgramIR(kind, a, b, first, nch, functions,
-                     {f.name: i for i, f in enumerate(program.functions)})
+                     program.entry_index())
 
 
 def pack_array(offset: int, length: int) -> int:

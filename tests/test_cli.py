@@ -271,6 +271,9 @@ def test_validate_failure_exits_one(tmp_path, capsys):
     ("input", True),
     ("input", 1.5),
     ("args", None),         # None: the key is missing
+    # a list replaces the whole value; sort takes one value after the array
+    ("args", []),
+    ("args", [5, 6]),
 ])
 def test_malformed_suite_exits_one_with_one_line(tmp_path, capsys, key,
                                                  value):
@@ -282,6 +285,8 @@ def test_malformed_suite_exits_one_with_one_line(tmp_path, capsys, key,
     cases = json.loads(suite.read_text())
     if value is None:
         del cases[3][key]
+    elif isinstance(value, list):
+        cases[3][key] = value
     else:
         cases[3][key][0] = value
     suite.write_text(json.dumps(cases))
@@ -295,6 +300,46 @@ def test_malformed_suite_exits_one_with_one_line(tmp_path, capsys, key,
         assert main(argv) == 1, argv[0]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "case 3" in err[0], (argv[0], err)
+
+
+def _drop_name(path):
+    meta = json.loads(path.read_text())
+    del meta["name"]
+    path.write_text(json.dumps(meta))
+
+
+def _latin1(path):
+    path.write_bytes(path.read_bytes().replace(b"{", b"{ /* \xe9 */", 1))
+
+
+def _undeclared(path):
+    path.write_text(path.read_text().replace("a[j]", "b[j]", 1))
+
+
+@pytest.mark.parametrize("name, breakage", [
+    ("problem.json", _drop_name),
+    ("original.mini", _latin1),
+    ("improved-1.mini", _latin1),
+    ("original.mini", _undeclared),
+    ("improved-1.mini", _undeclared),
+])
+def test_malformed_problem_exits_one_with_one_line(tmp_path, capsys, name,
+                                                   breakage):
+    import shutil
+    corpus = tmp_path / "corpus"
+    shutil.copytree(os.path.join(CORPUS_DIR, "bubble"), corpus / "bubble")
+    breakage(corpus / "bubble" / name)
+    for argv in (["evaluate", "--corpus", str(corpus),
+                  "--out", str(tmp_path / "out")],
+                 ["validate", "--corpus", str(corpus)]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and name in err[0], (argv[0], err)
+    if name == "original.mini":
+        assert main(["profile", str(corpus / "bubble" / name),
+                     "--tests", SUITE, "--out", str(tmp_path / "p")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and name in err[0], err
 
 
 # -- global flags -------------------------------------------------------

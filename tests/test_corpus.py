@@ -53,10 +53,13 @@ def test_generation_is_seed_deterministic():
     assert generate_tests(7) != generate_tests(8)
 
 
+SORT = parse_program("void sort(int[] a, int length) { }")
+
+
 def test_suite_json_round_trip(tmp_path):
     suite = generate_tests(3)
     text = suite_to_json(suite)
-    assert suite_from_json(text) == suite
+    assert suite_from_json(text, SORT) == suite
 
 
 def _case(inp=(2, 1), expected=(1, 2), args=(2,)):
@@ -72,16 +75,18 @@ def _case(inp=(2, 1), expected=(1, 2), args=(2,)):
     ([_case(expected=(1,))], "case 0: 'expected' has 1 values"),
     ([_case(inp=[0] * (HEAP_LIMIT + 1), expected=[0] * (HEAP_LIMIT + 1))],
      "over the heap limit"),
+    ([_case(), _case(args=())], "case 1: 'args' has 0 values"),
+    ([_case(args=(2, 2))], "case 0: 'args' has 2 values, but 'sort' takes 1"),
 ])
 def test_suite_from_json_rejects_malformed_cases(rows, message):
     with pytest.raises(SuiteInvalid, match=message):
-        suite_from_json(json.dumps(rows))
+        suite_from_json(json.dumps(rows), SORT)
 
 
 def test_suite_from_json_accepts_the_int32_extremes():
     (case,) = suite_from_json(json.dumps(
         [_case(inp=(2147483647, -2147483648),
-               expected=(-2147483648, 2147483647))]))
+               expected=(-2147483648, 2147483647))]), SORT)
     assert case.input_array == (2147483647, -2147483648)
 
 

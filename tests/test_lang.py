@@ -119,6 +119,64 @@ def test_scopes_allow_shadowing_across_blocks():
     assert static_check(parse_program(text)) == []
 
 
+# -- frame slots: the checker is the only name resolver ---------------------
+
+def checked(text):
+    program = parse_program(text)
+    assert static_check(program) == []
+    return program, program.frames.slots
+
+
+def slots_read(program, slots, name):
+    """Slots recorded at the identifiers that read ``name``, in id order."""
+    return [slots[n.node_id] for n in program.nodes
+            if n.kind == KIND_IDENT and n.name == name
+            and program.parent(n.node_id).kind != KIND_VARDECL]
+
+
+def test_parameters_take_the_first_slots():
+    program, slots = checked(
+        "int pick(int[] a, int i, bool f) { int x = a[i]; return x; }\n"
+        "void sort(int[] a, int length) { a[0] = pick(a, length, true); }")
+    decl = next(n for n in program.nodes if n.kind == KIND_VARDECL)
+    assert slots[decl.node_id] == 3          # after the three parameters
+    assert slots[decl.children[0].node_id] == -1  # the name binds, unread
+    assert slots_read(program, slots, "x") == [3]
+    assert slots_read(program, slots, "i") == [1]
+    assert slots_read(program, slots, "a") == [0, 0, 0]  # pick, sort, sort
+    assert slots_read(program, slots, "length") == [1]
+    assert program.frames.sizes == [4, 2]
+
+
+def test_sibling_blocks_reusing_a_name_get_distinct_slots():
+    program, slots = checked(
+        "void sort(int[] a, int length) {"
+        " if (length > 1) { int t = 1; a[0] = t; }"
+        " else { int t = 2; a[1] = t; } }")
+    decls = [n for n in program.nodes if n.kind == KIND_VARDECL]
+    assert [slots[d.node_id] for d in decls] == [2, 3]
+    assert slots_read(program, slots, "t") == [2, 3]
+    assert program.frames.sizes == [4]
+
+
+def test_for_counters_get_their_own_slots():
+    program, slots = checked(
+        "void sort(int[] a, int length) { int n = length;"
+        " for (int k = n; k > 0; k--) { a[0] = k; }"
+        " for (int k = 0; k < n; k++) { a[k] = n; } }")
+    loops = [n for n in program.nodes if n.kind == KIND_FOR]
+    assert [slots[f.node_id] for f in loops] == [3, 4]
+    # the first loop's init reads n in the enclosing scope
+    assert slots_read(program, slots, "n") == [2, 2, 2]
+    assert sorted(slots_read(program, slots, "k")) == [3, 3, 4, 4]
+
+
+def test_rejected_programs_get_no_frames():
+    program = parse_program("void sort(int[] a, int length) { a[0] = y; }")
+    assert static_check(program)
+    assert program.frames is None
+
+
 def test_delete_statement_drops_the_subtree():
     p = parse_program(corpus_source("bubble_loops"))
     variant = delete_statement(p, 22)  # int k = a[j];

@@ -11,6 +11,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perfloc.lang.ast import KIND_INCDEC, KIND_VARDECL
+from perfloc.lang.check import static_check
 from perfloc.lang.parser import parse_program
 from perfloc.runtime import engine_py
 from perfloc.runtime.exec import (
@@ -18,6 +20,7 @@ from perfloc.runtime.exec import (
     baseline_limits, compile_program, execute, run_suite,
 )
 from perfloc.runtime.exec import TestCase as Case
+from perfloc.runtime.ir import build_ir
 
 try:
     from perfloc.runtime import _engine
@@ -243,24 +246,31 @@ def test_engines_agree_on_bubble_sort_runs(values):
     assert a.final_array == tuple(sorted(values))
 
 
-@pytest.mark.skipif(_engine is None, reason="compiled engine not built")
 def test_counting_runs_match_plain_runs():
-    # Statement counting is an engine_py-only feature (the profiler's single
+    # Statement counting is engine_py's alone (the profiler's single
     # evaluation); it must not change what the run computes.
-    from perfloc.runtime.exec import entry_index, pack_array
     from conftest import corpus_source
     ir = ir_for(corpus_source("bubble_loops"))
-    results = []
+    test = Case((3, 1, 2), (3,), (1, 2, 3))
     counts = [0] * len(ir.kind)
-    for eng, kwargs in ((engine_py, {"counts": counts}),
-                        (engine_py, {}), (_engine, {})):
-        heap = [3, 1, 2]
-        out = eng.run(ir, entry_index(ir), [pack_array(0, 3), 3], heap,
-                      BOOTSTRAP_LIMIT, **kwargs)
-        results.append((out, heap))
-    assert results[0] == results[1] == results[2]
+    counted = execute(ir, test, BOOTSTRAP_LIMIT, counts=counts)
+    assert counted == execute(ir, test, BOOTSTRAP_LIMIT, engine=engine_py)
+    assert counted.final_array == (1, 2, 3)
     assert counts[1] == 1  # the body block ran once
     assert sum(counts) > 0
+
+
+@pytest.mark.skipif(_engine is None, reason="compiled engine not built")
+def test_counting_runs_match_compiled_runs():
+    from conftest import corpus_source
+    ir = ir_for(corpus_source("bubble_loops"))
+    test = Case((3, 1, 2), (3,), (1, 2, 3))
+    counts = [0] * len(ir.kind)
+    # counts are served by engine_py even when another engine is named
+    counted = execute(ir, test, BOOTSTRAP_LIMIT, engine=_engine,
+                      counts=counts)
+    assert counted == execute(ir, test, BOOTSTRAP_LIMIT, engine=_engine)
+    assert counts[1] == 1
 
 
 def test_execution_is_deterministic():
@@ -270,3 +280,29 @@ def test_execution_is_deterministic():
     test = Case((5, 6, 2), (3,), (0, 0, 0))
     outs = {execute(ir, test, 10_000) for _ in range(3)}
     assert len(outs) == 1
+
+
+def test_build_ir_copies_the_checkers_slots():
+    program = parse_program(
+        "int one() { return 1; }\n"
+        "void sort(int[] a, int length) { int x = one(); a[0] = x++; }")
+    ir = build_ir(program)  # checks the program on the way
+    slots = program.frames.slots
+    incdec = next(n for n in program.nodes if n.kind == KIND_INCDEC)
+    decl = next(n for n in program.nodes if n.kind == KIND_VARDECL)
+    assert ir.a[incdec.node_id] == slots[decl.node_id] == 2
+    # the operand holds the slot too; neither engine reads it
+    assert ir.a[incdec.children[1].node_id] == 2
+    # a function with no locals still gets a frame slot
+    assert [f.n_slots for f in ir.functions] == [1, 3]
+    assert program.frames.sizes == [0, 3]
+    assert ir.entry == 1
+
+
+def test_build_ir_refuses_a_program_the_checker_rejects():
+    program = parse_program("void sort(int[] a, int length) { a[0] = y; }")
+    with pytest.raises(ValueError, match="does not compile.*y"):
+        build_ir(program)
+    static_check(program)
+    with pytest.raises(ValueError, match="UndeclaredIdentifier"):
+        compile_program(program)
