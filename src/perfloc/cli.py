@@ -14,6 +14,8 @@ import argparse
 import csv
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__
@@ -30,7 +32,9 @@ from .mutation import (
     combined_analysis, deletion_analysis, exhaustive_analysis,
 )
 from .profiler import inherited_count, profile, profile_cost, profile_scores
-from .runtime.exec import BaselineDiverged, DEFAULT_TIMEOUT_FACTOR
+from .runtime.exec import (
+    BaselineDiverged, DEFAULT_TIMEOUT_FACTOR, ENGINE_NAME,
+)
 from .scores import (
     SOURCE_COMBINED, SOURCE_DELETION, SOURCE_EXHAUSTIVE, SOURCE_PROFILER,
 )
@@ -92,6 +96,16 @@ class CliDataError(Exception):
     """Input data problem: exit code 1, message on stderr."""
 
 
+@contextmanager
+def _workers_of(where: str):
+    """A worker process that dies ends the run with exit 1 and one line
+    naming ``where`` (the problem or program, and the technique)."""
+    try:
+        yield
+    except BrokenProcessPool:
+        raise CliDataError(f"{where}: a worker process died") from None
+
+
 def cmd_profile(args) -> int:
     program = load_program(args.program)
     suite = load_suite(args.tests, program)
@@ -120,14 +134,17 @@ def cmd_localize(args) -> int:
         result = deletion_analysis(program, suite, args.timeout_factor)
         scores, variants, cost = result.scores, result.variants, result.cost
     elif technique == "exhaustive":
-        result = exhaustive_analysis(program, suite, args.timeout_factor,
-                                     args.hint_include_correct, args.jobs)
+        with _workers_of(f"{args.program}: {technique}"):
+            result = exhaustive_analysis(program, suite, args.timeout_factor,
+                                         args.hint_include_correct,
+                                         args.jobs)
         scores, variants, cost = result.scores, result.variants, result.cost
     else:
-        combined, _, _ = combined_analysis(program, suite,
-                                           args.timeout_factor,
-                                           args.hint_include_correct,
-                                           args.jobs)
+        with _workers_of(f"{args.program}: {technique}"):
+            combined, _, _ = combined_analysis(program, suite,
+                                               args.timeout_factor,
+                                               args.hint_include_correct,
+                                               args.jobs)
         scores, variants, cost = (combined.scores, combined.variants,
                                   combined.cost)
     write_nodes_csv(args.out, program, scores)
@@ -168,7 +185,8 @@ def cmd_evaluate(args) -> int:
                 f"{directory}: invalid problem, no improvement nodes")
         _say(f"evaluating {problem.name} "
              f"({len(problem.original.nodes)} nodes)")
-        runs = _technique_runs(problem, args)
+        with _workers_of(f"{problem.name}: exhaustive"):
+            runs = _technique_runs(problem, args)
         per_problem[problem.name] = {}
         for tag in TECHNIQUE_TAGS:
             scores, cost = runs[tag]
@@ -281,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rank program nodes by likely performance-improvement "
                     "relevance.")
     p.add_argument("--version", action="version",
-                   version=f"perfloc {__version__} (corpus {CORPUS_VERSION})")
+                   version=f"perfloc {__version__} (corpus {CORPUS_VERSION}, "
+                           f"engine {ENGINE_NAME})")
     subs = p.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("profile", help="statement execution counts")
@@ -338,6 +357,9 @@ def main(argv=None) -> int:
                 _say(f"invalid: {failure}")
         else:
             _say(f"error: {exc}")
+        return 1
+    except MemoryError:
+        _say("error: out of memory")
         return 1
 
 

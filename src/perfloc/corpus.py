@@ -163,57 +163,66 @@ def _better(a, b):
     return a if ka <= kb else b
 
 
+def _align(o: AstNode, m: AstNode, memo: dict,
+           seq_memo: dict) -> frozenset[int]:
+    key = (o.node_id, m.node_id)
+    if key in memo:
+        return memo[key]
+    # keep recursion well-founded before taking any recursive option
+    memo[key] = _subtree_ids(o)
+    best = None
+    if o.kind == m.kind and o.payload() == m.payload():
+        best = _better(best, _align_seq(o.children, m.children, o, memo,
+                                        seq_memo))
+    for child in o.children:
+        dropped = _subtree_ids(o) - _subtree_ids(child)
+        best = _better(best, dropped | _align(child, m, memo, seq_memo))
+    for child in m.children:
+        best = _better(best, frozenset((o.node_id,))
+                       | _align(o, child, memo, seq_memo))
+    best = _better(best, _subtree_ids(o))
+    memo[key] = best
+    return best
+
+
+def _align_seq(os: list[AstNode], ms: list[AstNode], parent: AstNode,
+               memo: dict, seq_memo: dict) -> frozenset[int]:
+    key = (parent.node_id, tuple(n.node_id for n in os),
+           tuple(n.node_id for n in ms))
+    if key in seq_memo:
+        return seq_memo[key]
+    if not os and not ms:
+        result = frozenset()
+    elif not os:
+        result = frozenset((parent.node_id,))
+    elif not ms:
+        result = frozenset().union(*(_subtree_ids(n) for n in os))
+    else:
+        result = _better(
+            _better(_align(os[0], ms[0], memo, seq_memo)
+                    | _align_seq(os[1:], ms[1:], parent, memo, seq_memo),
+                    _subtree_ids(os[0])
+                    | _align_seq(os[1:], ms, parent, memo, seq_memo)),
+            frozenset((parent.node_id,))
+            | _align_seq(os, ms[1:], parent, memo, seq_memo))
+    seq_memo[key] = result
+    return result
+
+
 def diff_improvement_nodes(original: Program,
                            improved: Program) -> frozenset[int]:
+    # The memos are plain locals, not closure cells, so they are freed as
+    # soon as the diff returns rather than at the next cyclic collection.
     memo: dict[tuple[int, int], frozenset[int]] = {}
     seq_memo: dict[tuple, frozenset[int]] = {}
-
-    def align(o: AstNode, m: AstNode) -> frozenset[int]:
-        key = (o.node_id, m.node_id)
-        if key in memo:
-            return memo[key]
-        # keep recursion well-founded before taking any recursive option
-        memo[key] = _subtree_ids(o)
-        best = None
-        if o.kind == m.kind and o.payload() == m.payload():
-            best = _better(best, align_seq(o.children, m.children, o))
-        for child in o.children:
-            dropped = _subtree_ids(o) - _subtree_ids(child)
-            best = _better(best, dropped | align(child, m))
-        for child in m.children:
-            best = _better(best, frozenset((o.node_id,)) | align(o, child))
-        best = _better(best, _subtree_ids(o))
-        memo[key] = best
-        return best
-
-    def align_seq(os: list[AstNode], ms: list[AstNode],
-                  parent: AstNode) -> frozenset[int]:
-        key = (parent.node_id, tuple(n.node_id for n in os),
-               tuple(n.node_id for n in ms))
-        if key in seq_memo:
-            return seq_memo[key]
-        if not os and not ms:
-            result = frozenset()
-        elif not os:
-            result = frozenset((parent.node_id,))
-        elif not ms:
-            result = frozenset().union(*(_subtree_ids(n) for n in os))
-        else:
-            result = _better(
-                _better(align(os[0], ms[0]) | align_seq(os[1:], ms[1:],
-                                                        parent),
-                        _subtree_ids(os[0]) | align_seq(os[1:], ms, parent)),
-                frozenset((parent.node_id,)) | align_seq(os, ms[1:], parent))
-        seq_memo[key] = result
-        return result
-
     flags: frozenset[int] = frozenset()
     n_funcs = max(len(original.functions), len(improved.functions))
     for i in range(n_funcs):
         if i >= len(improved.functions):
             flags |= _subtree_ids(original.functions[i])
         elif i < len(original.functions):
-            flags |= align(original.functions[i], improved.functions[i])
+            flags |= _align(original.functions[i], improved.functions[i],
+                            memo, seq_memo)
     return flags
 
 

@@ -39,7 +39,7 @@ from .ir import (
     OP_IDENT, OP_INTLIT, OP_BOOLLIT,
     BOP_ADD, BOP_SUB, BOP_MUL, BOP_DIV, BOP_MOD, BOP_LT, BOP_LE, BOP_GT,
     BOP_GE, BOP_EQ, BOP_NE, BOP_AND, BOP_OR,
-    HEAP_LIMIT, ARRAY_SHIFT, LEN_MASK, STACK_LIMIT,
+    HEAP_LIMIT, ARRAY_SHIFT, LEN_MASK, STACK_LIMIT, pack_array,
 )
 
 STATUS_COMPLETED = 0
@@ -257,3 +257,19 @@ def run(ir: ProgramIR, entry: int, args: list, heap: list,
     except _Fault as f:
         return STATUS_ERROR, state[0], f.code
     return STATUS_COMPLETED, state[0], ERR_NONE
+
+
+def run_tests(ir: ProgramIR, tests, limits, counts=None):
+    """Run the entry function on every test, each under its own step limit.
+    Returns one (status, steps, error, final array) tuple per test; the final
+    array is the input array's cells after a completed run, None otherwise.
+    ``counts`` is passed to every ``run``."""
+    results = []
+    for test, limit in zip(tests, limits, strict=True):
+        heap = list(test.input_array)
+        args = [pack_array(0, len(heap))] + list(test.extra_args)
+        status, steps, err = run(ir, ir.entry, args, heap, limit, counts)
+        final = tuple(heap[:len(test.input_array)]) \
+            if status == STATUS_COMPLETED else None
+        results.append((status, steps, err, final))
+    return results

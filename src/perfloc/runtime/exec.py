@@ -1,7 +1,9 @@
 """Execution API over the interpreter engines.
 
-Chooses the compiled engine when it imported cleanly, the pure-Python one
-otherwise; set PERFLOC_ENGINE=py or PERFLOC_ENGINE=c to force a choice.
+Chooses the compiled engine when it builds and imports (see ``_engine``),
+the pure-Python one otherwise; set PERFLOC_ENGINE=py or PERFLOC_ENGINE=c to
+force a choice. Every engine runs a whole suite per call through its
+``run_tests``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ir import ProgramIR, build_ir, pack_array
+from .ir import ProgramIR, build_ir
 from . import engine_py
 
 STATUS_NAMES = {0: "Completed", 1: "Timeout", 2: "RuntimeError"}
@@ -30,10 +32,9 @@ def _pick_engine():
         return engine_py, "py"
     try:
         from . import _engine
-    except ImportError:
+    except ImportError as exc:
         if forced == "c":
-            raise RuntimeError(
-                "PERFLOC_ENGINE=c but the compiled engine is not built")
+            raise RuntimeError(f"PERFLOC_ENGINE=c: {exc}") from None
         return engine_py, "py"
     return _engine, "c"
 
@@ -69,20 +70,8 @@ class SuiteResult:
 
 def execute(ir: ProgramIR, test: TestCase, step_limit: int,
             engine=None, counts=None) -> ExecutionOutcome:
-    """Run the entry function on one test. ``counts``, when given, holds a
-    cell per node that gains one at every statement entry; only
-    ``engine_py`` counts, so it runs those tests whatever ``engine`` is."""
-    heap = list(test.input_array)
-    args = [pack_array(0, len(heap))] + list(test.extra_args)
-    if counts is None:
-        status, steps, err = (engine or _ENGINE).run(
-            ir, ir.entry, args, heap, step_limit)
-    else:
-        status, steps, err = engine_py.run(ir, ir.entry, args, heap,
-                                           step_limit, counts)
-    final = tuple(heap[:len(test.input_array)]) if status == 0 else None
-    return ExecutionOutcome(STATUS_NAMES[status], steps, final,
-                            ERROR_NAMES[err])
+    """Run the entry function on one test; see ``run_suite``."""
+    return run_suite(ir, (test,), (step_limit,), engine, counts).per_test[0]
 
 
 compile_program = build_ir
@@ -91,14 +80,21 @@ compile_program = build_ir
 def run_suite(ir: ProgramIR, suite: Sequence[TestCase],
               limits: Sequence[int], engine=None,
               counts=None) -> SuiteResult:
+    """Run every test under its own step limit. ``counts``, when given,
+    holds a cell per node that gains one at every statement entry; only
+    ``engine_py`` counts, so it runs those suites whatever ``engine`` is."""
+    if counts is None:
+        runs = (engine or _ENGINE).run_tests(ir, suite, limits)
+    else:
+        runs = engine_py.run_tests(ir, suite, limits, counts)
     outcomes = []
     correct = 0
     total = 0
-    for test, limit in zip(suite, limits):
-        outcome = execute(ir, test, limit, engine, counts)
-        outcomes.append(outcome)
-        total += outcome.steps
-        if outcome.final_array == test.expected_output:
+    for test, (status, steps, err, final) in zip(suite, runs):
+        outcomes.append(ExecutionOutcome(STATUS_NAMES[status], steps, final,
+                                         ERROR_NAMES[err]))
+        total += steps
+        if final == test.expected_output:
             correct += 1
     correctness = Fraction(correct, len(suite)) if suite else Fraction(1)
     return SuiteResult(total, correctness, tuple(outcomes))

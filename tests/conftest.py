@@ -6,6 +6,9 @@ visible even when pytest captures stdout.
 """
 
 import os
+import shlex
+import shutil
+import sysconfig
 
 import pytest
 
@@ -41,6 +44,22 @@ def problems():
 @pytest.fixture(scope="session")
 def bubble_loops(problems):
     return problems["bubble_loops"]
+
+
+@pytest.fixture(scope="session")
+def c_engine():
+    """The compiled engine. A test that needs it skips only where it cannot
+    be built: no C compiler on PATH and PERFLOC_ENGINE is not ``c``.
+    Anywhere else a failed build fails the test."""
+    try:
+        from perfloc.runtime import _engine
+    except ImportError as exc:
+        compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+        forced = os.environ.get("PERFLOC_ENGINE", "").strip().lower() == "c"
+        if shutil.which(compiler) is None and not forced:
+            pytest.skip(f"no C compiler ({compiler}) to build the engine")
+        pytest.fail(f"the compiled engine did not build: {exc}")
+    return _engine
 
 
 def corpus_source(name: str) -> str:

@@ -10,6 +10,7 @@ import pytest
 from perfloc import __version__
 from perfloc.cli import main
 from perfloc.corpus import CORPUS_VERSION
+from perfloc.runtime import ENGINE_NAME
 
 from conftest import CORPUS_DIR
 
@@ -342,6 +343,53 @@ def test_malformed_problem_exits_one_with_one_line(tmp_path, capsys, name,
         assert len(err) == 1 and name in err[0], err
 
 
+# -- failures inside a run ----------------------------------------------
+
+class _Exhausted:
+    """An engine whose every allocation fails."""
+
+    @staticmethod
+    def run_tests(ir, tests, limits):
+        raise MemoryError
+
+
+def test_out_of_memory_exits_one_with_one_line(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setattr("perfloc.runtime.exec._ENGINE", _Exhausted)
+    assert main(["localize", BUBBLE, "--tests", SUITE, "--technique",
+                 "deletion", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+
+
+def _die(*args, **kwargs):
+    os._exit(1)
+
+
+@pytest.mark.parametrize("command", ["localize", "evaluate"])
+def test_crashed_worker_exits_one_with_one_line(tmp_path, capsys,
+                                                monkeypatch, command):
+    import shutil
+    # Forked workers inherit the patch; the parent never calls it before
+    # the pool breaks.
+    monkeypatch.setattr("perfloc.mutation.run_suite", _die)
+    out = str(tmp_path / "out")
+    if command == "localize":
+        argv = ["localize", BUBBLE, "--tests", SUITE, "--technique",
+                "combined", "--out", out]
+        where = f"{BUBBLE}: combined"
+    else:
+        corpus = tmp_path / "corpus"
+        shutil.copytree(os.path.join(CORPUS_DIR, "bubble"), corpus / "bubble")
+        argv = ["evaluate", "--corpus", str(corpus), "--out", out]
+        meta = json.loads((corpus / "bubble" / "problem.json").read_text())
+        where = f"{meta['name']}: exhaustive"
+    assert main(argv + ["--jobs", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"error: {where}: a worker process died"
+    # evaluate names the problem it starts before any failure
+    assert len(err) == (1 if command == "localize" else 2), err
+
+
 # -- global flags -------------------------------------------------------
 
 def test_version_banner(capsys):
@@ -349,7 +397,8 @@ def test_version_banner(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert capsys.readouterr().out.strip() == (
-        f"perfloc {__version__} (corpus {CORPUS_VERSION})")
+        f"perfloc {__version__} (corpus {CORPUS_VERSION}, "
+        f"engine {ENGINE_NAME})")
 
 
 def test_no_command_is_a_usage_error(capsys):

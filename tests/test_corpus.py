@@ -1,6 +1,7 @@
 """Benchmark-corpus tests: suite generation, AST-diff annotation, loading,
 and the validation gate."""
 
+import gc
 import json
 import os
 import shutil
@@ -174,6 +175,21 @@ def test_stripping_the_outer_loop_yields_the_plain_bubble_sort():
                           name=func.name, ret_type=func.ret_type,
                           params=func.params)
     assert programs_equal(Program([stripped_fn]), plain)
+
+
+def test_the_diff_leaves_no_cyclic_garbage(problems):
+    # Its memos hold thousands of sets; they must die when the diff
+    # returns, not wait for a cyclic collection.
+    merge = problems["merge"]
+    gc.collect()
+    gc.disable()
+    try:
+        flags = diff_improvement_nodes(merge.original,
+                                       merge.improved[merge.designated])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert flags == merge.annotation
 
 
 # -- loading and validation ---------------------------------------------

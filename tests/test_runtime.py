@@ -7,13 +7,20 @@ binding occurrences free) before the first run, then frozen.
 """
 
 import math
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import perfloc
 from perfloc.lang.ast import KIND_INCDEC, KIND_VARDECL
 from perfloc.lang.check import static_check
+from perfloc.lang.edit import replace_node
 from perfloc.lang.parser import parse_program
+from perfloc.mutation import generate_replacements
 from perfloc.runtime import engine_py
 from perfloc.runtime.exec import (
     BOOTSTRAP_LIMIT, BaselineDiverged, MIN_STEP_LIMIT,
@@ -21,11 +28,6 @@ from perfloc.runtime.exec import (
 )
 from perfloc.runtime.exec import TestCase as Case
 from perfloc.runtime.ir import build_ir
-
-try:
-    from perfloc.runtime import _engine
-except ImportError:
-    _engine = None
 
 
 def ir_for(text: str):
@@ -218,29 +220,33 @@ ENGINE_CASES = [
     ("void sort(int[] a, int length) { a[length] = 0; }", (1,), (1,)),
     ("void sort(int[] a, int length) { a[0] = 1 / 0; }", (1,), (1,)),
     ("void sort(int[] a, int length) { sort(a, length); }", (1,), (1,)),
+    # a wrapped product compared before any store could truncate it
+    ("void sort(int[] a, int length) "
+     "{ if (65536 * 65536 < 1) { a[0] = 1; } }", (5,), (1,)),
+    # one cell past the heap limit
+    ("void sort(int[] a, int length) { int[] b = newArray(1048576); }",
+     (1,), (1,)),
 ]
 
 
-@pytest.mark.skipif(_engine is None, reason="compiled engine not built")
 @pytest.mark.parametrize("text,arr,extra", ENGINE_CASES)
-def test_engines_agree_everywhere(text, arr, extra):
+def test_engines_agree_everywhere(text, arr, extra, c_engine):
     ir = ir_for(text)
     test = Case(tuple(arr), tuple(extra), tuple(sorted(arr)))
     for limit in (7, 1000):
         a = execute(ir, test, limit, engine=engine_py)
-        b = execute(ir, test, limit, engine=_engine)
+        b = execute(ir, test, limit, engine=c_engine)
         assert a == b
 
 
-@pytest.mark.skipif(_engine is None, reason="compiled engine not built")
 @given(st.lists(st.integers(0, 99), min_size=1, max_size=10))
 @settings(max_examples=40, deadline=None)
-def test_engines_agree_on_bubble_sort_runs(values):
+def test_engines_agree_on_bubble_sort_runs(c_engine, values):
     from conftest import corpus_source
     ir = ir_for(corpus_source("bubble_loops"))
     test = Case(tuple(values), (len(values),), tuple(sorted(values)))
     a = execute(ir, test, BOOTSTRAP_LIMIT, engine=engine_py)
-    b = execute(ir, test, BOOTSTRAP_LIMIT, engine=_engine)
+    b = execute(ir, test, BOOTSTRAP_LIMIT, engine=c_engine)
     assert a == b
     assert a.status == "Completed"
     assert a.final_array == tuple(sorted(values))
@@ -260,17 +266,59 @@ def test_counting_runs_match_plain_runs():
     assert sum(counts) > 0
 
 
-@pytest.mark.skipif(_engine is None, reason="compiled engine not built")
-def test_counting_runs_match_compiled_runs():
+def test_counting_runs_match_compiled_runs(c_engine):
     from conftest import corpus_source
     ir = ir_for(corpus_source("bubble_loops"))
     test = Case((3, 1, 2), (3,), (1, 2, 3))
     counts = [0] * len(ir.kind)
     # counts are served by engine_py even when another engine is named
-    counted = execute(ir, test, BOOTSTRAP_LIMIT, engine=_engine,
+    counted = execute(ir, test, BOOTSTRAP_LIMIT, engine=c_engine,
                       counts=counts)
-    assert counted == execute(ir, test, BOOTSTRAP_LIMIT, engine=_engine)
+    assert counted == execute(ir, test, BOOTSTRAP_LIMIT, engine=c_engine)
     assert counts[1] == 1
+
+
+def test_a_failed_build_falls_back_unless_c_is_forced(tmp_path, c_engine):
+    # c_engine: this needs a working compiler, as the engine itself does
+    shutil.copytree(os.path.dirname(perfloc.__file__), tmp_path / "perfloc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "perfloc" / "runtime" / "engine.c"
+    source.write_text(source.read_text() + "\nthis is not C;\n")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PERFLOC_ENGINE="")
+    argv = [sys.executable, "-c",
+            "from perfloc.runtime import ENGINE_NAME; print(ENGINE_NAME)"]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert run.stdout == "py\n"
+    env["PERFLOC_ENGINE"] = "c"
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert run.returncode != 0
+    last = run.stderr.splitlines()[-1]
+    assert "engine.c:" in last and "error" in last, last
+
+
+# Every PARITY_STRIDE-th exhaustive variant of every corpus problem, in the
+# order generate_replacements lists them: about 3,500 variants, of which
+# about 1,000 compile. Fixed before the first comparison ran.
+PARITY_STRIDE = 7
+
+
+def test_engines_agree_on_a_slice_of_the_corpus_variants(problems, c_engine):
+    compared = 0
+    for name, problem in sorted(problems.items()):
+        program = problem.original
+        limits, _ = baseline_limits(compile_program(program), problem.suite)
+        descriptors = [d for node in program.nodes
+                       for d in generate_replacements(program, node.node_id)]
+        for d in descriptors[::PARITY_STRIDE]:
+            variant = replace_node(program, d.target, d.donor)
+            if static_check(variant):
+                continue
+            ir = compile_program(variant)
+            expected = engine_py.run_tests(ir, problem.suite, limits)
+            found = c_engine.run_tests(ir, problem.suite, limits)
+            assert found == expected, (name, d.target, d.donor_label)
+            compared += 1
+    assert compared > 900
 
 
 def test_execution_is_deterministic():
