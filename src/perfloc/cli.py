@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -33,7 +34,7 @@ from .mutation import (
 )
 from .profiler import inherited_count, profile, profile_cost, profile_scores
 from .runtime.exec import (
-    BaselineDiverged, DEFAULT_TIMEOUT_FACTOR, ENGINE_NAME,
+    BOOTSTRAP_LIMIT, BaselineDiverged, DEFAULT_TIMEOUT_FACTOR, ENGINE_NAME,
 )
 from .scores import (
     SOURCE_COMBINED, SOURCE_DELETION, SOURCE_EXHAUSTIVE, SOURCE_PROFILER,
@@ -257,14 +258,19 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _seed_default() -> int | None:
-    raw = os.environ.get("PERFLOC_SEED")
-    if raw is None:
-        return None
+def _timeout_factor(text: str) -> float:
+    """A factor > 1 whose step limits, up to ceil(factor x BOOTSTRAP_LIMIT),
+    fit the engines' int64 step counter."""
     try:
-        return int(raw)
+        factor = float(text)
     except ValueError:
-        return -1  # flagged as usage error after parsing
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(factor) and factor > 1):
+        raise argparse.ArgumentTypeError("must be a finite number > 1")
+    if math.ceil(factor * BOOTSTRAP_LIMIT) >= 2 ** 63:
+        raise argparse.ArgumentTypeError(
+            "too large: step limits must fit in 64 bits")
+    return factor
 
 
 def _parse_quantiles(text: str):
@@ -281,10 +287,10 @@ def _parse_quantiles(text: str):
 
 
 def _add_run_flags(sub, jobs=True):
-    sub.add_argument("--timeout-factor", type=float,
+    sub.add_argument("--timeout-factor", type=_timeout_factor,
                      default=DEFAULT_TIMEOUT_FACTOR,
                      help="variant step budget as a multiple of the "
-                          "original's per-test cost (must be > 1)")
+                          "original's per-test cost (a finite number > 1)")
     if jobs:
         sub.add_argument("--jobs", type=int, default=1,
                          help="worker processes for variant evaluation")
@@ -340,15 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "timeout_factor", 2.0) <= 1:
-        parser.error("--timeout-factor must be > 1")
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
     if getattr(args, "seed", 0) is None:
-        env = _seed_default()
-        if env == -1:
+        raw = os.environ.get("PERFLOC_SEED")
+        try:
+            args.seed = DEFAULT_SEED if raw is None else int(raw)
+        except ValueError:
             parser.error("PERFLOC_SEED must be an integer")
-        args.seed = DEFAULT_SEED if env is None else env
     try:
         return args.func(args)
     except (CliDataError, CorpusInvalid, BaselineDiverged) as exc:

@@ -25,9 +25,12 @@ Scoring model:
 - Combined: exhaustive, except nodes with no compilable variant take their
   deletion value (gap_filled).
 
-Variant evaluation is a pure function of (program, descriptor, suite), so
-the work can be farmed to processes; results are merged in descriptor order
-and every output is byte-identical for any job count.
+Exhaustive variants come from one flat, node-ordered descriptor list. At
+--jobs N the analysis (program, descriptors, suite, limits, original)
+crosses to each worker once, through the pool's initializer; a task is an
+index into the list and its result a (class, cost, correctness) row. Rows
+come back in descriptor order, so every output is byte-identical for any
+job count.
 """
 
 from __future__ import annotations
@@ -48,8 +51,7 @@ from .lang.check import static_check
 from .lang.edit import (
     statement_nodes, delete_statement, empty_function_body, replace_node,
 )
-from .lang.parser import parse_program
-from .lang.printer import render_program, render_snippet
+from .lang.printer import render_snippet
 from .runtime.exec import (
     TestCase, SuiteResult, baseline_limits, run_suite, compile_program,
     DEFAULT_TIMEOUT_FACTOR,
@@ -102,9 +104,11 @@ class AnalysisResult:
     original: SuiteResult
 
 
-def classify_variant(original: SuiteResult, outcome: Optional[SuiteResult],
-                     compiled: bool) -> str:
-    if not compiled:
+def classify_variant(original: SuiteResult,
+                     outcome: Optional[SuiteResult]) -> str:
+    """The one class of a variant; ``outcome`` is None when it did not
+    compile."""
+    if outcome is None:
         return CLASS_NOT_COMPILABLE
     if any(o.status == "Timeout" for o in outcome.per_test):
         return CLASS_INFINITE_LOOP
@@ -189,10 +193,10 @@ def _evaluate_variant(mutated: Program, suite: Sequence[TestCase],
                       ) -> tuple[str, Optional[SuiteResult]]:
     """Check, lower, run and classify one variant. The outcome is None when
     the variant does not compile."""
-    if static_check(mutated):
-        return CLASS_NOT_COMPILABLE, None
-    outcome = run_suite(compile_program(mutated), suite, limits)
-    return classify_variant(original, outcome, True), outcome
+    outcome = None
+    if not static_check(mutated):
+        outcome = run_suite(compile_program(mutated), suite, limits)
+    return classify_variant(original, outcome), outcome
 
 
 # deletion -----------------------------------------------------------------
@@ -263,43 +267,26 @@ def deletion_analysis(program: Program, suite: Sequence[TestCase],
 
 # exhaustive ---------------------------------------------------------------
 
-_WORKER_STATE: dict = {}
+# The running analysis (program, descriptors, suite, limits, original): set
+# in-process at --jobs 1, else once in each worker by the pool's initializer.
+_ANALYSIS: tuple = ()
 
 
-def _worker_init(source, suite, limits, orig_cost, corr_num, corr_den):
-    program = parse_program(source)
-    _WORKER_STATE["program"] = program
-    _WORKER_STATE["suite"] = suite
-    _WORKER_STATE["limits"] = limits
-    _WORKER_STATE["original"] = SuiteResult(
-        orig_cost, Fraction(corr_num, corr_den), ())
+def _share_analysis(*analysis) -> None:
+    global _ANALYSIS
+    _ANALYSIS = analysis
 
 
-def _evaluate_spec(task):
-    """task = (target, donor_idx, spec); spec = ("op", symbol) or
-    ("node", source id). Returns a plain-value result row."""
-    target, donor_idx, spec = task
-    program = _WORKER_STATE["program"]
-    if spec[0] == "op":
-        donor = AstNode(KIND_OPERATOR, op=spec[1])
-    else:
-        donor = program.nodes[spec[1]]
+def _evaluate_replacement(i: int) -> tuple:
+    """Descriptor ``i``'s (class, cost, correctness) row; cost and
+    correctness are None when the variant does not compile."""
+    program, descriptors, suite, limits, original = _ANALYSIS
+    d = descriptors[i]
     klass, outcome = _evaluate_variant(
-        replace_node(program, target, donor), _WORKER_STATE["suite"],
-        _WORKER_STATE["limits"], _WORKER_STATE["original"])
+        replace_node(program, d.target, d.donor), suite, limits, original)
     if outcome is None:
-        return (target, donor_idx, False, klass, 0, 0, 1)
-    return (target, donor_idx, True, klass, outcome.total_cost,
-            outcome.correctness.numerator, outcome.correctness.denominator)
-
-
-def _descriptor_spec(descriptor: MutationDescriptor) -> tuple:
-    donor = descriptor.donor
-    if donor.kind == KIND_OPERATOR:
-        return ("op", donor.op)
-    # Tree donors are nodes of the program itself, so shipping the node id
-    # is enough; workers re-parse the source and look the subtree up.
-    return ("node", donor.node_id)
+        return klass, None, None
+    return klass, outcome.total_cost, outcome.correctness
 
 
 def exhaustive_analysis(program: Program, suite: Sequence[TestCase],
@@ -310,68 +297,46 @@ def exhaustive_analysis(program: Program, suite: Sequence[TestCase],
     limits, original = baseline_limits(ir, suite, factor)
 
     exprs, stmts = _inventory(program)
-    per_target: list[list[MutationDescriptor]] = []
-    tasks = []
-    for node in program.nodes:
-        descs = _replacements_from_inventory(program, node.node_id, exprs,
-                                             stmts)
-        per_target.append(descs)
-        for idx, d in enumerate(descs):
-            tasks.append((node.node_id, idx, _descriptor_spec(d)))
-
-    init_args = (render_program(program), tuple(suite), tuple(limits),
-                 original.total_cost, original.correctness.numerator,
-                 original.correctness.denominator)
-    results: dict[tuple[int, int], tuple] = {}
+    descriptors = [d for node in program.nodes
+                   for d in _replacements_from_inventory(
+                       program, node.node_id, exprs, stmts)]
+    analysis = (program, descriptors, tuple(suite), tuple(limits), original)
+    tasks = range(len(descriptors))
     if jobs <= 1:
-        _worker_init(*init_args)
-        for task in tasks:
-            row = _evaluate_spec(task)
-            results[(row[0], row[1])] = row
-        _WORKER_STATE.clear()
+        _share_analysis(*analysis)
+        try:
+            rows = list(map(_evaluate_replacement, tasks))
+        finally:
+            _share_analysis()
     else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
-                                 initargs=init_args) as pool:
-            for row in pool.map(_evaluate_spec, tasks, chunksize=32):
-                results[(row[0], row[1])] = row
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 initializer=_share_analysis,
+                                 initargs=analysis) as pool:
+            rows = list(pool.map(_evaluate_replacement, tasks, chunksize=32))
+
+    n_compiled = [0] * len(program.nodes)
+    n_reduced = [0] * len(program.nodes)
+    variants: list[VariantRecord] = []
+    for d, (klass, cost, correctness) in zip(descriptors, rows):
+        reduced = direct = False
+        if cost is not None:
+            cheaper = cost < original.total_cost
+            direct = cheaper and correctness == original.correctness
+            reduced = cheaper and (include_correct or not direct)
+            n_compiled[d.target] += 1
+            n_reduced[d.target] += reduced
+        variants.append(VariantRecord(d.target, d.donor_label, klass, cost,
+                                      correctness, reduced, direct))
 
     scores: dict[int, NodeScore] = {}
-    variants: list[VariantRecord] = []
-    n_generated = 0
-    n_compiled_total = 0
-    for node in program.nodes:
-        nid = node.node_id
-        descs = per_target[nid]
-        n_generated += len(descs)
-        n_compiled = 0
-        n_reduced = 0
-        for idx, d in enumerate(descs):
-            row = results[(nid, idx)]
-            _, _, compiled, klass, cost, cnum, cden = row
-            if not compiled:
-                variants.append(VariantRecord(nid, d.donor_label, klass,
-                                              None, None, False, False))
-                continue
-            n_compiled += 1
-            n_compiled_total += 1
-            correctness = Fraction(cnum, cden)
-            cheaper = cost < original.total_cost
-            fully_correct = correctness == original.correctness
-            direct = cheaper and fully_correct
-            reduced = cheaper and (include_correct or not direct)
-            if reduced:
-                n_reduced += 1
-            variants.append(VariantRecord(nid, d.donor_label, klass, cost,
-                                          correctness, reduced, direct))
-        value = Fraction(n_reduced, n_compiled) if n_compiled else Fraction(0)
-        scores[nid] = NodeScore(node=nid, value=value, n_reduced=n_reduced,
-                                n_compiled=n_compiled,
-                                source=SOURCE_EXHAUSTIVE)
-
-    cost = AnalysisCost(variants_generated=n_generated,
-                        compiled=n_compiled_total,
-                        executed=n_compiled_total,
-                        evaluations=n_compiled_total)
+    for nid, (red, comp) in enumerate(zip(n_reduced, n_compiled)):
+        value = Fraction(red, comp) if comp else Fraction(0)
+        scores[nid] = NodeScore(node=nid, value=value, n_reduced=red,
+                                n_compiled=comp, source=SOURCE_EXHAUSTIVE)
+    compiled = sum(n_compiled)
+    cost = AnalysisCost(variants_generated=len(descriptors),
+                        compiled=compiled, executed=compiled,
+                        evaluations=compiled)
     return AnalysisResult(scores, tuple(variants), cost, original)
 
 

@@ -11,6 +11,7 @@ Profiling costs one evaluation of the suite, regardless of program size.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,7 +35,7 @@ def profile(program: Program, suite: Sequence[TestCase]) -> ProfileReport:
     violations = static_check(program)
     if violations:
         raise ValueError(f"program does not compile: {violations[0]}")
-    tally = [0] * len(program.nodes)
+    tally = array("q", [0]) * len(program.nodes)
     baseline_limits(build_ir(program), suite, counts=tally)
 
     counts_map = {n.node_id: tally[n.node_id] for n in program.nodes

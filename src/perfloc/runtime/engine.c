@@ -7,11 +7,13 @@
    must be made in both files; the parity tests compare them on a slice of
    every corpus problem's variants.
 
-   run_tests(ir, tests, limits) runs a whole suite in one call: ``ir`` is a
-   runtime.ir.ProgramIR, each test has ``input_array`` and ``extra_args``,
-   and ``limits`` holds one step limit per test. It returns one
-   (status, steps, error, final array or None) tuple per test, with the
-   status and error codes of engine_py. A failed allocation raises
+   run_tests(ir, tests, limits, counts=None) runs a whole suite in one
+   call: ``ir`` is a runtime.ir.ProgramIR, each test has ``input_array``
+   and ``extra_args``, and ``limits`` holds one step limit per test. It
+   returns one (status, steps, error, final array or None) tuple per test,
+   with the status and error codes of engine_py. ``counts``, when not None,
+   is a writable array('q') with one cell per node; every statement entry
+   adds one to its node's cell, as in engine_py. A failed allocation raises
    MemoryError; it is never reported as a run outcome.
 
    runtime/_engine.py compiles this file on first import. */
@@ -61,6 +63,7 @@ typedef struct {
     int64_t heap_len;
     int64_t heap_cap;
     int64_t *stack;         /* frames, one per live call, bump-allocated */
+    int64_t *counts;        /* per node: statement entries, or NULL */
     int64_t sp;
     int fault;
     int64_t retval;
@@ -136,6 +139,8 @@ static int exec_stmt(Ctx *ctx, int i, int64_t *frame, int depth)
     int64_t v, ref, idx;
     int32_t *cell;
     TICK(ctx);
+    if (ctx->counts != NULL)
+        ctx->counts[i]++;
     switch (ctx->kind[i]) {
     case OP_ASSIGN:
         if (ctx->kind[first] == OP_IDENT) {
@@ -330,6 +335,8 @@ static int eval_expr(Ctx *ctx, int i, int64_t *frame, int depth,
 typedef struct {
     Py_buffer views[5];     /* kind, a, b, first, nch */
     int n_views;
+    Py_buffer counts;       /* held when counts_view is set */
+    int counts_view;
     Ctx ctx;
     Py_ssize_t n;           /* nodes */
     int nf;                 /* functions */
@@ -344,6 +351,8 @@ static void release_program(Program *p)
 {
     for (int k = 0; k < p->n_views; k++)
         PyBuffer_Release(&p->views[k]);
+    if (p->counts_view)
+        PyBuffer_Release(&p->counts);
     PyMem_Free(p->ctx.fbody);
     PyMem_Free(p->ctx.fslots);
     if (p->ctx.stack != NULL)
@@ -505,6 +514,28 @@ static int load_program(PyObject *ir, Program *p)
     return 0;
 }
 
+/* Borrow ``counts``, which must be a writable array('q') with one cell per
+   node. */
+static int load_counts(PyObject *counts, Program *p)
+{
+    if (PyObject_GetBuffer(counts, &p->counts,
+                           PyBUF_WRITABLE | PyBUF_FORMAT) < 0) {
+        PyErr_SetString(PyExc_TypeError,
+                        "counts must be a writable array('q')");
+        return -1;
+    }
+    p->counts_view = 1;
+    if (p->counts.itemsize != 8 || p->counts.format == NULL
+            || strcmp(p->counts.format, "q") != 0
+            || p->counts.len != p->n * 8) {
+        PyErr_SetString(PyExc_TypeError,
+                        "counts must be an array('q') with one cell per node");
+        return -1;
+    }
+    p->ctx.counts = p->counts.buf;
+    return 0;
+}
+
 /* The int32 value of ``item`` into ``out``; -1 with an exception set if it
    is not an int or does not fit. */
 static int as_int32(PyObject *item, const char *what, int64_t *out)
@@ -625,12 +656,13 @@ static PyObject *run_one(Program *p, PyObject *test, PyObject *limit)
 
 static PyObject *run_tests(PyObject *self, PyObject *args)
 {
-    PyObject *ir, *tests, *limits, *results = NULL;
+    PyObject *ir, *tests, *limits, *counts = Py_None, *results = NULL;
     PyObject *tests_fast = NULL, *limits_fast = NULL;
     Program p;
     Py_ssize_t n_tests;
     (void)self;
-    if (!PyArg_ParseTuple(args, "OOO:run_tests", &ir, &tests, &limits))
+    if (!PyArg_ParseTuple(args, "OOO|O:run_tests", &ir, &tests, &limits,
+                          &counts))
         return NULL;
     tests_fast = PySequence_Fast(tests, "tests must be a sequence");
     if (tests_fast == NULL)
@@ -644,7 +676,8 @@ static PyObject *run_tests(PyObject *self, PyObject *args)
     memset(&p, 0, sizeof(p));
     if (PySequence_Fast_GET_SIZE(limits_fast) != n_tests)
         PyErr_SetString(PyExc_ValueError, "need one step limit per test");
-    else if (load_program(ir, &p) == 0)
+    else if (load_program(ir, &p) == 0
+             && (counts == Py_None || load_counts(counts, &p) == 0))
         results = PyList_New(n_tests);
     for (Py_ssize_t t = 0; results != NULL && t < n_tests; t++) {
         PyObject *row = run_one(&p, PySequence_Fast_GET_ITEM(tests_fast, t),
@@ -662,7 +695,8 @@ static PyObject *run_tests(PyObject *self, PyObject *args)
 
 static PyMethodDef methods[] = {
     {"run_tests", run_tests, METH_VARARGS,
-     "run_tests(ir, tests, limits) -> [(status, steps, error, final)]\n\n"
+     "run_tests(ir, tests, limits, counts=None)"
+     " -> [(status, steps, error, final)]\n\n"
      "Run every test with its step limit; see engine_py.run_tests."},
     {NULL, NULL, 0, NULL},
 };

@@ -78,8 +78,9 @@ def run(ir: ProgramIR, entry: int, args: list, heap: list,
     ``heap`` holding any argument arrays. Returns (status, steps, error).
     ``heap`` is mutated in place and holds the final array contents.
 
-    ``counts``, when given, must be a list with one zero per node; every
-    statement entry bumps its node's cell (the profiler's data source)."""
+    ``counts``, when given, must hold one int cell per node (a list or an
+    ``array('q')``); every statement entry bumps its node's cell (the
+    profiler's data source)."""
     if sys.getrecursionlimit() < _MIN_RECURSION:
         sys.setrecursionlimit(_MIN_RECURSION)
 

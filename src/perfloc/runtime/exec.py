@@ -81,12 +81,9 @@ def run_suite(ir: ProgramIR, suite: Sequence[TestCase],
               limits: Sequence[int], engine=None,
               counts=None) -> SuiteResult:
     """Run every test under its own step limit. ``counts``, when given,
-    holds a cell per node that gains one at every statement entry; only
-    ``engine_py`` counts, so it runs those suites whatever ``engine`` is."""
-    if counts is None:
-        runs = (engine or _ENGINE).run_tests(ir, suite, limits)
-    else:
-        runs = engine_py.run_tests(ir, suite, limits, counts)
+    is an ``array('q')`` with a cell per node that gains one at every
+    statement entry; every engine counts."""
+    runs = (engine or _ENGINE).run_tests(ir, suite, limits, counts)
     outcomes = []
     correct = 0
     total = 0

@@ -245,7 +245,7 @@ def test_criterion_4_classification_partition(runs):
             outcome = run_suite(compile_program(variant), prob.suite,
                                 limits)
             replacements += 1
-            if classify_variant(base, outcome, True) != CLASS_IDENTICAL:
+            if classify_variant(base, outcome) != CLASS_IDENTICAL:
                 bad.append((name, "self-replacement", node.node_id))
     ok = not bad and replacements > 0
     detail = (f"class counts partition the generated totals for "

@@ -138,6 +138,25 @@ def test_bad_timeout_factor_is_a_usage_error(tmp_path, capsys):
     assert "timeout" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("command", ["localize", "evaluate"])
+@pytest.mark.parametrize("factor", ["nan", "inf", "1e20"])
+def test_unusable_timeout_factor_is_a_usage_error(command, factor, tmp_path,
+                                                  capsys):
+    # NaN and infinity have no step limit, and 1e20 x BOOTSTRAP_LIMIT steps
+    # do not fit an int64 step counter.
+    argv = {"localize": ["localize", BUBBLE, "--tests", SUITE,
+                         "--technique", "exhaustive"],
+            "evaluate": ["evaluate", "--corpus", CORPUS_DIR]}[command]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(tmp_path), "--timeout-factor", factor])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if "error" in line] == [lines[-1]]
+    assert lines[-1].startswith(f"perfloc {command}: error: argument "
+                                "--timeout-factor: ")
+    assert not os.listdir(tmp_path)
+
+
 def test_bad_jobs_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["localize", BUBBLE, "--tests", SUITE,
@@ -215,12 +234,26 @@ def test_evaluate_seed_env_var(mini_corpus, tmp_path, monkeypatch):
 
 def test_evaluate_bad_env_seed_is_a_usage_error(mini_corpus, tmp_path,
                                                 monkeypatch, capsys):
-    monkeypatch.setenv("PERFLOC_SEED", "eleven")
-    with pytest.raises(SystemExit) as err:
-        main(["evaluate", "--corpus", mini_corpus,
-              "--out", str(tmp_path / "x")])
-    assert err.value.code == 2
-    capsys.readouterr()
+    for raw in ("eleven", "abc", "1.5"):
+        monkeypatch.setenv("PERFLOC_SEED", raw)
+        with pytest.raises(SystemExit) as err:
+            main(["evaluate", "--corpus", mini_corpus,
+                  "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        assert "PERFLOC_SEED" in capsys.readouterr().err
+
+
+def test_evaluate_env_seed_minus_one_is_a_seed(mini_corpus, tmp_path,
+                                               monkeypatch):
+    # -1 is an integer like any other: the variable and the flag agree.
+    assert main(["evaluate", "--corpus", mini_corpus,
+                 "--out", str(tmp_path / "flag"), "--seed", "-1"]) == 0
+    monkeypatch.setenv("PERFLOC_SEED", "-1")
+    assert main(["evaluate", "--corpus", mini_corpus,
+                 "--out", str(tmp_path / "env")]) == 0
+    flag = read_csv(tmp_path / "flag" / "bootstrap.csv")
+    assert flag == read_csv(tmp_path / "env" / "bootstrap.csv")
+    assert all(r[7] == "-1" for r in flag[1:])
 
 
 def test_evaluate_bad_quantiles_is_a_usage_error(mini_corpus, tmp_path,
@@ -349,7 +382,7 @@ class _Exhausted:
     """An engine whose every allocation fails."""
 
     @staticmethod
-    def run_tests(ir, tests, limits):
+    def run_tests(ir, tests, limits, counts=None):
         raise MemoryError
 
 

@@ -192,6 +192,31 @@ def test_the_diff_leaves_no_cyclic_garbage(problems):
     assert flags == merge.annotation
 
 
+# Every problem's annotation, recorded from the diff before any change to
+# it; a faster diff must reproduce these sets exactly.
+ANNOTATIONS = {
+    "bubble": {20},
+    "bubble_loops": {2, 3, 4, 6, 7, 8, 26},
+    "cocktail": {1, 3, 23, 37, 38, 39},
+    "heap": {57},
+    "insertion": {3},
+    "merge": {5, 6, 8, 21, 22, 23, 24, 25, 27, 28, 29, 59, 60, 61, 62, 63,
+              64, 65, 68, 69, 70, 71, 72, 119, 120, 121, 122, 123, 124, 125,
+              126},
+    "quick": {16},
+    "radix": {20},
+    "selection": {12},
+    "selection2": {17},
+    "shell": {35, 37},
+}
+
+
+def test_every_corpus_annotation_is_pinned(problems):
+    # load_problem annotates with diff_improvement_nodes
+    assert {name: set(p.annotation) for name, p in problems.items()} \
+        == ANNOTATIONS
+
+
 # -- loading and validation ---------------------------------------------
 
 def test_problem_dirs_lists_all_eleven():

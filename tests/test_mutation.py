@@ -5,10 +5,14 @@ and replacement counts were derived once by hand/off-line recomputation and
 frozen here. Its original cost on the standard suite is 38560 steps.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import perfloc
 from perfloc.lang.ast import structurally_equal
 from perfloc.lang.edit import replace_node, subtree
 from perfloc.lang.parser import parse_program
@@ -23,7 +27,7 @@ from perfloc.runtime.exec import ExecutionOutcome, SuiteResult
 from perfloc.runtime.exec import TestCase as Case
 from perfloc.runtime.exec import baseline_limits, compile_program, run_suite
 
-from conftest import corpus_source
+from conftest import CORPUS_DIR, corpus_source
 
 ORIGINAL_COST = 38560
 
@@ -129,8 +133,7 @@ ORIGINAL = suite_result(1000, 1)
     (suite_result(1000, 1, [out("Completed", 1000, (1,))]), CLASS_IDENTICAL),
 ])
 def test_classification_precedence(outcome, expected):
-    compiled = outcome is not None
-    assert classify_variant(ORIGINAL, outcome, compiled) == expected
+    assert classify_variant(ORIGINAL, outcome) == expected
 
 
 def test_class_constants_are_distinct():
@@ -266,7 +269,7 @@ def test_self_replacement_classifies_identical(bl):
         variant = replace_node(bl.original, node_id,
                                subtree(bl.original, node_id))
         outcome = run_suite(compile_program(variant), bl.suite, limits)
-        assert classify_variant(original, outcome, True) == CLASS_IDENTICAL
+        assert classify_variant(original, outcome) == CLASS_IDENTICAL
 
 
 def test_jobs_do_not_change_results(bl):
@@ -275,6 +278,28 @@ def test_jobs_do_not_change_results(bl):
     assert serial.scores == parallel.scores
     assert serial.variants == parallel.variants
     assert serial.cost == parallel.cost
+
+
+def test_workers_started_afresh_give_the_same_results(bl_exhaustive):
+    # Under forkserver (the Linux default from Python 3.14) a worker
+    # inherits nothing: the analysis reaches it only through the pool's
+    # initializer arguments.
+    script = (
+        "import multiprocessing, os, sys\n"
+        "multiprocessing.set_start_method('forkserver')\n"
+        "from perfloc.corpus import load_problem\n"
+        "from perfloc.mutation import exhaustive_analysis\n"
+        "p = load_problem(os.path.join(sys.argv[1], 'bubble_loops'))\n"
+        "r = exhaustive_analysis(p.original, p.suite, jobs=2)\n"
+        "print(repr((r.scores, r.variants, r.cost)))\n")
+    src = os.path.dirname(os.path.dirname(perfloc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script, CORPUS_DIR],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    serial = bl_exhaustive
+    assert run.stdout == repr((serial.scores, serial.variants,
+                               serial.cost)) + "\n"
 
 
 def test_class_counts_partition_the_variants(bl_exhaustive):

@@ -1,15 +1,23 @@
-"""The benchmark's per-layer probes must all find their targets.
+"""The benchmark's per-layer probes must all find their targets, and still
+see every step of the exhaustive loop.
 
 ``perfbench/tracer.py`` wraps each layer at the module and name its caller
 looks up, and reports a probe whose target is gone as absent rather than
-failing. This test reads the tracer's ``PROBES`` table from its source,
-without running the tracer, so that a rename which would silently drop a
-per-layer metric fails here instead.
+failing. The first test reads the tracer's ``PROBES`` table from its
+source, without running the tracer, so that a rename which would silently
+drop a per-layer metric fails here instead. The others wrap the
+``perfloc.mutation`` bindings the way the tracer does and count the calls.
 """
 
 import ast
 import importlib
 import os
+from collections import Counter
+
+import pytest
+
+from perfloc import mutation
+from perfloc.lang.parser import Parser
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                       "tracer.py")
@@ -30,3 +38,48 @@ def test_every_benchmark_probe_resolves():
     missing = [(span, module, attr) for span, module, attr in table
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+LOOP_BINDINGS = ("replace_node", "static_check", "compile_program",
+                 "run_suite", "classify_variant", "baseline_limits")
+
+
+def test_the_probes_see_every_step_of_the_exhaustive_loop(bubble_loops,
+                                                          monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in LOOP_BINDINGS:
+        monkeypatch.setattr(mutation, name,
+                            counting(name, getattr(mutation, name)))
+    result = mutation.exhaustive_analysis(bubble_loops.original,
+                                          bubble_loops.suite, jobs=1)
+    generated, compiled = (result.cost.variants_generated,
+                           result.cost.compiled)
+    assert 0 < compiled < generated
+    assert calls == {
+        "replace_node": generated, "static_check": generated,
+        "classify_variant": generated,
+        # the original is lowered once more, for its baseline, whose runs
+        # go through baseline_limits
+        "compile_program": compiled + 1, "run_suite": compiled,
+        "baseline_limits": 1,
+    }
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_exhaustive_loop_never_reparses(bubble_loops, monkeypatch, jobs):
+    # Forked workers inherit the patch, so neither the analysis nor any
+    # worker may parse program text.
+    def refuse(self):
+        raise AssertionError("the exhaustive loop parsed program text")
+
+    monkeypatch.setattr(Parser, "parse_program", refuse)
+    result = mutation.exhaustive_analysis(bubble_loops.original,
+                                          bubble_loops.suite, jobs=jobs)
+    assert result.cost.variants_generated == len(result.variants) > 0

@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,30 +253,68 @@ def test_engines_agree_on_bubble_sort_runs(c_engine, values):
     assert a.final_array == tuple(sorted(values))
 
 
-def test_counting_runs_match_plain_runs():
-    # Statement counting is engine_py's alone (the profiler's single
-    # evaluation); it must not change what the run computes.
-    from conftest import corpus_source
-    ir = ir_for(corpus_source("bubble_loops"))
-    test = Case((3, 1, 2), (3,), (1, 2, 3))
-    counts = [0] * len(ir.kind)
-    counted = execute(ir, test, BOOTSTRAP_LIMIT, counts=counts)
-    assert counted == execute(ir, test, BOOTSTRAP_LIMIT, engine=engine_py)
-    assert counted.final_array == (1, 2, 3)
-    assert counts[1] == 1  # the body block ran once
-    assert sum(counts) > 0
+def _counted_suites(problems, engine):
+    """Per corpus original: its suite run with counts, run without, and the
+    counts."""
+    for name, problem in sorted(problems.items()):
+        ir = compile_program(problem.original)
+        limits = [BOOTSTRAP_LIMIT] * len(problem.suite)
+        counts = array("q", [0]) * len(ir.kind)
+        counted = run_suite(ir, problem.suite, limits, engine, counts)
+        plain = run_suite(ir, problem.suite, limits, engine)
+        yield name, counted, plain, counts
 
 
-def test_counting_runs_match_compiled_runs(c_engine):
+def test_counting_runs_match_plain_runs(problems):
+    # Statement counting (the profiler's single evaluation) must not change
+    # what a run computes, on whichever engine is active.
+    for name, counted, plain, counts in _counted_suites(problems, None):
+        assert counted == plain, name
+        program = problems[name].original
+        body = program.functions[program.entry_index()].children[0]
+        assert counts[body.node_id] == len(plain.per_test), name
+
+
+def test_counting_runs_match_compiled_runs(problems, c_engine):
+    tallies = {}
+    for engine in (engine_py, c_engine):
+        for name, counted, plain, counts in _counted_suites(problems, engine):
+            assert counted == plain, name
+            tallies.setdefault(name, []).append(list(counts))
+    assert len(tallies) == 11
+    for name, (py_counts, c_counts) in tallies.items():
+        assert py_counts == c_counts, name
+
+
+def test_counting_stops_at_the_timeout(c_engine):
+    # A statement whose step reaches the limit is not counted as entered;
+    # the limits below end the run on statement and expression steps alike.
+    ir = ir_for("void sort(int[] a, int length) "
+                "{ while (true) { length = length + 1; } }")
+    test = Case((1,), (1,), (1,))
+    for limit in range(1, 16):
+        counts = {}
+        for label, engine in (("py", engine_py), ("c", c_engine)):
+            counts[label] = array("q", [0]) * len(ir.kind)
+            outcome = execute(ir, test, limit, engine, counts[label])
+            assert outcome.status == "Timeout"
+        assert counts["py"] == counts["c"], limit
+
+
+@pytest.mark.parametrize("bad", [
+    "list", "short", "long", "wrong format", "read-only",
+])
+def test_the_compiled_engine_refuses_bad_counts(bad, c_engine):
     from conftest import corpus_source
     ir = ir_for(corpus_source("bubble_loops"))
+    n = len(ir.kind)
+    counts = {"list": [0] * n, "short": array("q", [0]) * (n - 1),
+              "long": array("q", [0]) * (n + 1),
+              "wrong format": array("i", [0]) * (2 * n),
+              "read-only": bytes(8 * n)}[bad]
     test = Case((3, 1, 2), (3,), (1, 2, 3))
-    counts = [0] * len(ir.kind)
-    # counts are served by engine_py even when another engine is named
-    counted = execute(ir, test, BOOTSTRAP_LIMIT, engine=c_engine,
-                      counts=counts)
-    assert counted == execute(ir, test, BOOTSTRAP_LIMIT, engine=c_engine)
-    assert counts[1] == 1
+    with pytest.raises(TypeError, match="counts"):
+        c_engine.run_tests(ir, [test], [BOOTSTRAP_LIMIT], counts)
 
 
 def test_a_failed_build_falls_back_unless_c_is_forced(tmp_path, c_engine):
