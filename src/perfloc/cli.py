@@ -366,6 +366,9 @@ def main(argv=None) -> int:
     except MemoryError:
         _say("error: out of memory")
         return 1
+    except RecursionError:
+        _say("error: program nested too deeply")
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,8 +15,10 @@ unwrap-improved (the improved version added a wrapper around existing code;
 the wrapped original node is flagged), and give-up (flag the whole original
 subtree). Sequence alignment may also drop original statements (flagging
 their subtrees) or absorb inserted improved statements (flagging the parent,
-since an insertion has no original node of its own). Ties prefer moves in
-the order just given, so the result is deterministic.
+since an insertion has no original node of its own). Of all the sets these
+moves can flag, the aligner takes the one with the fewest nodes, then the
+one holding the lowest node id in which the sets differ. That order is
+total, so the result does not depend on the order the moves are tried.
 """
 
 from __future__ import annotations
@@ -147,83 +149,76 @@ def suite_from_json(text: str, program: Program) -> list[TestCase]:
 
 
 # AST diff -----------------------------------------------------------------
+#
+# A flag set is an int over the original's n nodes, node i at bit n - 1 - i,
+# so union is |, size is bit_count() and a lower id is a higher bit.
 
-def _subtree_ids(node: AstNode) -> frozenset[int]:
-    return frozenset(n.node_id for n in node.walk())
-
-
-def _better(a, b):
-    """Smaller flag set wins; exact content breaks ties deterministically."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    ka = (len(a), tuple(sorted(a)))
-    kb = (len(b), tuple(sorted(b)))
-    return a if ka <= kb else b
+def _rank(flags: int) -> tuple[int, int]:
+    """Fewer nodes first, then the set holding the lowest differing id:
+    a total order, so the least candidate never depends on their order."""
+    return flags.bit_count(), -flags
 
 
-def _align(o: AstNode, m: AstNode, memo: dict,
-           seq_memo: dict) -> frozenset[int]:
+def _align(o: AstNode, m: AstNode, sub: list[int], memo: dict) -> int:
+    """The least flag set aligning original node ``o`` with improved node
+    ``m``; ``sub[i]`` is the flag set of node i's subtree."""
     key = (o.node_id, m.node_id)
-    if key in memo:
-        return memo[key]
-    # keep recursion well-founded before taking any recursive option
-    memo[key] = _subtree_ids(o)
-    best = None
-    if o.kind == m.kind and o.payload() == m.payload():
-        best = _better(best, _align_seq(o.children, m.children, o, memo,
-                                        seq_memo))
-    for child in o.children:
-        dropped = _subtree_ids(o) - _subtree_ids(child)
-        best = _better(best, dropped | _align(child, m, memo, seq_memo))
-    for child in m.children:
-        best = _better(best, frozenset((o.node_id,))
-                       | _align(o, child, memo, seq_memo))
-    best = _better(best, _subtree_ids(o))
-    memo[key] = best
-    return best
+    if key not in memo:
+        whole = sub[o.node_id]
+        own = 1 << (len(sub) - 1 - o.node_id)
+        candidates = [whole]
+        if o.kind == m.kind and o.payload() == m.payload():
+            candidates.append(_align_seq(o, m, 0, 0, sub, memo))
+        candidates.extend(whole & ~sub[c.node_id] | _align(c, m, sub, memo)
+                          for c in o.children)
+        candidates.extend(own | _align(o, c, sub, memo) for c in m.children)
+        memo[key] = min(candidates, key=_rank)
+    return memo[key]
 
 
-def _align_seq(os: list[AstNode], ms: list[AstNode], parent: AstNode,
-               memo: dict, seq_memo: dict) -> frozenset[int]:
-    key = (parent.node_id, tuple(n.node_id for n in os),
-           tuple(n.node_id for n in ms))
-    if key in seq_memo:
-        return seq_memo[key]
-    if not os and not ms:
-        result = frozenset()
-    elif not os:
-        result = frozenset((parent.node_id,))
-    elif not ms:
-        result = frozenset().union(*(_subtree_ids(n) for n in os))
-    else:
-        result = _better(
-            _better(_align(os[0], ms[0], memo, seq_memo)
-                    | _align_seq(os[1:], ms[1:], parent, memo, seq_memo),
-                    _subtree_ids(os[0])
-                    | _align_seq(os[1:], ms, parent, memo, seq_memo)),
-            frozenset((parent.node_id,))
-            | _align_seq(os, ms[1:], parent, memo, seq_memo))
-    seq_memo[key] = result
-    return result
+def _align_seq(o: AstNode, m: AstNode, i: int, j: int, sub: list[int],
+               memo: dict) -> int:
+    """The least flag set aligning ``o.children[i:]`` with
+    ``m.children[j:]``."""
+    key = (o.node_id, m.node_id, i, j)
+    if key not in memo:
+        os, ms = o.children, m.children
+        candidates = []
+        if i < len(os) and j < len(ms):
+            candidates.append(_align(os[i], ms[j], sub, memo)
+                              | _align_seq(o, m, i + 1, j + 1, sub, memo))
+        if i < len(os):
+            candidates.append(sub[os[i].node_id]
+                              | _align_seq(o, m, i + 1, j, sub, memo))
+        if j < len(ms):
+            # an insertion has no original node, so it flags the parent
+            candidates.append(1 << (len(sub) - 1 - o.node_id)
+                              | _align_seq(o, m, i, j + 1, sub, memo))
+        memo[key] = min(candidates, key=_rank) if candidates else 0
+    return memo[key]
 
 
 def diff_improvement_nodes(original: Program,
                            improved: Program) -> frozenset[int]:
-    # The memos are plain locals, not closure cells, so they are freed as
+    n = len(original.nodes)
+    sub = [0] * n
+    # breadth-first ids: every child's id is above its parent's
+    for i in range(n - 1, -1, -1):
+        flags = 1 << (n - 1 - i)
+        for c in original.nodes[i].children:
+            flags |= sub[c.node_id]
+        sub[i] = flags
+    # One memo serves both aligners: _align keys are pairs, _align_seq keys
+    # 4-tuples. It is a plain local, not a closure cell, so it is freed as
     # soon as the diff returns rather than at the next cyclic collection.
-    memo: dict[tuple[int, int], frozenset[int]] = {}
-    seq_memo: dict[tuple, frozenset[int]] = {}
-    flags: frozenset[int] = frozenset()
-    n_funcs = max(len(original.functions), len(improved.functions))
-    for i in range(n_funcs):
-        if i >= len(improved.functions):
-            flags |= _subtree_ids(original.functions[i])
-        elif i < len(original.functions):
-            flags |= _align(original.functions[i], improved.functions[i],
-                            memo, seq_memo)
-    return flags
+    memo: dict[tuple[int, ...], int] = {}
+    flags = 0
+    for k, func in enumerate(original.functions):
+        if k < len(improved.functions):
+            flags |= _align(func, improved.functions[k], sub, memo)
+        else:
+            flags |= sub[func.node_id]
+    return frozenset(i for i in range(n) if flags >> (n - 1 - i) & 1)
 
 
 # loading and validation ---------------------------------------------------
@@ -283,7 +278,7 @@ def load_problem(directory: str) -> ProblemSpec:
     pct = meta.get("improvement_pct")
     return ProblemSpec(
         name=meta["name"], original=original, improved=improved,
-        designated=designated, annotation=frozenset(annotation),
+        designated=designated, annotation=annotation,
         suite=suite, notes=meta.get("notes", ""),
         improvement_pct=pct)
 

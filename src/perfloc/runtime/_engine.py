@@ -4,13 +4,15 @@ The first import compiles ``engine.c`` with the C compiler ``sysconfig``
 names, into ``__pycache__/_engine.<key><EXT_SUFFIX>`` next to this file;
 the key is a CRC-32 of the source and the compiler flags. The file is
 written under a private name and published with ``os.replace``, so
-processes that build at once never load a half-written file. Later imports
-only stat, read the source for its key, and load the cached file.
+processes that build at once never load a half-written file, and then every
+other ``_engine.*`` build there is deleted. Later imports only stat, read
+the source for its key, and load the cached file.
 
 A failed build raises ImportError quoting the compiler's first error line;
 ``runtime.exec`` then falls back to ``engine_py``.
 """
 
+import glob
 import os
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -42,6 +44,15 @@ def _build(target: str) -> None:
             raise ImportError(f"cannot build the compiled engine: "
                               f"{_first_error(done.stderr)}")
         os.replace(partial, target)
+        # builds keyed by an older source or flags are never loaded again
+        pattern = f"_engine.*{EXTENSION_SUFFIXES[0]}"
+        directory = glob.escape(os.path.dirname(target))
+        for stale in glob.glob(os.path.join(directory, pattern)):
+            if stale != target:
+                try:
+                    os.remove(stale)
+                except FileNotFoundError:   # another process got there first
+                    pass
     except OSError as exc:
         raise ImportError(f"cannot build the compiled engine: {exc}") from None
     finally:

@@ -376,6 +376,27 @@ def test_malformed_problem_exits_one_with_one_line(tmp_path, capsys, name,
         assert len(err) == 1 and name in err[0], err
 
 
+def test_deep_nesting_exits_one_with_one_line(tmp_path, capsys):
+    import shutil
+    # the parser recurses at every parenthesis, past Python's stack limit
+    deep = ("void sort(int[] a, int length) { int x = "
+            + "(" * 400 + "1" + ")" * 400 + "; }\n")
+    program = tmp_path / "deep.mini"
+    program.write_text(deep)
+    corpus = tmp_path / "corpus"
+    shutil.copytree(os.path.join(CORPUS_DIR, "bubble"), corpus / "bubble")
+    (corpus / "bubble" / "original.mini").write_text(deep)
+    out = str(tmp_path / "out")
+    for argv in (["profile", str(program), "--tests", SUITE, "--out", out],
+                 ["localize", str(program), "--tests", SUITE,
+                  "--technique", "deletion", "--out", out],
+                 ["evaluate", "--corpus", str(corpus), "--out", out],
+                 ["validate", "--corpus", str(corpus)]):
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err.splitlines() \
+            == ["error: program nested too deeply"], argv[0]
+
+
 # -- failures inside a run ----------------------------------------------
 
 class _Exhausted:

@@ -138,9 +138,16 @@ def test_deleted_statement_flags_its_nodes():
                       "{ a[0] = 1; a[1] = 2; }")
     b = parse_program("void sort(int[] a, int length) { a[1] = 2; }")
     diff = diff_improvement_nodes(a, b)
-    kinds = {a.nodes[n].kind for n in diff}
-    assert 2 in diff or 3 in diff  # the removed assignment's statement
-    assert "Assign" in kinds
+    assert diff == {2, 4, 5, 8, 9}  # the removed assignment's subtree
+    assert a.nodes[2].kind == "Assign"
+
+
+def test_swapped_statements_flag_the_differing_literals():
+    a = parse_program("void sort(int[] a, int length) "
+                      "{ a[0] = 1; a[1] = 2; }")
+    b = parse_program("void sort(int[] a, int length) "
+                      "{ a[1] = 2; a[0] = 1; }")
+    assert diff_improvement_nodes(a, b) == {5, 7, 9, 11}
 
 
 def test_bubble_loops_annotation_is_the_outer_header_plus_bound():
@@ -215,6 +222,29 @@ def test_every_corpus_annotation_is_pinned(problems):
     # load_problem annotates with diff_improvement_nodes
     assert {name: set(p.annotation) for name, p in problems.items()} \
         == ANNOTATIONS
+
+
+# The diff from each designated improved version back to its original,
+# recorded like ANNOTATIONS; node ids are the improved version's.
+REVERSE_ANNOTATIONS = {
+    "bubble": {20, 31, 33},
+    "bubble_loops": {1, 20, 31, 33},
+    "cocktail": {3, 7, 8, 12, 14, 15, 16, 25, 26, 32, 38, 39, 40},
+    "heap": {57},
+    "insertion": {3},
+    "merge": {3, 48},
+    "quick": {16},
+    "radix": {20},
+    "selection": {12, 24, 26},
+    "selection2": {17, 27, 29},
+    "shell": {35, 37},
+}
+
+
+def test_every_reverse_diff_is_pinned(problems):
+    assert {name: set(diff_improvement_nodes(p.improved[p.designated],
+                                             p.original))
+            for name, p in problems.items()} == REVERSE_ANNOTATIONS
 
 
 # -- loading and validation ---------------------------------------------

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 from array import array
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,6 +334,18 @@ def test_a_failed_build_falls_back_unless_c_is_forced(tmp_path, c_engine):
     assert run.returncode != 0
     last = run.stderr.splitlines()[-1]
     assert "engine.c:" in last and "error" in last, last
+
+
+def test_a_build_deletes_the_stale_builds_beside_it(tmp_path, c_engine):
+    suffix = EXTENSION_SUFFIXES[0]
+    stale = tmp_path / f"_engine.00000000{suffix}"
+    unrelated = tmp_path / "notes.txt"
+    stale.write_bytes(b"an old build")
+    unrelated.write_text("kept")
+    target = tmp_path / f"_engine.12345678{suffix}"
+    c_engine._build(str(target))
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == sorted([target.name, unrelated.name])
 
 
 # Every PARITY_STRIDE-th exhaustive variant of every corpus problem, in the
