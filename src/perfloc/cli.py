@@ -73,11 +73,11 @@ def write_nodes_csv(path_dir: str, program, scores) -> None:
                     "n_compiled", "gap_filled"])
         counted = scores and next(iter(scores.values())).source in (
             SOURCE_EXHAUSTIVE, SOURCE_COMBINED)
-        for node in program.nodes:
-            s = scores[node.node_id]
+        for i, node in enumerate(program.nodes):
+            s = scores[i]
             red = s.n_reduced if counted else ""
             comp = s.n_compiled if counted else ""
-            w.writerow([node.node_id, node.kind, render_snippet(node),
+            w.writerow([i, node.kind, render_snippet(node),
                         ratio_text(s.value), red, comp,
                         int(s.gap_filled)])
 
@@ -114,10 +114,9 @@ def cmd_profile(args) -> int:
     with _open_csv(args.out, "profile.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["node_id", "kind", "count", "score"])
-        for node in program.nodes:
-            w.writerow([node.node_id, node.kind,
-                        inherited_count(program, report, node.node_id),
-                        ratio_text(report.node_scores[node.node_id])])
+        for i, node in enumerate(program.nodes):
+            w.writerow([i, node.kind, inherited_count(program, report, i),
+                        ratio_text(report.node_scores[i])])
     _say(f"profiled {len(program.nodes)} nodes over {len(suite)} tests "
          f"(total statement entries: {report.total})")
     return 0

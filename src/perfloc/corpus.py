@@ -19,6 +19,8 @@ since an insertion has no original node of its own). Of all the sets these
 moves can flag, the aligner takes the one with the fewest nodes, then the
 one holding the lowest node id in which the sets differ. That order is
 total, so the result does not depend on the order the moves are tried.
+Structurally equal subtrees align at once with the empty set, the least
+set of all, without trying any move.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lang.ast import AstNode, Program
+from .lang.ast import Program, structurally_equal
 from .lang.check import static_check
 from .lang.parser import ParseError, parse_program
 from .runtime.exec import (
@@ -159,65 +161,89 @@ def _rank(flags: int) -> tuple[int, int]:
     return flags.bit_count(), -flags
 
 
-def _align(o: AstNode, m: AstNode, sub: list[int], memo: dict) -> int:
-    """The least flag set aligning original node ``o`` with improved node
-    ``m``; ``sub[i]`` is the flag set of node i's subtree."""
-    key = (o.node_id, m.node_id)
-    if key not in memo:
-        whole = sub[o.node_id]
-        own = 1 << (len(sub) - 1 - o.node_id)
-        candidates = [whole]
-        if o.kind == m.kind and o.payload() == m.payload():
-            candidates.append(_align_seq(o, m, 0, 0, sub, memo))
-        candidates.extend(whole & ~sub[c.node_id] | _align(c, m, sub, memo)
-                          for c in o.children)
-        candidates.extend(own | _align(o, c, sub, memo) for c in m.children)
-        memo[key] = min(candidates, key=_rank)
-    return memo[key]
+class _Aligner:
+    """One diff's tables and memo. Ids index the two programs' tables;
+    ``sub[i]`` is the flag set of original node i's subtree. One memo
+    serves both aligners: ``align`` keys are pairs, ``align_seq`` keys
+    4-tuples. Nothing refers back to the aligner, so its memo is freed as
+    soon as the diff returns rather than at the next cyclic collection."""
 
+    def __init__(self, original: Program, improved: Program):
+        self.o_nodes, self.o_first = original.nodes, original.first
+        self.m_nodes, self.m_first = improved.nodes, improved.first
+        n = len(self.o_nodes)
+        sub = [0] * n
+        # breadth-first ids: every child's id is above its parent's
+        for i in range(n - 1, -1, -1):
+            flags = 1 << (n - 1 - i)
+            f = self.o_first[i]
+            for c in range(f, f + len(self.o_nodes[i].children)):
+                flags |= sub[c]
+            sub[i] = flags
+        self.sub = sub
+        self.memo: dict[tuple[int, ...], int] = {}
 
-def _align_seq(o: AstNode, m: AstNode, i: int, j: int, sub: list[int],
-               memo: dict) -> int:
-    """The least flag set aligning ``o.children[i:]`` with
-    ``m.children[j:]``."""
-    key = (o.node_id, m.node_id, i, j)
-    if key not in memo:
-        os, ms = o.children, m.children
-        candidates = []
-        if i < len(os) and j < len(ms):
-            candidates.append(_align(os[i], ms[j], sub, memo)
-                              | _align_seq(o, m, i + 1, j + 1, sub, memo))
-        if i < len(os):
-            candidates.append(sub[os[i].node_id]
-                              | _align_seq(o, m, i + 1, j, sub, memo))
-        if j < len(ms):
-            # an insertion has no original node, so it flags the parent
-            candidates.append(1 << (len(sub) - 1 - o.node_id)
-                              | _align_seq(o, m, i, j + 1, sub, memo))
-        memo[key] = min(candidates, key=_rank) if candidates else 0
-    return memo[key]
+    def align(self, oi: int, mi: int) -> int:
+        """The least flag set aligning original node ``oi`` with improved
+        node ``mi``."""
+        key = (oi, mi)
+        memo = self.memo
+        if key not in memo:
+            o, m = self.o_nodes[oi], self.m_nodes[mi]
+            if o.structural_hash() == m.structural_hash() and \
+                    structurally_equal(o, m):
+                memo[key] = 0  # the empty set ranks below every other
+                return 0
+            sub = self.sub
+            whole = sub[oi]
+            own = 1 << (len(sub) - 1 - oi)
+            candidates = [whole]
+            if o.kind == m.kind and o.payload() == m.payload():
+                candidates.append(self.align_seq(oi, mi, 0, 0))
+            of, mf = self.o_first[oi], self.m_first[mi]
+            candidates.extend(whole & ~sub[c] | self.align(c, mi)
+                              for c in range(of, of + len(o.children)))
+            candidates.extend(own | self.align(oi, c)
+                              for c in range(mf, mf + len(m.children)))
+            memo[key] = min(candidates, key=_rank)
+        return memo[key]
+
+    def align_seq(self, oi: int, mi: int, i: int, j: int) -> int:
+        """The least flag set aligning the children of original node ``oi``
+        from position ``i`` on with those of improved node ``mi`` from
+        position ``j`` on."""
+        key = (oi, mi, i, j)
+        memo = self.memo
+        if key not in memo:
+            more_o = i < len(self.o_nodes[oi].children)
+            more_m = j < len(self.m_nodes[mi].children)
+            oc, mc = self.o_first[oi] + i, self.m_first[mi] + j
+            candidates = []
+            if more_o and more_m:
+                candidates.append(self.align(oc, mc)
+                                  | self.align_seq(oi, mi, i + 1, j + 1))
+            if more_o:
+                candidates.append(self.sub[oc]
+                                  | self.align_seq(oi, mi, i + 1, j))
+            if more_m:
+                # an insertion has no original node, so it flags the parent
+                candidates.append(1 << (len(self.sub) - 1 - oi)
+                                  | self.align_seq(oi, mi, i, j + 1))
+            memo[key] = min(candidates, key=_rank) if candidates else 0
+        return memo[key]
 
 
 def diff_improvement_nodes(original: Program,
                            improved: Program) -> frozenset[int]:
-    n = len(original.nodes)
-    sub = [0] * n
-    # breadth-first ids: every child's id is above its parent's
-    for i in range(n - 1, -1, -1):
-        flags = 1 << (n - 1 - i)
-        for c in original.nodes[i].children:
-            flags |= sub[c.node_id]
-        sub[i] = flags
-    # One memo serves both aligners: _align keys are pairs, _align_seq keys
-    # 4-tuples. It is a plain local, not a closure cell, so it is freed as
-    # soon as the diff returns rather than at the next cyclic collection.
-    memo: dict[tuple[int, ...], int] = {}
+    aligner = _Aligner(original, improved)
+    sub = aligner.sub
+    n = len(sub)
     flags = 0
-    for k, func in enumerate(original.functions):
+    for k in range(len(original.functions)):  # function k is node k
         if k < len(improved.functions):
-            flags |= _align(func, improved.functions[k], sub, memo)
+            flags |= aligner.align(k, k)
         else:
-            flags |= sub[func.node_id]
+            flags |= sub[k]
     return frozenset(i for i in range(n) if flags >> (n - 1 - i) & 1)
 
 

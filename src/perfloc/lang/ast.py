@@ -1,8 +1,11 @@
 """AST for the small imperative language the tool analyses.
 
-One node class covers every construct; ``kind`` discriminates. Node identifiers
-are dense integers assigned in breadth-first order over the whole program
-(first function first, then level by level), so a node's children always get a
+One node class covers every construct; ``kind`` discriminates. Nodes carry no
+position: they are never written after parsing (apart from the cached
+structural hash), so programs share subtrees freely, and one node object may
+stand at several places. Node identifiers belong to a ``Program``: dense
+integers assigned in breadth-first order over the whole program (first
+function first, then level by level), so a node's children always get a
 contiguous id range and statements enumerate outer-before-inner.
 
 Shape conventions, fixed here and relied on everywhere else:
@@ -23,7 +26,7 @@ Shape conventions, fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 KIND_FUNCTION = "FunctionDecl"
 KIND_BLOCK = "Block"
@@ -89,8 +92,8 @@ ENTRY_NAME = "sort"
 class AstNode:
     __slots__ = (
         "kind", "children", "name", "value", "op", "decl_type", "ret_type",
-        "params", "then_count", "loop_var", "loop_step", "node_id", "parent_id",
-        "line", "col", "_hash",
+        "params", "then_count", "loop_var", "loop_step", "line", "col",
+        "_hash",
     )
 
     def __init__(self, kind: str, children: Optional[list["AstNode"]] = None, *,
@@ -111,8 +114,6 @@ class AstNode:
         self.then_count = then_count
         self.loop_var = loop_var
         self.loop_step = loop_step
-        self.node_id = -1
-        self.parent_id = -1
         self.line = line
         self.col = col
         self._hash = None
@@ -148,12 +149,9 @@ class AstNode:
             self._hash = h
         return h
 
-    def clone(self) -> "AstNode":
-        return self.copy_with([c.clone() for c in self.children])
-
     def copy_with(self, children: list["AstNode"]) -> "AstNode":
-        """This node's payload and source span over ``children``, unindexed.
-        Sets the slots directly: it is the inner loop of every tree edit."""
+        """This node's payload and source span over ``children``. Sets the
+        slots directly: it is the inner loop of every tree edit."""
         n = object.__new__(AstNode)
         n.kind = self.kind
         n.children = children
@@ -166,24 +164,17 @@ class AstNode:
         n.then_count = self.then_count
         n.loop_var = self.loop_var
         n.loop_step = self.loop_step
-        n.node_id = -1
-        n.parent_id = -1
         n.line = self.line
         n.col = self.col
         n._hash = None
         return n
-
-    def walk(self) -> Iterator["AstNode"]:
-        yield self
-        for c in self.children:
-            yield from c.walk()
 
     def __repr__(self):
         bits = [self.kind]
         p = self.payload()
         if p:
             bits.append(repr(p))
-        return f"<{' '.join(bits)} #{self.node_id}>"
+        return f"<{' '.join(bits)}>"
 
 
 def structurally_equal(a: AstNode, b: AstNode) -> bool:
@@ -196,8 +187,12 @@ def structurally_equal(a: AstNode, b: AstNode) -> bool:
 
 class Program:
     """An ordered list of function declarations plus the node table.
-    Constructing one assigns every node its id and parent id, so the
-    functions' nodes must belong to no other program. ``frames`` is the
+
+    Constructing one indexes it once: ``nodes[i]`` is node i, ``parent[i]``
+    its parent's id (-1 for a function) and ``first[i]`` its first child's
+    id (0 for a leaf), so child k of node i is ``first[i] + k``. Function k
+    is node k. The tables are the only record of where a node stands, so
+    the functions may share nodes with other programs. ``frames`` is the
     frame layout ``lang.check.static_check`` records when it accepts the
     program, and None until then."""
 
@@ -208,29 +203,39 @@ class Program:
 
     def _index(self) -> None:
         nodes = list(self.functions)
-        for f in nodes:
-            f.parent_id = -1
+        parent = [-1] * len(nodes)
+        first = []
         # breadth-first: the loop visits the children it appends
         for i, node in enumerate(nodes):
-            node.node_id = i
-            for c in node.children:
-                c.parent_id = i
-            nodes.extend(node.children)
+            children = node.children
+            if children:
+                first.append(len(nodes))
+                nodes += children
+                parent += [i] * len(children)
+            else:
+                first.append(0)
         self.nodes: list[AstNode] = nodes
+        self.parent: list[int] = parent
+        self.first: list[int] = first
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def parent(self, node_id: int) -> Optional[AstNode]:
-        pid = self.nodes[node_id].parent_id
-        return None if pid < 0 else self.nodes[pid]
+    def subtree_ids(self, node_id: int) -> list[int]:
+        """Ids of the subtree rooted at ``node_id``, breadth-first."""
+        ids = [node_id]
+        for i in ids:
+            f = self.first[i]
+            ids.extend(range(f, f + len(self.nodes[i].children)))
+        return ids
 
-    def enclosing_statement(self, node_id: int) -> Optional[AstNode]:
-        """Nearest self-or-ancestor node whose kind is a statement."""
-        n = self.nodes[node_id]
-        while n is not None and n.kind not in STATEMENT_KINDS:
-            n = self.parent(n.node_id)
-        return n
+    def enclosing_statement(self, node_id: int) -> int:
+        """Id of the nearest self-or-ancestor node whose kind is a
+        statement, or -1 when there is none."""
+        nodes, parent = self.nodes, self.parent
+        while node_id >= 0 and nodes[node_id].kind not in STATEMENT_KINDS:
+            node_id = parent[node_id]
+        return node_id
 
     def entry_index(self) -> int:
         """The function under test: ``sort`` when present, else the first."""
@@ -240,7 +245,7 @@ class Program:
         return 0
 
     def body_block_ids(self) -> set[int]:
-        return {f.children[0].node_id for f in self.functions
+        return {self.first[k] for k, f in enumerate(self.functions)
                 if f.children and f.children[0].kind == KIND_BLOCK}
 
 

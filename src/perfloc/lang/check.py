@@ -25,7 +25,9 @@ the checker accepts gets ``Program.frames``: the slot each VarDecl and For
 counter binds and each identifier read or assigned, and every function's
 frame size. ``runtime.ir.build_ir`` reads those instead of resolving again.
 
-Violations come back sorted by node id.
+Nodes carry no id, so the walk carries each node's id beside it (child k of
+node i is ``program.first[i] + k``); slots and violations are keyed by those
+ids. Violations come back sorted by node id.
 """
 
 from __future__ import annotations
@@ -75,159 +77,179 @@ class Checker:
         self.program = program
         self.violations: list[Violation] = []
         self.signatures: dict[str, tuple[str, list[str]]] = {}
-        self.scopes: list[dict[str, tuple[str, int]]] = []  # name: type, slot
+        # No shadowing, so every visible variable has one entry in
+        # ``variables`` (name: type, slot); each open scope lists the names
+        # it declared, to drop them when it closes.
+        self.variables: dict[str, tuple[str, int]] = {}
+        self.scopes: list[list[str]] = []
+        self.first = program.first
         self.slots = [-1] * len(program.nodes)
         self.sizes: list[int] = []
         self.n_slots = 0
 
-    def report(self, code: str, node: AstNode, message: str) -> None:
-        self.violations.append(Violation(code, node.node_id, message))
+    def report(self, code: str, node_id: int, message: str) -> None:
+        self.violations.append(Violation(code, node_id, message))
 
     # scope helpers --------------------------------------------------------
 
-    def resolve(self, ident: AstNode) -> Optional[str]:
-        """Type of the variable an identifier names, recording its slot;
-        None (reported) when no such variable is visible."""
-        name = ident.name
-        for scope in reversed(self.scopes):
-            if name in scope:
-                var_type, slot = scope[name]
-                self.slots[ident.node_id] = slot
-                return var_type
-        self.report(UNDECLARED, ident, f"{name!r} is not declared")
-        return None
+    def resolve(self, ident: AstNode, nid: int) -> Optional[str]:
+        """Type of the variable identifier ``nid`` names, recording its
+        slot; None (reported) when no such variable is visible."""
+        entry = self.variables.get(ident.name)
+        if entry is None:
+            self.report(UNDECLARED, nid, f"{ident.name!r} is not declared")
+            return None
+        var_type, slot = entry
+        self.slots[nid] = slot
+        return var_type
 
     def visible(self, name: str) -> bool:
-        return (any(name in scope for scope in self.scopes)
-                or name in self.signatures or name == BUILTIN_NEWARRAY)
+        return (name in self.variables or name in self.signatures
+                or name == BUILTIN_NEWARRAY)
 
-    def declare(self, node: AstNode, name: str, var_type: str) -> int:
-        """Bind ``name`` to the function's next frame slot and return it;
-        -1 (reported) when the name is already visible."""
+    def open_scope(self) -> None:
+        self.scopes.append([])
+
+    def close_scope(self) -> None:
+        for name in self.scopes.pop():
+            del self.variables[name]
+
+    def declare(self, nid: int, name: str, var_type: str) -> int:
+        """Bind ``name``, declared by node ``nid``, to the function's next
+        frame slot and return it; -1 (reported) when the name is already
+        visible."""
         if self.visible(name):
-            self.report(DUPLICATE, node, f"{name!r} is already declared")
+            self.report(DUPLICATE, nid, f"{name!r} is already declared")
             return -1
         slot = self.n_slots
         self.n_slots += 1
-        self.scopes[-1][name] = (var_type, slot)
+        self.variables[name] = (var_type, slot)
+        self.scopes[-1].append(name)
         return slot
 
     # entry point ----------------------------------------------------------
 
     def run(self) -> list[Violation]:
-        for func in self.program.functions:
+        # function k is node k
+        for k, func in enumerate(self.program.functions):
             if func.name == BUILTIN_NEWARRAY or func.name in self.signatures:
-                self.report(DUPLICATE, func,
+                self.report(DUPLICATE, k,
                             f"function {func.name!r} is already declared")
             else:
                 self.signatures[func.name] = (
                     func.ret_type, [t for t, _ in (func.params or [])])
-        for func in self.program.functions:
-            self.check_function(func)
+        for k, func in enumerate(self.program.functions):
+            self.check_function(func, k)
         self.violations.sort(key=lambda v: (v.node_id, v.code, v.message))
         self.program.frames = None if self.violations \
             else Frames(self.slots, self.sizes)
         return self.violations
 
-    def check_function(self, func: AstNode) -> None:
-        self.scopes = [{}]
+    def check_function(self, func: AstNode, fid: int) -> None:
+        self.variables = {}
+        self.scopes = [[]]
         self.n_slots = 0
         for ptype, pname in func.params or []:
-            self.declare(func, pname, ptype)
+            self.declare(fid, pname, ptype)
         body = func.children[0]
-        self.check_statements(body.children, func)
+        self.check_statements(body.children, self.first[self.first[fid]],
+                              func)
         self.sizes.append(self.n_slots)
         if func.ret_type != TYPE_VOID and not _definitely_returns(body.children):
-            self.report(NO_RETURN, func,
+            self.report(NO_RETURN, fid,
                         f"{func.name!r} can finish without returning "
                         f"{func.ret_type}")
 
     # statements -----------------------------------------------------------
 
-    def check_statements(self, stmts, func: AstNode) -> None:
-        self.scopes.append({})
-        for s in stmts:
-            self.check_statement(s, func)
-        self.scopes.pop()
+    def check_statements(self, stmts, start: int, func: AstNode) -> None:
+        """Check ``stmts``, sibling nodes with ids from ``start``, in a
+        scope of their own."""
+        self.open_scope()
+        for nid, s in enumerate(stmts, start):
+            self.check_statement(s, nid, func)
+        self.close_scope()
 
-    def check_statement(self, node: AstNode, func: AstNode) -> None:
+    def check_statement(self, node: AstNode, nid: int,
+                        func: AstNode) -> None:
         kind = node.kind
+        children = node.children
+        f = self.first[nid]
         if kind == KIND_BLOCK:
-            self.check_statements(node.children, func)
+            self.check_statements(children, f, func)
         elif kind == KIND_VARDECL:
-            if len(node.children) > 1:
-                self.check_typed(node.children[1], node.decl_type)
+            if len(children) > 1:
+                self.check_typed(children[1], f + 1, node.decl_type)
             # Mutation can plant an arbitrary expression in the name slot.
-            if node.children[0].kind != KIND_IDENT:
-                self.report(BAD_TARGET, node,
+            if children[0].kind != KIND_IDENT:
+                self.report(BAD_TARGET, nid,
                             "declaration needs a plain variable name")
             else:
-                self.slots[node.node_id] = self.declare(
-                    node, node.children[0].name, node.decl_type)
+                self.slots[nid] = self.declare(nid, children[0].name,
+                                               node.decl_type)
         elif kind == KIND_ASSIGN:
-            self.check_assign(node)
+            self.check_assign(node, nid, f)
         elif kind == KIND_IF:
-            self.check_typed(node.children[0], TYPE_BOOL)
+            self.check_typed(children[0], f, TYPE_BOOL)
             k = node.then_count
-            self.check_statements(node.children[1:1 + k], func)
-            self.check_statements(node.children[1 + k:], func)
+            self.check_statements(children[1:1 + k], f + 1, func)
+            self.check_statements(children[1 + k:], f + 1 + k, func)
         elif kind == KIND_FOR:
-            self.check_typed(node.children[0], TYPE_INT)
-            self.scopes.append({})
-            self.slots[node.node_id] = self.declare(node, node.loop_var,
-                                                    TYPE_INT)
-            self.check_typed(node.children[1], TYPE_BOOL)
-            for s in node.children[2:]:
-                self.check_statement(s, func)
-            self.scopes.pop()
+            self.check_typed(children[0], f, TYPE_INT)
+            self.open_scope()
+            self.slots[nid] = self.declare(nid, node.loop_var, TYPE_INT)
+            self.check_typed(children[1], f + 1, TYPE_BOOL)
+            for sid, s in enumerate(children[2:], f + 2):
+                self.check_statement(s, sid, func)
+            self.close_scope()
         elif kind == KIND_WHILE:
-            self.check_typed(node.children[0], TYPE_BOOL)
-            self.check_statements(node.children[1:], func)
+            self.check_typed(children[0], f, TYPE_BOOL)
+            self.check_statements(children[1:], f + 1, func)
         elif kind == KIND_RETURN:
-            self.check_return(node, func)
+            self.check_return(node, nid, f, func)
         elif kind == KIND_EXPRSTMT:
-            self.type_of(node.children[0])
+            self.type_of(children[0], f)
         else:
             # An expression stranded in statement position never parses, but
             # guard the walk anyway so odd trees are diagnosed, not crashed.
-            self.report(TYPE_ERR, node, f"{kind} is not a statement")
+            self.report(TYPE_ERR, nid, f"{kind} is not a statement")
 
-    def check_assign(self, node: AstNode) -> None:
+    def check_assign(self, node: AstNode, nid: int, f: int) -> None:
         target, value = node.children
         if target.kind == KIND_IDENT:
-            var_type = self.resolve(target)
+            var_type = self.resolve(target, f)
             if var_type is None:
-                self.type_of(value)
+                self.type_of(value, f + 1)
             else:
-                self.check_typed(value, var_type)
+                self.check_typed(value, f + 1, var_type)
         elif target.kind == KIND_INDEX:
-            self.type_of(target)
-            self.check_typed(value, TYPE_INT)
+            self.type_of(target, f)
+            self.check_typed(value, f + 1, TYPE_INT)
         else:
-            self.report(BAD_TARGET, node,
+            self.report(BAD_TARGET, nid,
                         f"cannot assign to a {target.kind}")
-            self.type_of(value)
+            self.type_of(value, f + 1)
 
-    def check_return(self, node: AstNode, func: AstNode) -> None:
+    def check_return(self, node: AstNode, nid: int, f: int,
+                     func: AstNode) -> None:
         if func.ret_type == TYPE_VOID:
             if node.children:
-                self.report(TYPE_ERR, node.children[0],
-                            f"{func.name!r} returns no value")
-                self.type_of(node.children[0])
+                self.report(TYPE_ERR, f, f"{func.name!r} returns no value")
+                self.type_of(node.children[0], f)
         elif not node.children:
-            self.report(TYPE_ERR, node, f"return needs a {func.ret_type}")
+            self.report(TYPE_ERR, nid, f"return needs a {func.ret_type}")
         else:
-            self.check_typed(node.children[0], func.ret_type)
+            self.check_typed(node.children[0], f, func.ret_type)
 
     # expressions ----------------------------------------------------------
 
-    def check_typed(self, node: AstNode, expected: str) -> None:
-        actual = self.type_of(node)
+    def check_typed(self, node: AstNode, nid: int, expected: str) -> None:
+        actual = self.type_of(node, nid)
         if actual is not None and actual != expected:
-            self.report(TYPE_ERR, node, f"expected {expected}, got {actual}")
+            self.report(TYPE_ERR, nid, f"expected {expected}, got {actual}")
 
-    def type_of(self, node: AstNode) -> Optional[str]:
-        """Type of an expression, or None when it cannot be determined
+    def type_of(self, node: AstNode, nid: int) -> Optional[str]:
+        """Type of expression ``nid``, or None when it cannot be determined
         because of an error already reported deeper down."""
         kind = node.kind
         if kind == KIND_INT:
@@ -235,92 +257,95 @@ class Checker:
         if kind == KIND_BOOL:
             return TYPE_BOOL
         if kind == KIND_IDENT:
-            return self.resolve(node)
+            return self.resolve(node, nid)
+        f = self.first[nid]
         if kind == KIND_INDEX:
             base, index = node.children
-            self.check_typed(base, TYPE_ARRAY)
-            self.check_typed(index, TYPE_INT)
+            self.check_typed(base, f, TYPE_ARRAY)
+            self.check_typed(index, f + 1, TYPE_INT)
             return TYPE_INT
         if kind == KIND_INCDEC:
             target = node.children[1]
             if target.kind != KIND_IDENT:
-                self.report(BAD_TARGET, node,
+                self.report(BAD_TARGET, nid,
                             f"{node.children[0].op} needs a plain variable")
-                self.type_of(target)
+                self.type_of(target, f + 1)
             else:
-                self.check_typed(target, TYPE_INT)
+                self.check_typed(target, f + 1, TYPE_INT)
             return TYPE_INT
         if kind == KIND_UNARY:
             op = node.children[0].op
             operand_type = TYPE_INT if op == "-" else TYPE_BOOL
-            self.check_typed(node.children[1], operand_type)
+            self.check_typed(node.children[1], f + 1, operand_type)
             return operand_type
         if kind == KIND_BINARY:
-            return self.type_of_binary(node)
+            return self.type_of_binary(node, f)
         if kind == KIND_CALL:
-            return self.type_of_call(node)
+            return self.type_of_call(node, nid, f)
         if kind == KIND_OPERATOR:
-            self.report(TYPE_ERR, node, "operator used as a value")
+            self.report(TYPE_ERR, nid, "operator used as a value")
             return None
-        self.report(TYPE_ERR, node, f"{kind} is not an expression")
+        self.report(TYPE_ERR, nid, f"{kind} is not an expression")
         return None
 
-    def type_of_binary(self, node: AstNode) -> Optional[str]:
+    def type_of_binary(self, node: AstNode, f: int) -> Optional[str]:
+        """Type of a Binary whose children start at id ``f``."""
         op = node.children[0].op
         left, right = node.children[1], node.children[2]
         if op in ARITH_OPS:
-            self.check_typed(left, TYPE_INT)
-            self.check_typed(right, TYPE_INT)
+            self.check_typed(left, f + 1, TYPE_INT)
+            self.check_typed(right, f + 2, TYPE_INT)
             return TYPE_INT
         if op in REL_OPS:
-            self.check_typed(left, TYPE_INT)
-            self.check_typed(right, TYPE_INT)
+            self.check_typed(left, f + 1, TYPE_INT)
+            self.check_typed(right, f + 2, TYPE_INT)
             return TYPE_BOOL
         if op in LOGIC_OPS:
-            self.check_typed(left, TYPE_BOOL)
-            self.check_typed(right, TYPE_BOOL)
+            self.check_typed(left, f + 1, TYPE_BOOL)
+            self.check_typed(right, f + 2, TYPE_BOOL)
             return TYPE_BOOL
         if op in EQ_OPS:
-            lt = self.type_of(left)
-            rt = self.type_of(right)
-            for side, t in ((left, lt), (right, rt)):
+            lt = self.type_of(left, f + 1)
+            rt = self.type_of(right, f + 2)
+            for side, t in ((f + 1, lt), (f + 2, rt)):
                 if t == TYPE_ARRAY or t == TYPE_VOID:
                     self.report(TYPE_ERR, side, f"cannot compare {t} values")
             if (lt in (TYPE_INT, TYPE_BOOL) and rt in (TYPE_INT, TYPE_BOOL)
                     and lt != rt):
-                self.report(TYPE_ERR, right, f"expected {lt}, got {rt}")
+                self.report(TYPE_ERR, f + 2, f"expected {lt}, got {rt}")
             return TYPE_BOOL
-        self.report(TYPE_ERR, node.children[0], f"unknown operator {op!r}")
+        self.report(TYPE_ERR, f, f"unknown operator {op!r}")
         return None
 
-    def type_of_call(self, node: AstNode) -> Optional[str]:
+    def type_of_call(self, node: AstNode, nid: int,
+                     f: int) -> Optional[str]:
+        args = node.children
         if node.name == BUILTIN_NEWARRAY:
-            if len(node.children) != 1:
-                self.report(ARITY, node,
-                            f"newArray takes 1 argument, got "
-                            f"{len(node.children)}")
-                for a in node.children:
-                    self.type_of(a)
+            if len(args) != 1:
+                self.report(ARITY, nid,
+                            f"newArray takes 1 argument, got {len(args)}")
+                for aid, a in enumerate(args, f):
+                    self.type_of(a, aid)
             else:
-                self.check_typed(node.children[0], TYPE_INT)
+                self.check_typed(args[0], f, TYPE_INT)
             return TYPE_ARRAY
         sig = self.signatures.get(node.name)
         if sig is None:
-            self.report(UNDECLARED, node,
+            self.report(UNDECLARED, nid,
                         f"function {node.name!r} is not declared")
-            for a in node.children:
-                self.type_of(a)
+            for aid, a in enumerate(args, f):
+                self.type_of(a, aid)
             return None
         ret_type, param_types = sig
-        if len(node.children) != len(param_types):
-            self.report(ARITY, node,
+        if len(args) != len(param_types):
+            self.report(ARITY, nid,
                         f"{node.name!r} takes {len(param_types)} arguments, "
-                        f"got {len(node.children)}")
-            for a in node.children:
-                self.type_of(a)
+                        f"got {len(args)}")
+            for aid, a in enumerate(args, f):
+                self.type_of(a, aid)
         else:
-            for arg, ptype in zip(node.children, param_types):
-                self.check_typed(arg, ptype)
+            for aid, (arg, ptype) in enumerate(zip(args, param_types), f):
+                self.check_typed(arg, aid, ptype)
         return ret_type
 
 

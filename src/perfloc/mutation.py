@@ -49,7 +49,7 @@ from .lang.ast import (
 )
 from .lang.check import static_check
 from .lang.edit import (
-    statement_nodes, delete_statement, empty_function_body, replace_node,
+    statement_ids, delete_statement, empty_function_body, replace_node,
 )
 from .lang.printer import render_snippet
 from .runtime.exec import (
@@ -157,7 +157,7 @@ def _replacements_from_inventory(program, target_id, exprs, stmts):
     category = CATEGORY[target.kind]
     out: list[MutationDescriptor] = []
     if category == CAT_OPERATOR:
-        parent = program.parent(target_id)
+        parent = program.nodes[program.parent[target_id]]
         if parent.kind == KIND_BINARY:
             symbols = BINARY_OPS
         elif parent.kind == KIND_UNARY:
@@ -184,6 +184,13 @@ def _replacements_from_inventory(program, target_id, exprs, stmts):
             out.append(MutationDescriptor(target_id, donor,
                                           render_snippet(donor)))
     return out
+
+
+def exhaustive_descriptors(program: Program) -> list[MutationDescriptor]:
+    """Every replacement of every node, in node order."""
+    exprs, stmts = _inventory(program)
+    return [d for i in range(len(program.nodes))
+            for d in _replacements_from_inventory(program, i, exprs, stmts)]
 
 
 # variant evaluation -------------------------------------------------------
@@ -213,9 +220,9 @@ def deletion_analysis(program: Program, suite: Sequence[TestCase],
     body_ids = program.body_block_ids()
     savings: dict[int, Fraction] = {}
 
-    for stmt in statement_nodes(program):
-        sid = stmt.node_id
-        if stmt.kind == KIND_BLOCK:
+    stmt_ids = statement_ids(program)
+    for sid in stmt_ids:
+        if program.nodes[sid].kind == KIND_BLOCK:
             if sid not in body_ids:
                 continue
             mutated = empty_function_body(program, sid)
@@ -240,27 +247,24 @@ def deletion_analysis(program: Program, suite: Sequence[TestCase],
     # removing a statement removes everything below it, so fold each
     # saving into the nearest measured ancestor, deepest first
     for sid in sorted(savings, reverse=True):
-        node = program.parent(sid)
-        while node is not None and node.node_id not in savings:
-            node = program.parent(node.node_id)
-        if node is not None:
-            savings[node.node_id] = max(savings[node.node_id], savings[sid])
+        p = program.parent[sid]
+        while p >= 0 and p not in savings:
+            p = program.parent[p]
+        if p >= 0:
+            savings[p] = max(savings[p], savings[sid])
 
-    values: dict[int, Fraction] = {n.node_id: Fraction(0)
-                                   for n in program.nodes}
+    values = dict.fromkeys(range(len(program.nodes)), Fraction(0))
     for sid in sorted(savings):
         saved = savings[sid]
-        for n in program.nodes[sid].walk():
-            values[n.node_id] = saved
-        parent = program.parent(sid)
-        if parent is not None and sid in body_ids:
-            values[parent.node_id] = saved
+        for i in program.subtree_ids(sid):
+            values[i] = saved
+        if sid in body_ids:
+            values[program.parent[sid]] = saved
 
     scores = {i: NodeScore(node=i, value=v, n_reduced=0, n_compiled=0,
                            source=SOURCE_DELETION)
               for i, v in values.items()}
-    n_stmts = len(statement_nodes(program))
-    cost = AnalysisCost(variants_generated=n_stmts, compiled=executed,
+    cost = AnalysisCost(variants_generated=len(stmt_ids), compiled=executed,
                         executed=executed, evaluations=executed)
     return AnalysisResult(scores, tuple(variants), cost, original)
 
@@ -296,10 +300,7 @@ def exhaustive_analysis(program: Program, suite: Sequence[TestCase],
     ir = compile_program(program)
     limits, original = baseline_limits(ir, suite, factor)
 
-    exprs, stmts = _inventory(program)
-    descriptors = [d for node in program.nodes
-                   for d in _replacements_from_inventory(
-                       program, node.node_id, exprs, stmts)]
+    descriptors = exhaustive_descriptors(program)
     analysis = (program, descriptors, tuple(suite), tuple(limits), original)
     tasks = range(len(descriptors))
     if jobs <= 1:

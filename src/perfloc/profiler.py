@@ -38,26 +38,26 @@ def profile(program: Program, suite: Sequence[TestCase]) -> ProfileReport:
     tally = array("q", [0]) * len(program.nodes)
     baseline_limits(build_ir(program), suite, counts=tally)
 
-    counts_map = {n.node_id: tally[n.node_id] for n in program.nodes
+    nodes, first = program.nodes, program.first
+    counts_map = {i: tally[i] for i, n in enumerate(nodes)
                   if n.kind in STATEMENT_KINDS}
     total = sum(counts_map.values())
 
     node_scores: dict[int, Fraction] = {}
 
-    def spread(node, inherited):
-        if node.kind in STATEMENT_KINDS:
-            inherited = Fraction(counts_map[node.node_id], total) if total \
+    def spread(i, inherited):
+        if nodes[i].kind in STATEMENT_KINDS:
+            inherited = Fraction(counts_map[i], total) if total \
                 else Fraction(0)
-        node_scores[node.node_id] = inherited
-        for c in node.children:
+        node_scores[i] = inherited
+        for c in range(first[i], first[i] + len(nodes[i].children)):
             spread(c, inherited)
 
-    for func in program.functions:
-        body = func.children[0]
-        body_score = Fraction(counts_map[body.node_id], total) if total \
+    for k in range(len(program.functions)):  # function k is node k
+        body_score = Fraction(counts_map[first[k]], total) if total \
             else Fraction(0)
-        node_scores[func.node_id] = body_score
-        spread(body, body_score)
+        node_scores[k] = body_score
+        spread(first[k], body_score)
 
     return ProfileReport(counts_map, node_scores, total)
 
@@ -66,10 +66,9 @@ def inherited_count(program: Program, report: ProfileReport,
                     node_id: int) -> int:
     """Raw count a node inherits (its enclosing statement's; functions take
     their body's)."""
-    node = program.nodes[node_id]
-    if node.kind == KIND_FUNCTION:
-        return report.counts[node.children[0].node_id]
-    return report.counts[program.enclosing_statement(node_id).node_id]
+    if program.nodes[node_id].kind == KIND_FUNCTION:
+        return report.counts[program.first[node_id]]
+    return report.counts[program.enclosing_statement(node_id)]
 
 
 def profile_scores(program: Program, report: ProfileReport

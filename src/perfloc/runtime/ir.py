@@ -1,11 +1,12 @@
 """Flat intermediate form both interpreter engines execute.
 
-The AST is lowered to parallel arrays indexed by node id. Breadth-first id
-assignment makes every node's children a contiguous id range, so child links
-are just (first_child, n_children). Names are resolved once, by the checker
-(``lang.check``), which records a frame slot for every declaration and every
-identifier it reads; lowering copies those slots, and the engines never see
-names.
+The AST is lowered to parallel arrays indexed by the ``Program``'s node ids.
+Breadth-first id assignment makes every node's children a contiguous id
+range, so child links are just (first_child, n_children), and ``first`` is a
+copy of the ``Program``'s own first-child table. Names are resolved once, by
+the checker (``lang.check``), which records a frame slot for every
+declaration and every identifier it reads; lowering copies those slots, and
+the engines never see names.
 
 Per-node payload fields ``a`` and ``b``:
 
@@ -121,7 +122,7 @@ def build_ir(program: Program) -> ProgramIR:
     kind = array("i", [0] * n)
     a = array("q", [0] * n)
     b = array("i", [0] * n)
-    first = array("i", [0] * n)
+    first = program.first
     nch = array("i", [0] * n)
     func_index = {f.name: i for i, f in enumerate(program.functions)}
 
@@ -130,7 +131,6 @@ def build_ir(program: Program) -> ProgramIR:
         children = node.children
         kind[i] = KIND_CODE[k]
         if children:
-            first[i] = children[0].node_id
             nch[i] = len(children)
         if k == KIND_IDENT:
             a[i] = slots[i]
@@ -141,7 +141,7 @@ def build_ir(program: Program) -> ProgramIR:
         elif k == KIND_BINARY:
             a[i] = BINARY_CODE[children[0].op]
         elif k == KIND_INCDEC:
-            a[i] = slots[children[1].node_id]
+            a[i] = slots[first[i] + 1]
             b[i] = 1 if children[0].op == "++" else -1
         elif k == KIND_CALL:
             a[i] = -1 if node.name == BUILTIN_NEWARRAY \
@@ -162,13 +162,13 @@ def build_ir(program: Program) -> ProgramIR:
         elif k == KIND_RETURN:
             b[i] = 1 if children else 0
         elif k == KIND_FUNCTION:
-            a[i] = children[0].node_id
+            a[i] = first[i]
             b[i] = i  # functions take ids 0..F-1, in declaration order
 
-    functions = [FunctionInfo(func.name, func.children[0].node_id,
-                              max(size, 1), len(func.params))
-                 for func, size in zip(program.functions, sizes)]
-    return ProgramIR(kind, a, b, first, nch, functions,
+    functions = [FunctionInfo(func.name, first[k], max(sizes[k], 1),
+                              len(func.params))
+                 for k, func in enumerate(program.functions)]
+    return ProgramIR(kind, a, b, array("i", first), nch, functions,
                      program.entry_index())
 
 

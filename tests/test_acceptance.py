@@ -29,7 +29,7 @@ from perfloc.lang.ast import (
     KIND_FOR, KIND_FUNCTION, KIND_IF, KIND_BLOCK, AstNode, Program,
     programs_equal,
 )
-from perfloc.lang.edit import replace_node, statement_nodes, subtree
+from perfloc.lang.edit import replace_node, statement_ids
 from perfloc.mutation import (
     CLASS_IDENTICAL, CLASS_NOT_COMPILABLE, classify_variant,
     combined_analysis, deletion_analysis, generate_replacements,
@@ -42,6 +42,7 @@ from perfloc.scores import (
 )
 
 from conftest import CORPUS_DIR, check
+from tree_helpers import subtree
 
 TECHNIQUES = (SOURCE_PROFILER, SOURCE_DELETION, SOURCE_EXHAUSTIVE,
               SOURCE_COMBINED)
@@ -105,10 +106,9 @@ def evaluate_outputs(tmp_path_factory):
 
 
 def _statement_ids(prob):
-    fors = {n.loop_var: n.node_id
-            for n in prob.original.nodes if n.kind == KIND_FOR}
-    if_id = next(n.node_id for n in prob.original.nodes
-                 if n.kind == KIND_IF)
+    nodes = prob.original.nodes
+    fors = {n.loop_var: i for i, n in enumerate(nodes) if n.kind == KIND_FOR}
+    if_id = next(i for i, n in enumerate(nodes) if n.kind == KIND_IF)
     return fors, if_id
 
 
@@ -157,14 +157,14 @@ def test_criterion_2_deletion_cumulativity(runs):
         compilable = {v.target for v in r.deletion.variants
                       if v.classification != CLASS_NOT_COMPILABLE}
         for target in compilable:
-            node = program.nodes[target].parent_id
+            node = program.parent[target]
             while node != -1:
                 if node in compilable:
                     pairs += 1
                     if (r.deletion.scores[node].value
                             < r.deletion.scores[target].value):
                         violations.append((name, node, target))
-                node = program.nodes[node].parent_id
+                node = program.parent[node]
     ok = not violations and pairs > 0 and elapsed < 120
     detail = (f"{pairs} ancestor/descendant pairs over {len(runs)} "
               f"problems, {len(violations)} violations; {elapsed:.1f}s")
@@ -203,12 +203,12 @@ def test_criterion_3_quotient_integrity(runs, tmp_path):
                     and float(corr) != 1.0):
                 reduced[target] = reduced.get(target, 0) + 1
         recomputed = {}
-        for node in r.problem.original.nodes:
-            n_comp = compiled.get(node.node_id, 0)
-            n_red = reduced.get(node.node_id, 0)
+        for i in range(len(r.problem.original.nodes)):
+            n_comp = compiled.get(i, 0)
+            n_red = reduced.get(i, 0)
             value = Fraction(n_red, n_comp) if n_comp else Fraction(0)
-            recomputed[node.node_id] = NodeScore(
-                node=node.node_id, value=value, n_reduced=n_red,
+            recomputed[i] = NodeScore(
+                node=i, value=value, n_reduced=n_red,
                 n_compiled=n_comp, source=SOURCE_EXHAUSTIVE)
         write_nodes_csv(str(rebuilt), r.problem.original, recomputed)
         if ((written / "nodes.csv").read_bytes()
@@ -236,17 +236,17 @@ def test_criterion_4_classification_partition(runs):
         prob = r.problem
         ir = compile_program(prob.original)
         limits, base = baseline_limits(ir, prob.suite)
-        for node in prob.original.nodes[1:]:
+        for i in range(1, len(prob.original.nodes)):
             try:
-                variant = replace_node(prob.original, node.node_id,
-                                       subtree(prob.original, node.node_id))
+                variant = replace_node(prob.original, i,
+                                       subtree(prob.original, i))
             except Exception:
                 continue
             outcome = run_suite(compile_program(variant), prob.suite,
                                 limits)
             replacements += 1
             if classify_variant(base, outcome) != CLASS_IDENTICAL:
-                bad.append((name, "self-replacement", node.node_id))
+                bad.append((name, "self-replacement", i))
     ok = not bad and replacements > 0
     detail = (f"class counts partition the generated totals for "
               f"{len(runs)} problems; {replacements} self-replacements "
@@ -345,7 +345,7 @@ def test_criterion_7_corpus_validity(problems):
     func = loops.functions[0]
     stripped = Program([AstNode(
         KIND_FUNCTION,
-        [AstNode(KIND_BLOCK, [c.clone() for c in outer.children[2:]])],
+        [AstNode(KIND_BLOCK, outer.children[2:])],
         name=func.name, ret_type=func.ret_type, params=func.params)])
     if not programs_equal(stripped, plain):
         bad.append(("bubble_loops", "outer strip mismatch"))
@@ -372,10 +372,10 @@ def test_criterion_8_deletion_upper_half(rankings):
 def test_criterion_8_profiler_deception(rankings, runs):
     prob = runs["bubble_loops"].problem
     fors, _ = _statement_ids(prob)
-    outer_for = prob.original.nodes[fors["h"]]
-    header = {outer_for.node_id}
-    for child in outer_for.children[:2]:
-        header |= {n.node_id for n in child.walk()}
+    program = prob.original
+    header = {fors["h"]}
+    for child in (program.first[fors["h"]], program.first[fors["h"]] + 1):
+        header |= set(program.subtree_ids(child))
     report = rankings["bubble_loops"][SOURCE_PROFILER]
     outer_nodes = [e for e in report.per_node if e.node in header]
     ok = bool(outer_nodes) and all(not e.upper_half for e in outer_nodes)
@@ -437,11 +437,11 @@ def test_criterion_9_cost_accounting(runs, evaluate_outputs):
     assert profile_cost().evaluations == 1
     for name, r in runs.items():
         program = r.problem.original
-        stmt_count = len(statement_nodes(program))
+        stmt_count = len(statement_ids(program))
         if r.deletion.cost.executed > stmt_count:
             bad.append((name, "deletion-executions"))
-        donor_total = sum(len(generate_replacements(program, n.node_id))
-                          for n in program.nodes)
+        donor_total = sum(len(generate_replacements(program, i))
+                          for i in range(len(program.nodes)))
         if r.exhaustive.cost.variants_generated != donor_total:
             bad.append((name, "exhaustive-total",
                         r.exhaustive.cost.variants_generated, donor_total))

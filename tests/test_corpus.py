@@ -150,6 +150,19 @@ def test_swapped_statements_flag_the_differing_literals():
     assert diff_improvement_nodes(a, b) == {5, 7, 9, 11}
 
 
+def test_a_long_block_flags_only_the_changed_literal():
+    # 60 equal statements, the last one's literal changed: node 181 is
+    # that literal (function, block, 60 assignments, then 2 children each)
+    def one_block(last):
+        body = " ".join(["a[0] = 1;"] * 59 + [f"a[0] = {last};"])
+        return parse_program(f"void sort(int[] a, int length) {{ {body} }}")
+
+    a, b = one_block(1), one_block(2)
+    assert a.nodes[181].kind == "IntLiteral" and a.nodes[181].value == 1
+    assert diff_improvement_nodes(a, b) == {181}
+    assert diff_improvement_nodes(b, a) == {181}
+
+
 def test_bubble_loops_annotation_is_the_outer_header_plus_bound():
     prob = load_problem(os.path.join(CORPUS_DIR, "bubble_loops"))
     assert prob.annotation == frozenset({2, 3, 4, 6, 7, 8, 26})
@@ -175,7 +188,7 @@ def test_stripping_the_outer_loop_yields_the_plain_bubble_sort():
     loops = parse_program(corpus_source("bubble_loops"))
     plain = parse_program(corpus_source("bubble"))
     outer = loops.functions[0].children[0].children[0]
-    inner_statements = [c.clone() for c in outer.children[2:]]
+    inner_statements = outer.children[2:]  # shared: nodes hold no ids
     func = loops.functions[0]
     stripped_fn = AstNode(KIND_FUNCTION,
                           [AstNode(KIND_BLOCK, inner_statements)],

@@ -1,5 +1,7 @@
 """Parser, printer, static checker and tree-surgery tests."""
 
+import hashlib
+
 import pytest
 
 from perfloc.lang.ast import (
@@ -11,12 +13,15 @@ from perfloc.lang.ast import (
 from perfloc.lang.check import static_check
 from perfloc.lang.edit import (
     CategoryMismatch, NotAStatement, delete_statement, empty_function_body,
-    replace_node, statement_nodes, subtree,
+    replace_node, statement_ids,
 )
 from perfloc.lang.parser import ParseError, parse_program
 from perfloc.lang.printer import render_program, render_snippet
+from perfloc.mutation import exhaustive_descriptors
+from perfloc.runtime.ir import build_ir
 
 from conftest import corpus_source
+from tree_helpers import clone, subtree, unshared
 
 PROBLEMS = ("insertion", "bubble", "bubble_loops", "selection", "selection2",
             "shell", "radix", "quick", "cocktail", "merge", "heap")
@@ -35,9 +40,9 @@ def test_round_trip_is_a_fixpoint(name):
 def test_bubble_loops_shape():
     p = parse_program(corpus_source("bubble_loops"))
     assert len(p.nodes) == 58
-    stmts = statement_nodes(p)
-    assert [s.node_id for s in stmts] == [1, 2, 5, 11, 17, 22, 23, 24]
-    assert [s.kind for s in stmts] == [
+    stmts = statement_ids(p)
+    assert stmts == [1, 2, 5, 11, 17, 22, 23, 24]
+    assert [p.nodes[s].kind for s in stmts] == [
         "Block", "For", "For", "For", "If", "VarDecl", "Assign", "Assign"]
     assert p.nodes[2].loop_var == "h"
     assert p.nodes[2].loop_step == "++"
@@ -47,13 +52,7 @@ def test_bubble_loops_shape():
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_ids_are_breadth_first_and_contiguous(name):
     p = parse_program(corpus_source(name))
-    assert [n.node_id for n in p.nodes] == list(range(len(p.nodes)))
-    for node in p.nodes:
-        ids = [c.node_id for c in node.children]
-        if ids:
-            assert ids == list(range(ids[0], ids[0] + len(ids)))
-        for child in node.children:
-            assert p.parent(child.node_id) is node
+    assert_dense_index(p)
 
 
 def test_structural_equality_ignores_position():
@@ -129,18 +128,19 @@ def checked(text):
 
 def slots_read(program, slots, name):
     """Slots recorded at the identifiers that read ``name``, in id order."""
-    return [slots[n.node_id] for n in program.nodes
+    return [slots[i] for i, n in enumerate(program.nodes)
             if n.kind == KIND_IDENT and n.name == name
-            and program.parent(n.node_id).kind != KIND_VARDECL]
+            and program.nodes[program.parent[i]].kind != KIND_VARDECL]
 
 
 def test_parameters_take_the_first_slots():
     program, slots = checked(
         "int pick(int[] a, int i, bool f) { int x = a[i]; return x; }\n"
         "void sort(int[] a, int length) { a[0] = pick(a, length, true); }")
-    decl = next(n for n in program.nodes if n.kind == KIND_VARDECL)
-    assert slots[decl.node_id] == 3          # after the three parameters
-    assert slots[decl.children[0].node_id] == -1  # the name binds, unread
+    decl = next(i for i, n in enumerate(program.nodes)
+                if n.kind == KIND_VARDECL)
+    assert slots[decl] == 3          # after the three parameters
+    assert slots[program.first[decl]] == -1  # the name binds, unread
     assert slots_read(program, slots, "x") == [3]
     assert slots_read(program, slots, "i") == [1]
     assert slots_read(program, slots, "a") == [0, 0, 0]  # pick, sort, sort
@@ -153,8 +153,9 @@ def test_sibling_blocks_reusing_a_name_get_distinct_slots():
         "void sort(int[] a, int length) {"
         " if (length > 1) { int t = 1; a[0] = t; }"
         " else { int t = 2; a[1] = t; } }")
-    decls = [n for n in program.nodes if n.kind == KIND_VARDECL]
-    assert [slots[d.node_id] for d in decls] == [2, 3]
+    decls = [i for i, n in enumerate(program.nodes)
+             if n.kind == KIND_VARDECL]
+    assert [slots[d] for d in decls] == [2, 3]
     assert slots_read(program, slots, "t") == [2, 3]
     assert program.frames.sizes == [4]
 
@@ -164,8 +165,8 @@ def test_for_counters_get_their_own_slots():
         "void sort(int[] a, int length) { int n = length;"
         " for (int k = n; k > 0; k--) { a[0] = k; }"
         " for (int k = 0; k < n; k++) { a[k] = n; } }")
-    loops = [n for n in program.nodes if n.kind == KIND_FOR]
-    assert [slots[f.node_id] for f in loops] == [3, 4]
+    loops = [i for i, n in enumerate(program.nodes) if n.kind == KIND_FOR]
+    assert [slots[f] for f in loops] == [3, 4]
     # the first loop's init reads n in the enclosing scope
     assert slots_read(program, slots, "n") == [2, 2, 2]
     assert sorted(slots_read(program, slots, "k")) == [3, 3, 4, 4]
@@ -223,41 +224,160 @@ def test_replace_node_rejects_category_mixing():
         replace_node(p, 6, expr)  # expression where an Operator stood
 
 
-def _ids(program):
-    return [(n.node_id, n.parent_id) for n in program.nodes]
+def _tables(program):
+    """Everything an edit must leave alone: the index, and each indexed
+    node's fields and children list."""
+    return (list(program.parent), list(program.first),
+            [(id(n), n.kind, n.payload(), n.line, n.col, list(n.children))
+             for n in program.nodes])
 
 
-def assert_fresh_index(variant, original):
-    """Ids are 0..n-1, every child points at its parent, and no node is
-    shared with the program the variant was made from."""
-    assert [n.node_id for n in variant.nodes] == list(range(len(variant)))
-    assert all(f.parent_id == -1 for f in variant.functions)
-    for node in variant.nodes:
-        assert all(c.parent_id == node.node_id for c in node.children)
-    assert not {id(n) for n in variant.nodes} & {id(n) for n in original.nodes}
+def assert_dense_index(program):
+    """The tables match a breadth-first walk: functions first, each node's
+    children at a contiguous id range that starts where the ids so far
+    end, and every child pointing back at its parent."""
+    nodes, parent, first = program.nodes, program.parent, program.first
+    assert len(parent) == len(first) == len(nodes)
+    assert nodes[:len(program.functions)] == program.functions
+    assert parent[:len(program.functions)] == [-1] * len(program.functions)
+    next_id = len(program.functions)
+    for i, node in enumerate(nodes):
+        if not node.children:
+            assert first[i] == 0
+            continue
+        assert first[i] == next_id
+        for k, child in enumerate(node.children):
+            assert nodes[first[i] + k] is child
+            assert parent[first[i] + k] == i
+        next_id += len(node.children)
+    assert next_id == len(nodes)
+
+
+def assert_shares_off_the_path(variant, original, node_id):
+    """Only the path from the root to ``node_id`` was rebuilt: every other
+    function, and every subtree hanging off the path, is the very same
+    object in ``variant``. Returns the variant's id of the edited node, or
+    None when the edit dropped it."""
+    path = [node_id]
+    while original.parent[path[-1]] >= 0:
+        path.append(original.parent[path[-1]])
+    path.reverse()
+    for k, func in enumerate(original.functions):
+        if k != path[0]:
+            assert variant.functions[k] is func
+    vi = path[0]
+    for p, c in zip(path, path[1:]):
+        assert variant.nodes[vi] is not original.nodes[p]
+        pos = c - original.first[p]
+        old = original.nodes[p].children
+        new = variant.nodes[vi].children
+        dropped = len(new) == len(old) - 1
+        assert dropped or len(new) == len(old)
+        for k, child in enumerate(old):
+            if k != pos:
+                assert new[k - (dropped and k > pos)] is child
+        if dropped:
+            return None
+        vi = variant.first[vi] + pos
+    return vi
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_edits_index_afresh_and_leave_the_input_alone(name):
     p = parse_program(corpus_source(name))
-    before = _ids(p)
-    for node in p.nodes:
-        variant = replace_node(p, node.node_id, subtree(p, node.node_id))
+    before = _tables(p)
+    for i, node in enumerate(p.nodes):
+        donor = subtree(p, i)
+        variant = replace_node(p, i, donor)
         assert programs_equal(variant, p)
-        assert_fresh_index(variant, p)
-        assert _ids(p) == before
+        assert_dense_index(variant)
+        assert variant.nodes[assert_shares_off_the_path(variant, p, i)] \
+            is donor  # used as given, not copied
+        assert _tables(p) == before
     body_ids = p.body_block_ids()
-    for stmt in statement_nodes(p):
-        if stmt.kind != KIND_BLOCK:
-            variant = delete_statement(p, stmt.node_id)
-        elif stmt.node_id in body_ids:
-            variant = empty_function_body(p, stmt.node_id)
+    for sid in statement_ids(p):
+        kind = p.nodes[sid].kind
+        if kind != KIND_BLOCK:
+            variant = delete_statement(p, sid)
+        elif sid in body_ids:
+            variant = empty_function_body(p, sid)
         else:
             continue
-        kept = 1 if stmt.kind == KIND_BLOCK else 0  # the emptied body
-        assert len(variant) == len(p) - len(list(stmt.walk())) + kept
-        assert_fresh_index(variant, p)
-        assert _ids(p) == before
+        kept = 1 if kind == KIND_BLOCK else 0  # the emptied body
+        assert len(variant) == len(p) - len(p.subtree_ids(sid)) + kept
+        assert_dense_index(variant)
+        edited = assert_shares_off_the_path(variant, p, sid)
+        if kind == KIND_BLOCK:
+            assert variant.nodes[edited].children == []
+        else:
+            assert edited is None
+        assert _tables(p) == before
+
+
+def test_a_donor_may_be_a_sibling_of_its_target():
+    p = parse_program("void sort(int[] a, int length) { a[0] = length; }")
+    index, value = p.first[2], p.first[2] + 1  # the Assign's two children
+    variant = replace_node(p, value, p.nodes[index])
+    assert render_program(variant).count("a[0] = a[0];") == 1
+    assert_dense_index(variant)
+    assert variant.nodes[value] is variant.nodes[index] is p.nodes[index]
+    assert static_check(variant) == []
+    # one node object at two ids: each id gets its own slot entry
+    a_reads = [i for i, n in enumerate(variant.nodes)
+               if n.kind == KIND_IDENT and n.name == "a"]
+    assert len(a_reads) == 2
+    assert [variant.frames.slots[i] for i in a_reads] == [0, 0]
+    # an edit finds its target by position, so either copy can change
+    back = replace_node(variant, value, p.nodes[value])
+    assert "a[0] = length;" in render_program(back)
+    literal = variant.first[value] + 1  # the second copy's index
+    one = replace_node(variant, literal, parse_program(
+        "void sort(int[] a, int length) { a[1] = 1; }").nodes[6])
+    assert "a[0] = a[1];" in render_program(one)
+
+
+# Every ORACLE_STRIDE-th exhaustive descriptor of bubble_loops and heap,
+# 2,944 variants. The slice, and the digest of its violations, frames and
+# IR, were fixed while every edit still copied the whole tree.
+ORACLE_STRIDE = 2
+ORACLE_DIGEST = \
+    "3c3276e914383ff137cc67109aa68512e1f98296dd06aa265b1440f19b19975b"
+
+
+def _ir_fields(ir):
+    return ([(x.typecode, x.tolist())
+             for x in (ir.kind, ir.a, ir.b, ir.first, ir.nch)],
+            ir.functions, ir.entry)
+
+
+def test_sharing_changes_nothing_observable():
+    digest = hashlib.sha256()
+    compared = 0
+    for name in ("bubble_loops", "heap"):
+        program = parse_program(corpus_source(name))
+        for d in exhaustive_descriptors(program)[::ORACLE_STRIDE]:
+            shared = replace_node(program, d.target, d.donor)
+            copy = unshared(shared)
+            assert [(n.kind, n.payload()) for n in shared.nodes] \
+                == [(n.kind, n.payload()) for n in copy.nodes]
+            assert shared.parent == copy.parent
+            assert shared.first == copy.first
+            violations = static_check(shared)
+            assert static_check(copy) == violations
+            assert shared.frames == copy.frames
+            digest.update(repr((d.target, d.donor_label,
+                                [tuple(v) for v in violations])).encode())
+            if not violations:
+                ir = build_ir(shared)
+                assert _ir_fields(build_ir(copy)) == _ir_fields(ir)
+                digest.update(repr(shared.frames).encode())
+                digest.update(repr((
+                    ir.kind.tolist(), ir.a.tolist(), ir.b.tolist(),
+                    ir.first.tolist(), ir.nch.tolist(), ir.functions,
+                    ir.entry)).encode())
+            compared += 1
+    assert compared == 2944
+    assert digest.hexdigest() == ORACLE_DIGEST
 
 
 def test_each_edit_indexes_once(monkeypatch):
@@ -297,6 +417,7 @@ def test_render_snippet_forms():
 
 def test_program_from_functions_reindexes():
     p = parse_program(corpus_source("bubble"))
-    rebuilt = Program([p.functions[0].clone()])
+    rebuilt = Program([clone(p.functions[0])])
     assert programs_equal(p, rebuilt)
-    assert [n.node_id for n in rebuilt.nodes] == list(range(len(p.nodes)))
+    assert rebuilt.parent == p.parent and rebuilt.first == p.first
+    assert_dense_index(rebuilt)

@@ -14,7 +14,7 @@ import pytest
 
 import perfloc
 from perfloc.lang.ast import structurally_equal
-from perfloc.lang.edit import replace_node, subtree
+from perfloc.lang.edit import replace_node
 from perfloc.lang.parser import parse_program
 from perfloc.mutation import (
     ALL_CLASSES, CLASS_DEGRADED, CLASS_IDENTICAL, CLASS_INFINITE_LOOP,
@@ -28,6 +28,7 @@ from perfloc.runtime.exec import TestCase as Case
 from perfloc.runtime.exec import baseline_limits, compile_program, run_suite
 
 from conftest import CORPUS_DIR, corpus_source
+from tree_helpers import subtree
 
 ORIGINAL_COST = 38560
 
@@ -85,7 +86,7 @@ def test_blocks_and_declarations_get_no_donors(bl):
 def test_duplicate_structures_collapse_to_one_donor():
     p = parse_program(
         "void sort(int[] a, int length) { a[0] = 1; a[1] = 1; a[0] = 2; }")
-    literal_two = next(n.node_id for n in p.nodes
+    literal_two = next(i for i, n in enumerate(p.nodes)
                        if n.kind == "IntLiteral" and n.value == 2)
     labels = [r.donor_label
               for r in generate_replacements(p, literal_two)]
@@ -189,7 +190,7 @@ def test_deletion_values_never_negative():
     program = parse_program(text)
     suite = [Case((1,), (1,), (7,))]
     result = deletion_analysis(program, suite)
-    assign = next(n.node_id for n in program.nodes
+    assign = next(i for i, n in enumerate(program.nodes)
                   if n.kind == "Assign" and "go = 0"
                   in __import__("perfloc.lang.printer",
                                 fromlist=["render_snippet"]

@@ -272,8 +272,8 @@ def test_counting_runs_match_plain_runs(problems):
     for name, counted, plain, counts in _counted_suites(problems, None):
         assert counted == plain, name
         program = problems[name].original
-        body = program.functions[program.entry_index()].children[0]
-        assert counts[body.node_id] == len(plain.per_test), name
+        body = program.first[program.entry_index()]
+        assert counts[body] == len(plain.per_test), name
 
 
 def test_counting_runs_match_compiled_runs(problems, c_engine):
@@ -359,8 +359,8 @@ def test_engines_agree_on_a_slice_of_the_corpus_variants(problems, c_engine):
     for name, problem in sorted(problems.items()):
         program = problem.original
         limits, _ = baseline_limits(compile_program(program), problem.suite)
-        descriptors = [d for node in program.nodes
-                       for d in generate_replacements(program, node.node_id)]
+        descriptors = [d for i in range(len(program.nodes))
+                       for d in generate_replacements(program, i)]
         for d in descriptors[::PARITY_STRIDE]:
             variant = replace_node(program, d.target, d.donor)
             if static_check(variant):
@@ -388,11 +388,13 @@ def test_build_ir_copies_the_checkers_slots():
         "void sort(int[] a, int length) { int x = one(); a[0] = x++; }")
     ir = build_ir(program)  # checks the program on the way
     slots = program.frames.slots
-    incdec = next(n for n in program.nodes if n.kind == KIND_INCDEC)
-    decl = next(n for n in program.nodes if n.kind == KIND_VARDECL)
-    assert ir.a[incdec.node_id] == slots[decl.node_id] == 2
+    incdec = next(i for i, n in enumerate(program.nodes)
+                  if n.kind == KIND_INCDEC)
+    decl = next(i for i, n in enumerate(program.nodes)
+                if n.kind == KIND_VARDECL)
+    assert ir.a[incdec] == slots[decl] == 2
     # the operand holds the slot too; neither engine reads it
-    assert ir.a[incdec.children[1].node_id] == 2
+    assert ir.a[program.first[incdec] + 1] == 2
     # a function with no locals still gets a frame slot
     assert [f.n_slots for f in ir.functions] == [1, 3]
     assert program.frames.sizes == [0, 3]
