@@ -118,10 +118,6 @@ class AstNode:
         self.col = col
         self._hash = None
 
-    @property
-    def category(self) -> str:
-        return CATEGORY[self.kind]
-
     def payload(self) -> tuple:
         """Everything that distinguishes two nodes of the same kind besides
         their children. Ids and source spans are deliberately excluded."""

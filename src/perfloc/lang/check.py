@@ -28,6 +28,16 @@ frame size. ``runtime.ir.build_ir`` reads those instead of resolving again.
 Nodes carry no id, so the walk carries each node's id beside it (child k of
 node i is ``program.first[i] + k``); slots and violations are keyed by those
 ids. Violations come back sorted by node id.
+
+Typed holes: ``Holes`` answers whether a donor expression or operator,
+put at an expression position of an accepted program, would pass this
+check, without building the variant. One recording walk notes how each
+position's parent uses it and which variables are visible there; a donor
+is then run through the parent's own rule (``check_typed``, ``type_of``,
+``check_assign``, ``check_step`` or ``check_comparable``). A VarDecl's name
+slot and statement positions give no verdict. The exhaustive loop skips
+only the variants a hole rejects; ``static_check`` still decides every
+variant that is built.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .ast import (
-    AstNode, Program,
+    AstNode, Program, CATEGORY, CAT_EXPRESSION,
     KIND_BLOCK, KIND_VARDECL, KIND_ASSIGN, KIND_IF, KIND_FOR,
     KIND_WHILE, KIND_RETURN, KIND_EXPRSTMT, KIND_BINARY, KIND_UNARY,
     KIND_INCDEC, KIND_CALL, KIND_INDEX, KIND_IDENT, KIND_INT, KIND_BOOL,
@@ -130,6 +140,14 @@ class Checker:
     # entry point ----------------------------------------------------------
 
     def run(self) -> list[Violation]:
+        self.walk()
+        self.violations.sort(key=lambda v: (v.node_id, v.code, v.message))
+        self.program.frames = None if self.violations \
+            else Frames(self.slots, self.sizes)
+        return self.violations
+
+    def walk(self) -> None:
+        """Record every function's signature, then check each function."""
         # function k is node k
         for k, func in enumerate(self.program.functions):
             if func.name == BUILTIN_NEWARRAY or func.name in self.signatures:
@@ -140,10 +158,6 @@ class Checker:
                     func.ret_type, [t for t, _ in (func.params or [])])
         for k, func in enumerate(self.program.functions):
             self.check_function(func, k)
-        self.violations.sort(key=lambda v: (v.node_id, v.code, v.message))
-        self.program.frames = None if self.violations \
-            else Frames(self.slots, self.sizes)
-        return self.violations
 
     def check_function(self, func: AstNode, fid: int) -> None:
         self.variables = {}
@@ -188,7 +202,7 @@ class Checker:
                 self.slots[nid] = self.declare(nid, children[0].name,
                                                node.decl_type)
         elif kind == KIND_ASSIGN:
-            self.check_assign(node, nid, f)
+            self.check_assign(children[0], f, children[1], f + 1, nid)
         elif kind == KIND_IF:
             self.check_typed(children[0], f, TYPE_BOOL)
             k = node.then_count
@@ -214,21 +228,23 @@ class Checker:
             # guard the walk anyway so odd trees are diagnosed, not crashed.
             self.report(TYPE_ERR, nid, f"{kind} is not a statement")
 
-    def check_assign(self, node: AstNode, nid: int, f: int) -> None:
-        target, value = node.children
+    def check_assign(self, target: AstNode, tid: int, value: AstNode,
+                     vid: int, nid: int) -> None:
+        """Check assignment ``nid`` of ``value`` (id ``vid``) to ``target``
+        (id ``tid``)."""
         if target.kind == KIND_IDENT:
-            var_type = self.resolve(target, f)
+            var_type = self.resolve(target, tid)
             if var_type is None:
-                self.type_of(value, f + 1)
+                self.type_of(value, vid)
             else:
-                self.check_typed(value, f + 1, var_type)
+                self.check_typed(value, vid, var_type)
         elif target.kind == KIND_INDEX:
-            self.type_of(target, f)
-            self.check_typed(value, f + 1, TYPE_INT)
+            self.type_of(target, tid)
+            self.check_typed(value, vid, TYPE_INT)
         else:
             self.report(BAD_TARGET, nid,
                         f"cannot assign to a {target.kind}")
-            self.type_of(value, f + 1)
+            self.type_of(value, vid)
 
     def check_return(self, node: AstNode, nid: int, f: int,
                      func: AstNode) -> None:
@@ -265,13 +281,8 @@ class Checker:
             self.check_typed(index, f + 1, TYPE_INT)
             return TYPE_INT
         if kind == KIND_INCDEC:
-            target = node.children[1]
-            if target.kind != KIND_IDENT:
-                self.report(BAD_TARGET, nid,
-                            f"{node.children[0].op} needs a plain variable")
-                self.type_of(target, f + 1)
-            else:
-                self.check_typed(target, f + 1, TYPE_INT)
+            self.check_step(node.children[0].op, node.children[1], f + 1,
+                            nid)
             return TYPE_INT
         if kind == KIND_UNARY:
             op = node.children[0].op
@@ -305,17 +316,32 @@ class Checker:
             self.check_typed(right, f + 2, TYPE_BOOL)
             return TYPE_BOOL
         if op in EQ_OPS:
-            lt = self.type_of(left, f + 1)
-            rt = self.type_of(right, f + 2)
-            for side, t in ((f + 1, lt), (f + 2, rt)):
-                if t == TYPE_ARRAY or t == TYPE_VOID:
-                    self.report(TYPE_ERR, side, f"cannot compare {t} values")
-            if (lt in (TYPE_INT, TYPE_BOOL) and rt in (TYPE_INT, TYPE_BOOL)
-                    and lt != rt):
-                self.report(TYPE_ERR, f + 2, f"expected {lt}, got {rt}")
+            self.check_comparable(left, f + 1, right, f + 2)
             return TYPE_BOOL
         self.report(TYPE_ERR, f, f"unknown operator {op!r}")
         return None
+
+    def check_step(self, op: str, target: AstNode, tid: int,
+                   nid: int) -> None:
+        """Check the operand ``target`` (id ``tid``) of ``++``/``--``
+        expression ``nid``."""
+        if target.kind != KIND_IDENT:
+            self.report(BAD_TARGET, nid, f"{op} needs a plain variable")
+            self.type_of(target, tid)
+        else:
+            self.check_typed(target, tid, TYPE_INT)
+
+    def check_comparable(self, left: AstNode, lid: int, right: AstNode,
+                         rid: int) -> None:
+        """Check the operands of an ``==`` or ``!=``."""
+        lt = self.type_of(left, lid)
+        rt = self.type_of(right, rid)
+        for side, t in ((lid, lt), (rid, rt)):
+            if t == TYPE_ARRAY or t == TYPE_VOID:
+                self.report(TYPE_ERR, side, f"cannot compare {t} values")
+        if (lt in (TYPE_INT, TYPE_BOOL) and rt in (TYPE_INT, TYPE_BOOL)
+                and lt != rt):
+            self.report(TYPE_ERR, rid, f"expected {lt}, got {rt}")
 
     def type_of_call(self, node: AstNode, nid: int,
                      f: int) -> Optional[str]:
@@ -368,3 +394,117 @@ def static_check(program: Program) -> list[Violation]:
     """The program's violations; when there are none, its ``frames`` are
     set as well."""
     return Checker(program).run()
+
+
+# typed holes ---------------------------------------------------------------
+
+# How a parent uses an expression hole: the rule ``Holes`` re-runs there.
+_TYPED, _UNTYPED, _COMPARED, _ASSIGNED, _STEPPED = range(5)
+
+
+class _Recorder(Checker):
+    """A checker that notes, at every expression it meets, the type the
+    parent expects there and the variables visible there."""
+
+    def __init__(self, program: Program):
+        super().__init__(program)
+        self.expected: list[Optional[str]] = [None] * len(program.nodes)
+        self.variables_at: list[Optional[dict]] = [None] * len(program.nodes)
+
+    def resolve(self, ident: AstNode, nid: int) -> Optional[str]:
+        self.variables_at[nid] = dict(self.variables)
+        return super().resolve(ident, nid)
+
+    def check_typed(self, node: AstNode, nid: int, expected: str) -> None:
+        self.expected[nid] = expected
+        super().check_typed(node, nid, expected)
+
+    def type_of(self, node: AstNode, nid: int) -> Optional[str]:
+        self.variables_at[nid] = dict(self.variables)
+        return super().type_of(node, nid)
+
+
+class Holes:
+    """The expression holes of an accepted program, after Omar et al.'s
+    typed holes ("Hazelnut", POPL 2017). One recording walk notes, for
+    every expression position, how its parent uses it and which variables
+    are visible there. ``compiles`` then re-runs that parent's own checker
+    rule with a donor in the hole, so no variant is built and no typing
+    rule is restated.
+
+    An expression edit declares nothing and leaves its parent's type as it
+    was (a parent's type depends only on its operator or callee), so the
+    rest of the program checks as before: the verdict is exact. A
+    VarDecl's name slot binds a name for the statements after it, and
+    statement edits change scopes, so those positions give no verdict."""
+
+    def __init__(self, program: Program):
+        recorder = _Recorder(program)
+        recorder.walk()
+        self.program = program
+        self.variables_at = recorder.variables_at
+        self.checker = Checker(program)
+        self.checker.signatures = recorder.signatures
+        nodes, parent, first = program.nodes, program.parent, program.first
+        self.usage: list[Optional[tuple]] = [None] * len(nodes)
+        if recorder.violations:
+            return
+        for nid, node in enumerate(nodes):
+            p = parent[nid]
+            if p < 0 or CATEGORY[node.kind] != CAT_EXPRESSION:
+                continue
+            kind = nodes[p].kind
+            if kind == KIND_VARDECL and nid == first[p]:
+                continue
+            if kind == KIND_ASSIGN and nid == first[p]:
+                self.usage[nid] = (_ASSIGNED, p)
+            elif kind == KIND_INCDEC:
+                self.usage[nid] = (_STEPPED, p)
+            elif kind == KIND_BINARY and nodes[p].children[0].op in EQ_OPS:
+                self.usage[nid] = (_COMPARED, p)
+            elif kind == KIND_EXPRSTMT:
+                self.usage[nid] = (_UNTYPED, None)
+            elif recorder.expected[nid] is not None:
+                self.usage[nid] = (_TYPED, recorder.expected[nid])
+
+    def compiles(self, target: int, donor: AstNode,
+                 donor_id: int) -> Optional[bool]:
+        """Whether ``static_check`` accepts the program with ``donor``, node
+        ``donor_id`` of this program (-1 for an operator), in place of node
+        ``target``; None where the hole gives no verdict. An operator is
+        tested as its parent expression, rebuilt with the new operator, in
+        the parent's hole."""
+        if donor.kind == KIND_OPERATOR:
+            pid = self.program.parent[target]
+            parent = self.program.nodes[pid]
+            return self._fits(pid, parent.copy_with(
+                [donor] + parent.children[1:]), pid)
+        return self._fits(target, donor, donor_id)
+
+    def _fits(self, hole: int, donor: AstNode, did: int) -> Optional[bool]:
+        usage = self.usage[hole]
+        if usage is None:
+            return None
+        rule, arg = usage
+        checker = self.checker
+        checker.violations = []
+        checker.variables = self.variables_at[hole]
+        if rule == _TYPED:
+            checker.check_typed(donor, did, arg)
+        elif rule == _UNTYPED:
+            checker.type_of(donor, did)
+        else:
+            parent = self.program.nodes[arg]
+            f = self.program.first[arg]
+            if rule == _ASSIGNED:
+                checker.check_assign(donor, did, parent.children[1], f + 1,
+                                     arg)
+            elif rule == _STEPPED:
+                checker.check_step(parent.children[0].op, donor, did, arg)
+            elif hole == f + 1:
+                checker.check_comparable(donor, did, parent.children[2],
+                                         f + 2)
+            else:
+                checker.check_comparable(parent.children[1], f + 1, donor,
+                                         did)
+        return not checker.violations

@@ -25,12 +25,18 @@ Scoring model:
 - Combined: exhaustive, except nodes with no compilable variant take their
   deletion value (gap_filled).
 
-Exhaustive variants come from one flat, node-ordered descriptor list. At
---jobs N the analysis (program, descriptors, suite, limits, original)
-crosses to each worker once, through the pool's initializer; a task is an
-index into the list and its result a (class, cost, correctness) row. Rows
-come back in descriptor order, so every output is byte-identical for any
-job count.
+Exhaustive variants come from one flat, node-ordered descriptor list.
+Before any is built, the parent process tests each expression and
+operator donor in its target's typed hole (``lang.check.Holes``). A
+variant the hole proves non-compilable is never built: its row is
+``classify_variant(original, None)``. Every other variant, the
+hole-accepted ones included, is built, fully checked, lowered and run, so
+the full check still decides every variant that runs. At --jobs N the
+analysis (program, descriptors, suite, limits, original) crosses to each
+worker once, through the pool's initializer; a task is the index of a
+variant not already proven non-compilable, and its result a (class, cost,
+correctness) row. Rows are kept in descriptor order, so every output is
+byte-identical for any job count.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .lang.ast import (
     BINARY_OPS, UNARY_OPS, INCDEC_OPS,
     structurally_equal,
 )
-from .lang.check import static_check
+from .lang.check import Holes, static_check
 from .lang.edit import (
     statement_ids, delete_statement, empty_function_body, replace_node,
 )
@@ -78,9 +84,11 @@ DELETE_LABEL = "<delete>"
 
 @dataclass(frozen=True)
 class MutationDescriptor:
-    """One replacement: put ``donor`` where node ``target`` stood."""
+    """One replacement: put ``donor``, node ``donor_id`` of the program (-1
+    for an operator), where node ``target`` stood."""
     target: int
     donor: AstNode
+    donor_id: int
     donor_label: str
 
 
@@ -125,34 +133,22 @@ def classify_variant(original: SuiteResult,
 
 # donor inventory ----------------------------------------------------------
 
-def _distinct_structures(nodes) -> list[AstNode]:
-    seen: list[AstNode] = []
+def _distinct_structures(program: Program, category: str) -> list[int]:
+    """Ids of the first occurrence, in id order, of each distinct structure
+    of ``category``; Blocks are never donors."""
+    seen: list[int] = []
     by_hash: dict[int, list[AstNode]] = {}
-    for n in nodes:
-        h = n.structural_hash()
-        bucket = by_hash.setdefault(h, [])
+    for i, n in enumerate(program.nodes):
+        if CATEGORY[n.kind] != category or n.kind == KIND_BLOCK:
+            continue
+        bucket = by_hash.setdefault(n.structural_hash(), [])
         if not any(structurally_equal(n, other) for other in bucket):
             bucket.append(n)
-            seen.append(n)
+            seen.append(i)
     return seen
 
 
-def _inventory(program: Program):
-    exprs = _distinct_structures(
-        n for n in program.nodes if CATEGORY[n.kind] == CAT_EXPRESSION)
-    stmts = _distinct_structures(
-        n for n in program.nodes
-        if CATEGORY[n.kind] == CAT_STATEMENT and n.kind != KIND_BLOCK)
-    return exprs, stmts
-
-
-def generate_replacements(program: Program,
-                          target_id: int) -> list[MutationDescriptor]:
-    exprs, stmts = _inventory(program)
-    return _replacements_from_inventory(program, target_id, exprs, stmts)
-
-
-def _replacements_from_inventory(program, target_id, exprs, stmts):
+def _replacements(program, target_id, exprs, stmts):
     target = program.nodes[target_id]
     category = CATEGORY[target.kind]
     out: list[MutationDescriptor] = []
@@ -169,7 +165,7 @@ def _replacements_from_inventory(program, target_id, exprs, stmts):
         for sym in symbols:
             if sym != target.op:
                 donor = AstNode(KIND_OPERATOR, op=sym)
-                out.append(MutationDescriptor(target_id, donor, sym))
+                out.append(MutationDescriptor(target_id, donor, -1, sym))
         return out
     if category == CAT_EXPRESSION:
         pool = exprs
@@ -179,18 +175,20 @@ def _replacements_from_inventory(program, target_id, exprs, stmts):
         # Function bodies and declarations have no donor pool; their value
         # comes from gap filling.
         return []
-    for donor in pool:
+    for donor_id in pool:
+        donor = program.nodes[donor_id]
         if not structurally_equal(donor, target):
-            out.append(MutationDescriptor(target_id, donor,
+            out.append(MutationDescriptor(target_id, donor, donor_id,
                                           render_snippet(donor)))
     return out
 
 
 def exhaustive_descriptors(program: Program) -> list[MutationDescriptor]:
     """Every replacement of every node, in node order."""
-    exprs, stmts = _inventory(program)
+    exprs = _distinct_structures(program, CAT_EXPRESSION)
+    stmts = _distinct_structures(program, CAT_STATEMENT)
     return [d for i in range(len(program.nodes))
-            for d in _replacements_from_inventory(program, i, exprs, stmts)]
+            for d in _replacements(program, i, exprs, stmts)]
 
 
 # variant evaluation -------------------------------------------------------
@@ -301,19 +299,31 @@ def exhaustive_analysis(program: Program, suite: Sequence[TestCase],
     limits, original = baseline_limits(ir, suite, factor)
 
     descriptors = exhaustive_descriptors(program)
+    # A variant its hole proves non-compilable is never built; every other
+    # one, the hole-accepted included, takes the full path.
+    holes = Holes(program)
+    rows: list = [None] * len(descriptors)
+    tasks = []
+    for i, d in enumerate(descriptors):
+        if holes.compiles(d.target, d.donor, d.donor_id) is False:
+            rows[i] = (classify_variant(original, None), None, None)
+        else:
+            tasks.append(i)
     analysis = (program, descriptors, tuple(suite), tuple(limits), original)
-    tasks = range(len(descriptors))
     if jobs <= 1:
         _share_analysis(*analysis)
         try:
-            rows = list(map(_evaluate_replacement, tasks))
+            evaluated = list(map(_evaluate_replacement, tasks))
         finally:
             _share_analysis()
     else:
         with ProcessPoolExecutor(max_workers=jobs,
                                  initializer=_share_analysis,
                                  initargs=analysis) as pool:
-            rows = list(pool.map(_evaluate_replacement, tasks, chunksize=32))
+            evaluated = list(pool.map(_evaluate_replacement, tasks,
+                                      chunksize=32))
+    for i, row in zip(tasks, evaluated):
+        rows[i] = row
 
     n_compiled = [0] * len(program.nodes)
     n_reduced = [0] * len(program.nodes)

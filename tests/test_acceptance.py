@@ -14,6 +14,7 @@ message for the measured ranks.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -32,7 +33,7 @@ from perfloc.lang.ast import (
 from perfloc.lang.edit import replace_node, statement_ids
 from perfloc.mutation import (
     CLASS_IDENTICAL, CLASS_NOT_COMPILABLE, classify_variant,
-    combined_analysis, deletion_analysis, generate_replacements,
+    combined_analysis, deletion_analysis, exhaustive_descriptors,
 )
 from perfloc.profiler import profile, profile_cost, profile_scores
 from perfloc.runtime.exec import baseline_limits, compile_program, run_suite
@@ -440,8 +441,9 @@ def test_criterion_9_cost_accounting(runs, evaluate_outputs):
         stmt_count = len(statement_ids(program))
         if r.deletion.cost.executed > stmt_count:
             bad.append((name, "deletion-executions"))
-        donor_total = sum(len(generate_replacements(program, i))
-                          for i in range(len(program.nodes)))
+        per_target = Counter(d.target
+                             for d in exhaustive_descriptors(program))
+        donor_total = sum(per_target[i] for i in range(len(program.nodes)))
         if r.exhaustive.cost.variants_generated != donor_total:
             bad.append((name, "exhaustive-total",
                         r.exhaustive.cost.variants_generated, donor_total))

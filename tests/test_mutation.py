@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import perfloc
-from perfloc.lang.ast import structurally_equal
+from perfloc.lang.ast import CATEGORY, CAT_STATEMENT, structurally_equal
 from perfloc.lang.edit import replace_node
 from perfloc.lang.parser import parse_program
 from perfloc.mutation import (
@@ -21,7 +21,7 @@ from perfloc.mutation import (
     CLASS_LESS_EXPENSIVE, CLASS_MORE_EXPENSIVE, CLASS_NOT_COMPILABLE,
     CLASS_RUNTIME_ERROR, DELETE_LABEL, classify_variant, combined_analysis,
     deletion_analysis, direct_improvements, exhaustive_analysis,
-    generate_replacements,
+    exhaustive_descriptors,
 )
 from perfloc.runtime.exec import ExecutionOutcome, SuiteResult
 from perfloc.runtime.exec import TestCase as Case
@@ -50,8 +50,12 @@ def bl_exhaustive(bl):
 
 # -- variant generation -------------------------------------------------
 
+def replacements(program, target):
+    return [d for d in exhaustive_descriptors(program) if d.target == target]
+
+
 def test_operator_targets_take_every_other_operator(bl):
-    reps = generate_replacements(bl.original, 6)  # the < in h < 2
+    reps = replacements(bl.original, 6)  # the < in h < 2
     labels = {r.donor_label for r in reps}
     assert labels == {"+", "-", "*", "/", "%", "<=", ">", ">=", "==", "!=",
                       "&&", "||"}
@@ -59,7 +63,7 @@ def test_operator_targets_take_every_other_operator(bl):
 
 
 def test_expression_donors_are_deduplicated_subtrees(bl):
-    reps = generate_replacements(bl.original, 8)  # the literal 2
+    reps = replacements(bl.original, 8)  # the literal 2
     labels = [r.donor_label for r in reps]
     assert len(labels) == len(set(labels)) == 16
     # type-blind and cross-scope: j and a[j] are offered for a literal
@@ -72,15 +76,15 @@ def test_expression_donors_are_deduplicated_subtrees(bl):
 
 def test_statement_donors_exclude_blocks(bl):
     for target in (2, 17):  # the outer loop and the comparison
-        reps = generate_replacements(bl.original, target)
+        reps = replacements(bl.original, target)
         assert len(reps) == 6
         assert all(r.donor.kind != "Block" for r in reps)
-        assert all(r.donor.category == "Statement" for r in reps)
+        assert all(CATEGORY[r.donor.kind] == CAT_STATEMENT for r in reps)
 
 
 def test_blocks_and_declarations_get_no_donors(bl):
-    assert generate_replacements(bl.original, 0) == []
-    assert generate_replacements(bl.original, 1) == []
+    assert replacements(bl.original, 0) == []
+    assert replacements(bl.original, 1) == []
 
 
 def test_duplicate_structures_collapse_to_one_donor():
@@ -89,13 +93,13 @@ def test_duplicate_structures_collapse_to_one_donor():
     literal_two = next(i for i, n in enumerate(p.nodes)
                        if n.kind == "IntLiteral" and n.value == 2)
     labels = [r.donor_label
-              for r in generate_replacements(p, literal_two)]
+              for r in replacements(p, literal_two)]
     assert labels.count("1") == 1
 
 
 def test_generation_is_deterministic(bl):
-    a = generate_replacements(bl.original, 8)
-    b = generate_replacements(bl.original, 8)
+    a = replacements(bl.original, 8)
+    b = replacements(bl.original, 8)
     assert [r.donor_label for r in a] == [r.donor_label for r in b]
 
 

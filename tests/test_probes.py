@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 
 from perfloc import mutation
+from perfloc.lang.check import Holes
 from perfloc.lang.parser import Parser
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -57,13 +58,21 @@ def test_the_probes_see_every_step_of_the_exhaustive_loop(bubble_loops,
     for name in LOOP_BINDINGS:
         monkeypatch.setattr(mutation, name,
                             counting(name, getattr(mutation, name)))
-    result = mutation.exhaustive_analysis(bubble_loops.original,
-                                          bubble_loops.suite, jobs=1)
+    program = bubble_loops.original
+    holes = Holes(program)
+    proven = sum(holes.compiles(d.target, d.donor, d.donor_id) is False
+                 for d in mutation.exhaustive_descriptors(program))
+    result = mutation.exhaustive_analysis(program, bubble_loops.suite,
+                                          jobs=1)
     generated, compiled = (result.cost.variants_generated,
                            result.cost.compiled)
     assert 0 < compiled < generated
+    assert (generated, proven) == (794, 425)
     assert calls == {
-        "replace_node": generated, "static_check": generated,
+        # a variant its hole proves non-compilable is never built or
+        # checked, but is still classified
+        "replace_node": generated - proven,
+        "static_check": generated - proven,
         "classify_variant": generated,
         # the original is lowered once more, for its baseline, whose runs
         # go through baseline_limits

@@ -22,7 +22,7 @@ from perfloc.lang.ast import KIND_INCDEC, KIND_VARDECL
 from perfloc.lang.check import static_check
 from perfloc.lang.edit import replace_node
 from perfloc.lang.parser import parse_program
-from perfloc.mutation import generate_replacements
+from perfloc.mutation import exhaustive_descriptors
 from perfloc.runtime import engine_py
 from perfloc.runtime.exec import (
     BOOTSTRAP_LIMIT, BaselineDiverged, MIN_STEP_LIMIT,
@@ -349,7 +349,7 @@ def test_a_build_deletes_the_stale_builds_beside_it(tmp_path, c_engine):
 
 
 # Every PARITY_STRIDE-th exhaustive variant of every corpus problem, in the
-# order generate_replacements lists them: about 3,500 variants, of which
+# order exhaustive_descriptors lists them: about 3,500 variants, of which
 # about 1,000 compile. Fixed before the first comparison ran.
 PARITY_STRIDE = 7
 
@@ -359,8 +359,7 @@ def test_engines_agree_on_a_slice_of_the_corpus_variants(problems, c_engine):
     for name, problem in sorted(problems.items()):
         program = problem.original
         limits, _ = baseline_limits(compile_program(program), problem.suite)
-        descriptors = [d for i in range(len(program.nodes))
-                       for d in generate_replacements(program, i)]
+        descriptors = exhaustive_descriptors(program)
         for d in descriptors[::PARITY_STRIDE]:
             variant = replace_node(program, d.target, d.donor)
             if static_check(variant):
