@@ -29,7 +29,6 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lang.ast import Program, structurally_equal
@@ -314,16 +313,6 @@ def problem_dirs(corpus_dir: str) -> list[str]:
         os.path.join(corpus_dir, d) for d in os.listdir(corpus_dir)
         if os.path.isdir(os.path.join(corpus_dir, d))
         and os.path.exists(os.path.join(corpus_dir, d, "problem.json")))
-
-
-def measured_improvement(problem: ProblemSpec) -> tuple[Fraction, int, int]:
-    """(fractional saving, original cost, designated improved cost)."""
-    ir = compile_program(problem.original)
-    limits, base = baseline_limits(ir, problem.suite)
-    improved_ir = compile_program(problem.improved[problem.designated])
-    result = run_suite(improved_ir, problem.suite, limits)
-    saving = Fraction(base.total_cost - result.total_cost, base.total_cost)
-    return saving, base.total_cost, result.total_cost
 
 
 def validate_problem(directory: str) -> list[str]:

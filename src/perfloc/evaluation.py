@@ -13,6 +13,7 @@ the seeded bootstrap resampling.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,7 +143,7 @@ def accuracy_table(reports_by_technique: Mapping[str, Sequence[RankErrorReport]]
 
 # bootstrap ----------------------------------------------------------------
 
-def _quantile(sorted_values: Sequence[Fraction], q: Fraction) -> Fraction:
+def _quantile(sorted_values: Sequence[int], q: Fraction) -> Fraction:
     """Linear interpolation between closest ranks."""
     n = len(sorted_values)
     if n == 1:
@@ -166,22 +167,27 @@ def bootstrap_diff(accs_a: Sequence[Fraction], accs_b: Sequence[Fraction],
     estimate is the mean of the repetition means with a quantile interval."""
     if len(accs_a) != len(accs_b) or not accs_a:
         raise EmptyInput("need equal-length, non-empty paired samples")
-    diffs = [a - b for a, b in zip(accs_a, accs_b)]
+    diffs = [Fraction(a - b) for a, b in zip(accs_a, accs_b)]
+    # Over one common denominator the sums are sums of integers; a
+    # repetition's mean is its total / scale, and scale > 0 keeps the order.
+    denominator = math.lcm(*(d.denominator for d in diffs))
+    numerators = [d.numerator * (denominator // d.denominator) for d in diffs]
+    scale = denominator * inner
     rng = random.Random(seed)
     last = len(diffs) - 1
-    means = []
+    totals = []
     for _ in range(outer):
-        total = Fraction(0)
+        total = 0
         for _ in range(inner):
-            total += diffs[rng.randint(0, last)]
-        means.append(total / inner)
-    mean_diff = sum(means, Fraction(0)) / outer
-    means.sort()
+            total += numerators[rng.randint(0, last)]
+        totals.append(total)
+    totals.sort()
     lo_q, hi_q = quantiles
-    return BootstrapResult(mean_diff=mean_diff,
-                           ci_low=_quantile(means, Fraction(lo_q)),
-                           ci_high=_quantile(means, Fraction(hi_q)),
-                           resamples=outer, sample_size=inner, seed=seed)
+    return BootstrapResult(
+        mean_diff=Fraction(sum(totals), scale * outer),
+        ci_low=Fraction(_quantile(totals, Fraction(lo_q))) / scale,
+        ci_high=Fraction(_quantile(totals, Fraction(hi_q))) / scale,
+        resamples=outer, sample_size=inner, seed=seed)
 
 
 # corpus summary -----------------------------------------------------------

@@ -214,9 +214,6 @@ class Program:
         self.parent: list[int] = parent
         self.first: list[int] = first
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def subtree_ids(self, node_id: int) -> list[int]:
         """Ids of the subtree rooted at ``node_id``, breadth-first."""
         ids = [node_id]
@@ -244,8 +241,3 @@ class Program:
         return {self.first[k] for k, f in enumerate(self.functions)
                 if f.children and f.children[0].kind == KIND_BLOCK}
 
-
-def programs_equal(a: Program, b: Program) -> bool:
-    if len(a.functions) != len(b.functions):
-        return False
-    return all(structurally_equal(x, y) for x, y in zip(a.functions, b.functions))

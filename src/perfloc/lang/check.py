@@ -34,10 +34,12 @@ put at an expression position of an accepted program, would pass this
 check, without building the variant. One recording walk notes how each
 position's parent uses it and which variables are visible there; a donor
 is then run through the parent's own rule (``check_typed``, ``type_of``,
-``check_assign``, ``check_step`` or ``check_comparable``). A VarDecl's name
-slot and statement positions give no verdict. The exhaustive loop skips
-only the variants a hole rejects; ``static_check`` still decides every
-variant that is built.
+``check_assign``, ``check_step`` or ``check_comparable``), which resolves
+its names in the hole's scope. A VarDecl's name slot and statement
+positions give no verdict. The exhaustive loop never builds a variant a
+hole rejects, and runs one it accepts as a splice of the original's IR
+(``runtime.ir.splice_ir``) with the slots that check resolved, so
+``static_check`` decides only the variants the holes give no verdict on.
 """
 
 from __future__ import annotations
@@ -428,9 +430,10 @@ class Holes:
     """The expression holes of an accepted program, after Omar et al.'s
     typed holes ("Hazelnut", POPL 2017). One recording walk notes, for
     every expression position, how its parent uses it and which variables
-    are visible there. ``compiles`` then re-runs that parent's own checker
-    rule with a donor in the hole, so no variant is built and no typing
-    rule is restated.
+    are visible there. ``fit`` then re-runs that parent's own checker rule
+    with a donor in the hole, so no variant is built and no typing rule is
+    restated; the slots that rule resolves are the donor's frame slots in
+    the variant.
 
     An expression edit declares nothing and leaves its parent's type as it
     was (a parent's type depends only on its operator or callee), so the
@@ -467,13 +470,15 @@ class Holes:
             elif recorder.expected[nid] is not None:
                 self.usage[nid] = (_TYPED, recorder.expected[nid])
 
-    def compiles(self, target: int, donor: AstNode,
-                 donor_id: int) -> Optional[bool]:
+    def fit(self, target: int, donor: AstNode,
+            donor_id: int) -> tuple[Optional[bool], dict[int, int]]:
         """Whether ``static_check`` accepts the program with ``donor``, node
         ``donor_id`` of this program (-1 for an operator), in place of node
-        ``target``; None where the hole gives no verdict. An operator is
-        tested as its parent expression, rebuilt with the new operator, in
-        the parent's hole."""
+        ``target`` (None where the hole gives no verdict), and the frame
+        slots this check resolved, keyed by node id: for an expression
+        donor, those of its identifiers. The slots are a new dict on every
+        call. An operator is tested as its parent expression, rebuilt with
+        the new operator, in the parent's hole."""
         if donor.kind == KIND_OPERATOR:
             pid = self.program.parent[target]
             parent = self.program.nodes[pid]
@@ -481,13 +486,15 @@ class Holes:
                 [donor] + parent.children[1:]), pid)
         return self._fits(target, donor, donor_id)
 
-    def _fits(self, hole: int, donor: AstNode, did: int) -> Optional[bool]:
+    def _fits(self, hole: int, donor: AstNode,
+              did: int) -> tuple[Optional[bool], dict[int, int]]:
         usage = self.usage[hole]
         if usage is None:
-            return None
+            return None, {}
         rule, arg = usage
         checker = self.checker
         checker.violations = []
+        checker.slots = {}
         checker.variables = self.variables_at[hole]
         if rule == _TYPED:
             checker.check_typed(donor, did, arg)
@@ -507,4 +514,4 @@ class Holes:
             else:
                 checker.check_comparable(parent.children[1], f + 1, donor,
                                          did)
-        return not checker.violations
+        return not checker.violations, checker.slots

@@ -141,6 +141,8 @@ def render_function(func: AstNode) -> str:
 
 
 def render_program(program: Program) -> str:
+    """The program's source text. The tool never prints a whole program;
+    the tests use this for the round trip and to read variants."""
     return "\n".join(render_function(f) for f in program.functions)
 
 

@@ -26,15 +26,22 @@ Scoring model:
   deletion value (gap_filled).
 
 Exhaustive variants come from one flat, node-ordered descriptor list.
-Before any is built, the parent process tests each expression and
-operator donor in its target's typed hole (``lang.check.Holes``). A
-variant the hole proves non-compilable is never built: its row is
-``classify_variant(original, None)``. Every other variant, the
-hole-accepted ones included, is built, fully checked, lowered and run, so
-the full check still decides every variant that runs. At --jobs N the
-analysis (program, descriptors, suite, limits, original) crosses to each
-worker once, through the pool's initializer; a task is the index of a
-variant not already proven non-compilable, and its result a (class, cost,
+Each expression and operator donor is tested in its target's typed hole
+(``lang.check.Holes``), whose verdict is exact, and each variant takes
+one path by that verdict:
+
+- rejected: never built; its row is ``classify_variant(original, None)``;
+- accepted: no variant ``Program`` is built, checked or lowered; it runs
+  as a splice of the original's IR (``runtime.ir.splice_ir``), with the
+  frame slots the hole check resolved;
+- no verdict (a VarDecl's name slot, statement targets): built, fully
+  checked, lowered and run.
+
+The parent process settles the rejections. At --jobs N the analysis
+(program, descriptors, suite, limits, original, the original's IR)
+crosses to each worker once, through the pool's initializer, and each
+worker builds its own ``Holes`` to repeat the check; a task is the index
+of a variant not proven non-compilable, and its result a (class, cost,
 correctness) row. Rows are kept in descriptor order, so every output is
 byte-identical for any job count.
 """
@@ -58,6 +65,7 @@ from .lang.edit import (
     statement_ids, delete_statement, empty_function_body, replace_node,
 )
 from .lang.printer import render_snippet
+from .runtime.ir import splice_ir
 from .runtime.exec import (
     TestCase, SuiteResult, baseline_limits, run_suite, compile_program,
     DEFAULT_TIMEOUT_FACTOR,
@@ -148,7 +156,7 @@ def _distinct_structures(program: Program, category: str) -> list[int]:
     return seen
 
 
-def _replacements(program, target_id, exprs, stmts):
+def _replacements(program, target_id, exprs, stmts, labels):
     target = program.nodes[target_id]
     category = CATEGORY[target.kind]
     out: list[MutationDescriptor] = []
@@ -179,7 +187,7 @@ def _replacements(program, target_id, exprs, stmts):
         donor = program.nodes[donor_id]
         if not structurally_equal(donor, target):
             out.append(MutationDescriptor(target_id, donor, donor_id,
-                                          render_snippet(donor)))
+                                          labels[donor_id]))
     return out
 
 
@@ -187,8 +195,9 @@ def exhaustive_descriptors(program: Program) -> list[MutationDescriptor]:
     """Every replacement of every node, in node order."""
     exprs = _distinct_structures(program, CAT_EXPRESSION)
     stmts = _distinct_structures(program, CAT_STATEMENT)
+    labels = {i: render_snippet(program.nodes[i]) for i in exprs + stmts}
     return [d for i in range(len(program.nodes))
-            for d in _replacements(program, i, exprs, stmts)]
+            for d in _replacements(program, i, exprs, stmts, labels)]
 
 
 # variant evaluation -------------------------------------------------------
@@ -269,8 +278,9 @@ def deletion_analysis(program: Program, suite: Sequence[TestCase],
 
 # exhaustive ---------------------------------------------------------------
 
-# The running analysis (program, descriptors, suite, limits, original): set
-# in-process at --jobs 1, else once in each worker by the pool's initializer.
+# The running analysis (program, descriptors, suite, limits, original, the
+# original's IR, its Holes): set in-process at --jobs 1, else once in each
+# worker by the pool's initializer, which builds the worker's own Holes.
 _ANALYSIS: tuple = ()
 
 
@@ -279,13 +289,27 @@ def _share_analysis(*analysis) -> None:
     _ANALYSIS = analysis
 
 
+def _start_worker(*analysis) -> None:
+    _share_analysis(*analysis, Holes(analysis[0]))
+
+
 def _evaluate_replacement(i: int) -> tuple:
     """Descriptor ``i``'s (class, cost, correctness) row; cost and
-    correctness are None when the variant does not compile."""
-    program, descriptors, suite, limits, original = _ANALYSIS
+    correctness are None when the variant does not compile. A variant its
+    hole accepts runs as a splice of the original's IR; one the hole gives
+    no verdict on is built, checked and lowered."""
+    program, descriptors, suite, limits, original, ir, holes = _ANALYSIS
     d = descriptors[i]
-    klass, outcome = _evaluate_variant(
-        replace_node(program, d.target, d.donor), suite, limits, original)
+    accepted, slots = holes.fit(d.target, d.donor, d.donor_id)
+    if accepted:
+        outcome = run_suite(splice_ir(ir, program.parent[d.target], d.target,
+                                      d.donor, d.donor_id, slots),
+                            suite, limits)
+        klass = classify_variant(original, outcome)
+    else:
+        klass, outcome = _evaluate_variant(
+            replace_node(program, d.target, d.donor), suite, limits,
+            original)
     if outcome is None:
         return klass, None, None
     return klass, outcome.total_cost, outcome.correctness
@@ -299,26 +323,26 @@ def exhaustive_analysis(program: Program, suite: Sequence[TestCase],
     limits, original = baseline_limits(ir, suite, factor)
 
     descriptors = exhaustive_descriptors(program)
-    # A variant its hole proves non-compilable is never built; every other
-    # one, the hole-accepted included, takes the full path.
+    # A variant its hole proves non-compilable is never built or run.
     holes = Holes(program)
     rows: list = [None] * len(descriptors)
     tasks = []
     for i, d in enumerate(descriptors):
-        if holes.compiles(d.target, d.donor, d.donor_id) is False:
+        if holes.fit(d.target, d.donor, d.donor_id)[0] is False:
             rows[i] = (classify_variant(original, None), None, None)
         else:
             tasks.append(i)
-    analysis = (program, descriptors, tuple(suite), tuple(limits), original)
+    analysis = (program, descriptors, tuple(suite), tuple(limits), original,
+                ir)
     if jobs <= 1:
-        _share_analysis(*analysis)
+        _share_analysis(*analysis, holes)
         try:
             evaluated = list(map(_evaluate_replacement, tasks))
         finally:
             _share_analysis()
     else:
         with ProcessPoolExecutor(max_workers=jobs,
-                                 initializer=_share_analysis,
+                                 initializer=_start_worker,
                                  initargs=analysis) as pool:
             evaluated = list(pool.map(_evaluate_replacement, tasks,
                                       chunksize=32))
@@ -388,6 +412,3 @@ def combined_analysis(program: Program, suite: Sequence[TestCase],
                               exhaustive.original)
     return combined, exhaustive, deletion
 
-
-def direct_improvements(result: AnalysisResult) -> list[VariantRecord]:
-    return [v for v in result.variants if v.direct_improvement]

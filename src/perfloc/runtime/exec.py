@@ -68,12 +68,6 @@ class SuiteResult:
     per_test: tuple[ExecutionOutcome, ...]
 
 
-def execute(ir: ProgramIR, test: TestCase, step_limit: int,
-            engine=None, counts=None) -> ExecutionOutcome:
-    """Run the entry function on one test; see ``run_suite``."""
-    return run_suite(ir, (test,), (step_limit,), engine, counts).per_test[0]
-
-
 compile_program = build_ir
 
 

@@ -8,6 +8,12 @@ the checker (``lang.check``), which records a frame slot for every
 declaration and every identifier it reads; lowering copies those slots, and
 the engines never see names.
 
+A variant that differs from an accepted program in one expression or
+operator, and that ``lang.check.Holes`` accepts, is not lowered afresh:
+``splice_ir`` patches the original's IR, appending new rows at the end of
+the arrays, with no new opcode and no new step event. ``frame_slot`` and
+``operator_code`` are the payload rules both share.
+
 Per-node payload fields ``a`` and ``b``:
 
     FunctionDecl  a = body block id        b = function index
@@ -37,7 +43,7 @@ from array import array
 from typing import NamedTuple
 
 from ..lang.ast import (
-    Program,
+    AstNode, Program,
     KIND_FUNCTION, KIND_BLOCK, KIND_VARDECL, KIND_ASSIGN, KIND_IF, KIND_FOR,
     KIND_WHILE, KIND_RETURN, KIND_EXPRSTMT, KIND_BINARY, KIND_UNARY,
     KIND_INCDEC, KIND_CALL, KIND_INDEX, KIND_IDENT, KIND_INT, KIND_BOOL,
@@ -91,6 +97,23 @@ STACK_LIMIT = 512
 INT_MIN = -(1 << 31)
 
 
+def frame_slot(code: int, i: int, first, slots) -> int:
+    """The frame slot row ``i``, an Identifier or an IncDec (opcode
+    ``code``), carries in ``a``: an Identifier its own, an IncDec its
+    operand's. ``first`` and ``slots`` are keyed by the same node ids."""
+    return slots[i] if code == OP_IDENT else slots[first[i] + 1]
+
+
+def operator_code(code: int, op: str) -> int:
+    """The payload operator ``op`` gives its parent of opcode ``code``: a
+    Binary's or a Unary's ``a``, an IncDec's ``b``."""
+    if code == OP_BINARY:
+        return BINARY_CODE[op]
+    if code == OP_UNARY:
+        return 0 if op == "-" else 1
+    return 1 if op == "++" else -1
+
+
 class FunctionInfo(NamedTuple):
     name: str
     body: int       # id of the body Block
@@ -129,28 +152,27 @@ def build_ir(program: Program) -> ProgramIR:
     for i, node in enumerate(program.nodes):
         k = node.kind
         children = node.children
-        kind[i] = KIND_CODE[k]
+        code = KIND_CODE[k]
+        kind[i] = code
         if children:
             nch[i] = len(children)
         if k == KIND_IDENT:
-            a[i] = slots[i]
+            a[i] = frame_slot(code, i, first, slots)
         elif k == KIND_INT:
             # Literals are int32 like everything else; oversized source
             # literals wrap here so both engines see the same value.
             a[i] = ((node.value + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-        elif k == KIND_BINARY:
-            a[i] = BINARY_CODE[children[0].op]
+        elif k == KIND_BINARY or k == KIND_UNARY:
+            a[i] = operator_code(code, children[0].op)
         elif k == KIND_INCDEC:
-            a[i] = slots[first[i] + 1]
-            b[i] = 1 if children[0].op == "++" else -1
+            a[i] = frame_slot(code, i, first, slots)
+            b[i] = operator_code(code, children[0].op)
         elif k == KIND_CALL:
             a[i] = -1 if node.name == BUILTIN_NEWARRAY \
                 else func_index[node.name]
             b[i] = len(children)
         elif k == KIND_BOOL:
             a[i] = 1 if node.value else 0
-        elif k == KIND_UNARY:
-            a[i] = 0 if children[0].op == "-" else 1
         elif k == KIND_VARDECL:
             a[i] = slots[i]
             b[i] = 1 if len(children) > 1 else 0
@@ -170,6 +192,60 @@ def build_ir(program: Program) -> ProgramIR:
                  for k, func in enumerate(program.functions)]
     return ProgramIR(kind, a, b, array("i", first), nch, functions,
                      program.entry_index())
+
+
+def splice_ir(ir: ProgramIR, parent: int, target: int, donor: AstNode,
+              donor_id: int, slots) -> ProgramIR:
+    """The IR of the program ``ir`` was lowered from, with ``donor`` (node
+    ``donor_id`` of that program, -1 for an operator) in place of node
+    ``target``, a child of ``parent``. Only for an expression or operator
+    donor that ``lang.check.Holes`` accepted there: the variant then
+    checks, and its frames are the original's, so ``functions`` and
+    ``entry`` are shared. ``slots`` are the slots that hole check resolved,
+    keyed by the original's node ids.
+
+    An operator only changes its parent's payload. An expression donor gets
+    new rows at the end: a copy of the parent's child row with the donor in
+    the target's place, then the donor's descendants breadth-first, whose
+    ``first`` is remapped; the parent's ``first`` then points at the new
+    row. Arrays the splice does not change are shared with ``ir``."""
+    kind, a, b, first, nch = ir.kind, ir.a, ir.b, ir.first, ir.nch
+    code = kind[parent]
+    if donor.kind == KIND_OPERATOR:
+        field = "b" if code == OP_INCDEC else "a"
+        payload = getattr(ir, field)[:]
+        payload[parent] = operator_code(code, donor.op)
+        return ir._replace(**{field: payload})
+
+    row, width = first[parent], nch[parent]
+    at = target - row   # the target's place in its parent's child row
+    # the donor's subtree, breadth-first: the loop visits what it appends
+    order = [donor_id]
+    for i in order:
+        order.extend(range(first[i], first[i] + nch[i]))
+    src = list(range(row, row + width))
+    src[at] = donor_id
+    src += order[1:]
+    new_a = [a[i] for i in src]
+    new_first = [first[i] for i in src]
+    n = len(kind)
+    child = n + width   # new id of the next donor row's first child
+    for p, i in enumerate(order):
+        j = width - 1 + p if p else at
+        if nch[i]:
+            new_first[j] = child
+            child += nch[i]
+        if kind[i] == OP_IDENT or kind[i] == OP_INCDEC:
+            new_a[j] = frame_slot(kind[i], i, first, slots)
+    a = a + array("q", new_a)
+    first = first + array("i", new_first)
+    first[parent] = n
+    if code == OP_INCDEC:
+        # the donor is the operand, whose slot the IncDec carries
+        a[parent] = new_a[at]
+    return ir._replace(kind=kind + array("i", [kind[i] for i in src]), a=a,
+                       b=b + array("i", [b[i] for i in src]), first=first,
+                       nch=nch + array("i", [nch[i] for i in src]))
 
 
 def pack_array(offset: int, length: int) -> int:

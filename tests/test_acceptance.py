@@ -28,7 +28,6 @@ from perfloc.evaluation import (
 )
 from perfloc.lang.ast import (
     KIND_FOR, KIND_FUNCTION, KIND_IF, KIND_BLOCK, AstNode, Program,
-    programs_equal,
 )
 from perfloc.lang.edit import replace_node, statement_ids
 from perfloc.mutation import (
@@ -43,7 +42,7 @@ from perfloc.scores import (
 )
 
 from conftest import CORPUS_DIR, check
-from tree_helpers import subtree
+from tree_helpers import programs_equal, subtree
 
 TECHNIQUES = (SOURCE_PROFILER, SOURCE_DELETION, SOURCE_EXHAUSTIVE,
               SOURCE_COMBINED)

@@ -5,21 +5,24 @@ import gc
 import json
 import os
 import shutil
+from fractions import Fraction
 
 import pytest
 
 from perfloc.corpus import (
     CorpusInvalid, DEFAULT_SEED, SuiteInvalid, diff_improvement_nodes,
-    generate_tests, load_problem, measured_improvement, problem_dirs,
+    generate_tests, load_problem, problem_dirs,
     suite_from_json, suite_to_json, validate_corpus, validate_problem,
 )
 from perfloc.lang.ast import (
-    AstNode, KIND_BLOCK, KIND_FUNCTION, Program, programs_equal,
+    AstNode, KIND_BLOCK, KIND_FUNCTION, Program,
 )
 from perfloc.lang.parser import parse_program
+from perfloc.runtime.exec import baseline_limits, compile_program, run_suite
 from perfloc.runtime.ir import HEAP_LIMIT
 
 from conftest import CORPUS_DIR, corpus_source
+from tree_helpers import programs_equal
 
 
 # -- test-suite generation ----------------------------------------------
@@ -288,9 +291,12 @@ def test_shipped_corpus_validates():
 
 def test_improvements_are_strictly_cheaper(problems):
     for name, prob in problems.items():
-        saving, original_cost, improved_cost = measured_improvement(prob)
-        assert improved_cost < original_cost, name
-        assert saving > 0
+        limits, base = baseline_limits(compile_program(prob.original),
+                                       prob.suite)
+        improved = compile_program(prob.improved[prob.designated])
+        improved_cost = run_suite(improved, prob.suite, limits).total_cost
+        assert improved_cost < base.total_cost, name
+        assert Fraction(base.total_cost - improved_cost, base.total_cost) > 0
 
 
 def _copy_problem(tmp_path, name):

@@ -1,5 +1,6 @@
 """Ranking, rank-error, accuracy-band, bootstrap, and summary-table tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from perfloc.evaluation import (
     ACCURACY_BANDS, EmptyAnnotation, EmptyInput, RankErrorReport, Ranking,
-    UnknownNode, accuracy_band, accuracy_of, accuracy_table, bootstrap_diff,
-    fractional_rank, ideal_rank, percent_rank_error, summary_table,
+    UnknownNode, _quantile, accuracy_band, accuracy_of, accuracy_table,
+    bootstrap_diff, fractional_rank, ideal_rank, percent_rank_error,
+    summary_table,
 )
 from perfloc.scores import NodeScore
 
@@ -231,6 +233,45 @@ def test_bootstrap_quantile_override_widens_or_narrows():
                           quantiles=(Fraction(1, 100), Fraction(99, 100)))
     assert wide.ci_low <= narrow.ci_low
     assert narrow.ci_high <= wide.ci_high
+
+
+def bootstrap_by_fractions(accs_a, accs_b, seed, inner, outer, quantiles):
+    """The bootstrap summed one ``Fraction`` at a time: the oracle for the
+    integer sums of ``bootstrap_diff``, drawing the same indices."""
+    diffs = [a - b for a, b in zip(accs_a, accs_b)]
+    rng = random.Random(seed)
+    last = len(diffs) - 1
+    means = []
+    for _ in range(outer):
+        total = Fraction(0)
+        for _ in range(inner):
+            total += diffs[rng.randint(0, last)]
+        means.append(total / inner)
+    mean_diff = sum(means, Fraction(0)) / outer
+    means.sort()
+    lo_q, hi_q = quantiles
+    return (mean_diff, _quantile(means, Fraction(lo_q)),
+            _quantile(means, Fraction(hi_q)))
+
+
+paired_accuracies = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    *[st.lists(st.fractions(min_value=0, max_value=100, max_denominator=60),
+               min_size=n, max_size=n)] * 2))
+
+
+@given(paired_accuracies, st.integers(0, 2**32), st.integers(1, 40),
+       st.integers(1, 40),
+       st.tuples(st.fractions(0, 1, max_denominator=200),
+                 st.fractions(0, 1, max_denominator=200)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_integer_bootstrap_equals_the_fraction_sums(pairs, seed, inner,
+                                                    outer, quantiles):
+    accs_a, accs_b = pairs
+    result = bootstrap_diff(accs_a, accs_b, seed, inner, outer, quantiles)
+    assert (result.mean_diff, result.ci_low, result.ci_high) == \
+        bootstrap_by_fractions(accs_a, accs_b, seed, inner, outer, quantiles)
+    assert all(type(x) is Fraction
+               for x in (result.mean_diff, result.ci_low, result.ci_high))
 
 
 def test_bootstrap_rejects_empty_and_mismatched_input():

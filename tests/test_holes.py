@@ -1,9 +1,9 @@
 """Typed holes: the checker's verdict on a donor in an expression or
 operator hole, without building the variant.
 
-Wherever ``Holes.compiles`` gives a verdict it must equal the full check of
-the built variant, in both directions; the exhaustive loop skips only the
-variants it proves non-compilable.
+Wherever ``Holes.fit`` gives a verdict it must equal the full check of
+the built variant, in both directions: the exhaustive loop never builds a
+variant the hole rejects, and runs one it accepts as a splice, unchecked.
 """
 
 from perfloc.lang.ast import AstNode, KIND_OPERATOR
@@ -29,7 +29,7 @@ def test_holes_agree_with_the_full_check_on_every_corpus_variant(problems):
         for program in (problem.original, *problem.improved):
             holes = Holes(program)
             for d in exhaustive_descriptors(program):
-                verdict = holes.compiles(d.target, d.donor, d.donor_id)
+                verdict = holes.fit(d.target, d.donor, d.donor_id)[0]
                 total += 1
                 if verdict is None:
                     continue
@@ -73,7 +73,7 @@ def verdicts(program, target, donor_id, donor=None):
     """(hole verdict, violation codes of the built variant)."""
     if donor is None:
         donor = program.nodes[donor_id]
-    verdict = Holes(program).compiles(target, donor, donor_id)
+    verdict = Holes(program).fit(target, donor, donor_id)[0]
     variant = replace_node(program, target, donor)
     return verdict, [v.code for v in static_check(variant)]
 

@@ -20,7 +20,7 @@ from perfloc.mutation import (
     ALL_CLASSES, CLASS_DEGRADED, CLASS_IDENTICAL, CLASS_INFINITE_LOOP,
     CLASS_LESS_EXPENSIVE, CLASS_MORE_EXPENSIVE, CLASS_NOT_COMPILABLE,
     CLASS_RUNTIME_ERROR, DELETE_LABEL, classify_variant, combined_analysis,
-    deletion_analysis, direct_improvements, exhaustive_analysis,
+    deletion_analysis, exhaustive_analysis,
     exhaustive_descriptors,
 )
 from perfloc.runtime.exec import ExecutionOutcome, SuiteResult
@@ -243,6 +243,10 @@ def test_quotient_integrity(bl_exhaustive):
         assert s.value * s.n_compiled == s.n_reduced
         if s.n_compiled == 0:
             assert s.value == 0
+
+
+def direct_improvements(result):
+    return [v for v in result.variants if v.direct_improvement]
 
 
 def test_direct_improvements_are_logged_not_counted(bl_exhaustive):

@@ -60,23 +60,26 @@ def test_the_probes_see_every_step_of_the_exhaustive_loop(bubble_loops,
                             counting(name, getattr(mutation, name)))
     program = bubble_loops.original
     holes = Holes(program)
-    proven = sum(holes.compiles(d.target, d.donor, d.donor_id) is False
-                 for d in mutation.exhaustive_descriptors(program))
+    verdicts = Counter(holes.fit(d.target, d.donor, d.donor_id)[0]
+                       for d in mutation.exhaustive_descriptors(program))
+    proven, accepted = verdicts[False], verdicts[True]
     result = mutation.exhaustive_analysis(program, bubble_loops.suite,
                                           jobs=1)
     generated, compiled = (result.cost.variants_generated,
                            result.cost.compiled)
     assert 0 < compiled < generated
-    assert (generated, proven) == (794, 425)
+    assert (generated, proven, accepted) == (794, 425, 311)
+    full_path = generated - proven - accepted
     assert calls == {
         # a variant its hole proves non-compilable is never built or
-        # checked, but is still classified
-        "replace_node": generated - proven,
-        "static_check": generated - proven,
+        # checked, and one it accepts runs as a splice of the original's
+        # IR; both are still classified
+        "replace_node": full_path,
+        "static_check": full_path,
         "classify_variant": generated,
         # the original is lowered once more, for its baseline, whose runs
         # go through baseline_limits
-        "compile_program": compiled + 1, "run_suite": compiled,
+        "compile_program": compiled - accepted + 1, "run_suite": compiled,
         "baseline_limits": 1,
     }
 

@@ -19,17 +19,22 @@ from hypothesis import given, settings, strategies as st
 
 import perfloc
 from perfloc.lang.ast import KIND_INCDEC, KIND_VARDECL
-from perfloc.lang.check import static_check
+from perfloc.lang.check import Holes, static_check
 from perfloc.lang.edit import replace_node
 from perfloc.lang.parser import parse_program
 from perfloc.mutation import exhaustive_descriptors
 from perfloc.runtime import engine_py
 from perfloc.runtime.exec import (
     BOOTSTRAP_LIMIT, BaselineDiverged, MIN_STEP_LIMIT,
-    baseline_limits, compile_program, execute, run_suite,
+    baseline_limits, compile_program, run_suite,
 )
 from perfloc.runtime.exec import TestCase as Case
-from perfloc.runtime.ir import build_ir
+from perfloc.runtime.ir import build_ir, splice_ir
+
+
+def execute(ir, test, step_limit, engine=None, counts=None):
+    """Run the entry function on one test; see ``run_suite``."""
+    return run_suite(ir, (test,), (step_limit,), engine, counts).per_test[0]
 
 
 def ir_for(text: str):
@@ -350,26 +355,37 @@ def test_a_build_deletes_the_stale_builds_beside_it(tmp_path, c_engine):
 
 # Every PARITY_STRIDE-th exhaustive variant of every corpus problem, in the
 # order exhaustive_descriptors lists them: about 3,500 variants, of which
-# about 1,000 compile. Fixed before the first comparison ran.
+# about 1,000 compile. Fixed before the first comparison ran. The 900 a hole
+# accepts also run as splices of the original's IR, which the compiled
+# engine must accept (its ``validate`` checks every row) and run alike.
 PARITY_STRIDE = 7
 
 
 def test_engines_agree_on_a_slice_of_the_corpus_variants(problems, c_engine):
-    compared = 0
+    compared = spliced = 0
     for name, problem in sorted(problems.items()):
         program = problem.original
-        limits, _ = baseline_limits(compile_program(program), problem.suite)
+        base = compile_program(program)
+        limits, _ = baseline_limits(base, problem.suite)
+        holes = Holes(program)
         descriptors = exhaustive_descriptors(program)
         for d in descriptors[::PARITY_STRIDE]:
+            irs = []
             variant = replace_node(program, d.target, d.donor)
-            if static_check(variant):
-                continue
-            ir = compile_program(variant)
-            expected = engine_py.run_tests(ir, problem.suite, limits)
-            found = c_engine.run_tests(ir, problem.suite, limits)
-            assert found == expected, (name, d.target, d.donor_label)
-            compared += 1
+            if not static_check(variant):
+                irs.append(compile_program(variant))
+            accepted, slots = holes.fit(d.target, d.donor, d.donor_id)
+            if accepted:
+                irs.append(splice_ir(base, program.parent[d.target],
+                                     d.target, d.donor, d.donor_id, slots))
+                spliced += 1
+            for ir in irs:
+                expected = engine_py.run_tests(ir, problem.suite, limits)
+                found = c_engine.run_tests(ir, problem.suite, limits)
+                assert found == expected, (name, d.target, d.donor_label)
+            compared += bool(irs)
     assert compared > 900
+    assert spliced == 900
 
 
 def test_execution_is_deterministic():

@@ -1,11 +1,12 @@
-"""Tree helpers only the tests need: deep copies of AST nodes.
+"""Tree helpers only the tests need: deep copies of AST nodes, and
+structural equality of whole programs.
 
 The tool itself never copies a subtree whole, since programs share every
 node an edit does not touch; tests use these to build fully unshared
 programs to compare against.
 """
 
-from perfloc.lang.ast import AstNode, Program
+from perfloc.lang.ast import AstNode, Program, structurally_equal
 
 
 def clone(node: AstNode) -> AstNode:
@@ -22,3 +23,11 @@ def unshared(program: Program) -> Program:
     """``program`` rebuilt from deep copies of its functions."""
     return Program([clone(f) for f in program.functions])
 
+
+
+def programs_equal(a: Program, b: Program) -> bool:
+    """Whether the two programs' functions are structurally equal."""
+    if len(a.functions) != len(b.functions):
+        return False
+    return all(structurally_equal(x, y)
+               for x, y in zip(a.functions, b.functions))
