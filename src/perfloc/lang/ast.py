@@ -236,8 +236,3 @@ class Program:
             if f.name == ENTRY_NAME:
                 return i
         return 0
-
-    def body_block_ids(self) -> set[int]:
-        return {self.first[k] for k, f in enumerate(self.functions)
-                if f.children and f.children[0].kind == KIND_BLOCK}
-

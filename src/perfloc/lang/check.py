@@ -31,14 +31,15 @@ ids. Violations come back sorted by node id.
 
 Typed holes: ``Holes`` answers whether a donor expression or operator,
 put at an expression position of an accepted program, would pass this
-check, without building the variant. One recording walk notes how each
-position's parent uses it and which variables are visible there; a donor
-is then run through the parent's own rule (``check_typed``, ``type_of``,
-``check_assign``, ``check_step`` or ``check_comparable``), which resolves
-its names in the hole's scope. A VarDecl's name slot and statement
-positions give no verdict. The exhaustive loop never builds a variant a
+check, without building the variant. One recording walk notes, at each
+expression position, the first rule call that reaches it (``check_typed``,
+``type_of``, ``check_assign``, ``check_step`` or ``check_comparable``)
+and the variables visible there; a donor is checked by replaying that
+call with the donor in the position's place, which resolves its names in
+the hole's scope. No rule reaches a VarDecl's name slot or a statement,
+so those give no verdict. The exhaustive loop never builds a variant a
 hole rejects, and runs one it accepts as a splice of the original's IR
-(``runtime.ir.splice_ir``) with the slots that check resolved, so
+(``runtime.ir.splice_ir``) with the slots that replay resolved, so
 ``static_check`` decides only the variants the holes give no verdict on.
 """
 
@@ -47,7 +48,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .ast import (
-    AstNode, Program, CATEGORY, CAT_EXPRESSION,
+    AstNode, Program,
     KIND_BLOCK, KIND_VARDECL, KIND_ASSIGN, KIND_IF, KIND_FOR,
     KIND_WHILE, KIND_RETURN, KIND_EXPRSTMT, KIND_BINARY, KIND_UNARY,
     KIND_INCDEC, KIND_CALL, KIND_INDEX, KIND_IDENT, KIND_INT, KIND_BOOL,
@@ -400,75 +401,63 @@ def static_check(program: Program) -> list[Violation]:
 
 # typed holes ---------------------------------------------------------------
 
-# How a parent uses an expression hole: the rule ``Holes`` re-runs there.
-_TYPED, _UNTYPED, _COMPARED, _ASSIGNED, _STEPPED = range(5)
+def _hole(rule, *positions: int):
+    """An override of the ``Checker`` rule ``rule`` that, before running
+    it, notes the call at each (node, id) pair of its arguments that
+    starts at one of ``positions`` and that no earlier call reached."""
+    def recording(self, *args):
+        calls = self.calls
+        variables = None
+        for at in positions:
+            if calls[args[at + 1]] is None:
+                if variables is None:
+                    variables = dict(self.variables)
+                calls[args[at + 1]] = (rule, args[:at], args[at + 2:],
+                                       variables)
+        return rule(self, *args)
+    return recording
 
 
 class _Recorder(Checker):
-    """A checker that notes, at every expression it meets, the type the
-    parent expects there and the variables visible there."""
+    """A checker that notes, at every expression position, the first rule
+    call that reaches it: the unbound ``Checker`` rule, its arguments
+    before and after the position's (node, id) pair, and the variables
+    visible there."""
 
     def __init__(self, program: Program):
         super().__init__(program)
-        self.expected: list[Optional[str]] = [None] * len(program.nodes)
-        self.variables_at: list[Optional[dict]] = [None] * len(program.nodes)
+        self.calls: list[Optional[tuple]] = [None] * len(program.nodes)
 
-    def resolve(self, ident: AstNode, nid: int) -> Optional[str]:
-        self.variables_at[nid] = dict(self.variables)
-        return super().resolve(ident, nid)
-
-    def check_typed(self, node: AstNode, nid: int, expected: str) -> None:
-        self.expected[nid] = expected
-        super().check_typed(node, nid, expected)
-
-    def type_of(self, node: AstNode, nid: int) -> Optional[str]:
-        self.variables_at[nid] = dict(self.variables)
-        return super().type_of(node, nid)
+    check_typed = _hole(Checker.check_typed, 0)
+    type_of = _hole(Checker.type_of, 0)
+    check_assign = _hole(Checker.check_assign, 0, 2)
+    check_step = _hole(Checker.check_step, 1)
+    check_comparable = _hole(Checker.check_comparable, 0, 2)
 
 
 class Holes:
     """The expression holes of an accepted program, after Omar et al.'s
     typed holes ("Hazelnut", POPL 2017). One recording walk notes, for
-    every expression position, how its parent uses it and which variables
-    are visible there. ``fit`` then re-runs that parent's own checker rule
-    with a donor in the hole, so no variant is built and no typing rule is
-    restated; the slots that rule resolves are the donor's frame slots in
-    the variant.
+    every expression position, the first checker rule call that reaches
+    it and the variables visible there. ``fit`` replays that call on a
+    plain checker with a donor in the hole, so no variant is built and
+    the checker alone decides which rule governs a position; the slots
+    the replay resolves are the donor's frame slots in the variant.
 
     An expression edit declares nothing and leaves its parent's type as it
     was (a parent's type depends only on its operator or callee), so the
-    rest of the program checks as before: the verdict is exact. A
-    VarDecl's name slot binds a name for the statements after it, and
-    statement edits change scopes, so those positions give no verdict."""
+    rest of the program checks as before: the verdict is exact. No rule
+    call reaches a VarDecl's name slot or a statement, whose edits change
+    the scopes that follow; those positions give no verdict."""
 
     def __init__(self, program: Program):
         recorder = _Recorder(program)
         recorder.walk()
         self.program = program
-        self.variables_at = recorder.variables_at
+        self.calls = [None] * len(program.nodes) if recorder.violations \
+            else recorder.calls
         self.checker = Checker(program)
         self.checker.signatures = recorder.signatures
-        nodes, parent, first = program.nodes, program.parent, program.first
-        self.usage: list[Optional[tuple]] = [None] * len(nodes)
-        if recorder.violations:
-            return
-        for nid, node in enumerate(nodes):
-            p = parent[nid]
-            if p < 0 or CATEGORY[node.kind] != CAT_EXPRESSION:
-                continue
-            kind = nodes[p].kind
-            if kind == KIND_VARDECL and nid == first[p]:
-                continue
-            if kind == KIND_ASSIGN and nid == first[p]:
-                self.usage[nid] = (_ASSIGNED, p)
-            elif kind == KIND_INCDEC:
-                self.usage[nid] = (_STEPPED, p)
-            elif kind == KIND_BINARY and nodes[p].children[0].op in EQ_OPS:
-                self.usage[nid] = (_COMPARED, p)
-            elif kind == KIND_EXPRSTMT:
-                self.usage[nid] = (_UNTYPED, None)
-            elif recorder.expected[nid] is not None:
-                self.usage[nid] = (_TYPED, recorder.expected[nid])
 
     def fit(self, target: int, donor: AstNode,
             donor_id: int) -> tuple[Optional[bool], dict[int, int]]:
@@ -476,42 +465,20 @@ class Holes:
         ``donor_id`` of this program (-1 for an operator), in place of node
         ``target`` (None where the hole gives no verdict), and the frame
         slots this check resolved, keyed by node id: for an expression
-        donor, those of its identifiers. The slots are a new dict on every
-        call. An operator is tested as its parent expression, rebuilt with
-        the new operator, in the parent's hole."""
+        donor, those of its identifiers among them. The slots are a new
+        dict on every call. An operator is tested as its parent expression,
+        rebuilt with the new operator, in the parent's hole."""
         if donor.kind == KIND_OPERATOR:
-            pid = self.program.parent[target]
-            parent = self.program.nodes[pid]
-            return self._fits(pid, parent.copy_with(
-                [donor] + parent.children[1:]), pid)
-        return self._fits(target, donor, donor_id)
-
-    def _fits(self, hole: int, donor: AstNode,
-              did: int) -> tuple[Optional[bool], dict[int, int]]:
-        usage = self.usage[hole]
-        if usage is None:
+            target = donor_id = self.program.parent[target]
+            parent = self.program.nodes[target]
+            donor = parent.copy_with([donor] + parent.children[1:])
+        call = self.calls[target]
+        if call is None:
             return None, {}
-        rule, arg = usage
+        rule, before, after, variables = call
         checker = self.checker
         checker.violations = []
         checker.slots = {}
-        checker.variables = self.variables_at[hole]
-        if rule == _TYPED:
-            checker.check_typed(donor, did, arg)
-        elif rule == _UNTYPED:
-            checker.type_of(donor, did)
-        else:
-            parent = self.program.nodes[arg]
-            f = self.program.first[arg]
-            if rule == _ASSIGNED:
-                checker.check_assign(donor, did, parent.children[1], f + 1,
-                                     arg)
-            elif rule == _STEPPED:
-                checker.check_step(parent.children[0].op, donor, did, arg)
-            elif hole == f + 1:
-                checker.check_comparable(donor, did, parent.children[2],
-                                         f + 2)
-            else:
-                checker.check_comparable(parent.children[1], f + 1, donor,
-                                         did)
+        checker.variables = variables
+        rule(checker, *before, donor, donor_id, *after)
         return not checker.violations, checker.slots

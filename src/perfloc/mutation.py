@@ -224,14 +224,11 @@ def deletion_analysis(program: Program, suite: Sequence[TestCase],
 
     variants: list[VariantRecord] = []
     executed = 0
-    body_ids = program.body_block_ids()
     savings: dict[int, Fraction] = {}
 
     stmt_ids = statement_ids(program)
     for sid in stmt_ids:
-        if program.nodes[sid].kind == KIND_BLOCK:
-            if sid not in body_ids:
-                continue
+        if program.nodes[sid].kind == KIND_BLOCK:   # a function body
             mutated = empty_function_body(program, sid)
         else:
             mutated = delete_statement(program, sid)
@@ -265,7 +262,7 @@ def deletion_analysis(program: Program, suite: Sequence[TestCase],
         saved = savings[sid]
         for i in program.subtree_ids(sid):
             values[i] = saved
-        if sid in body_ids:
+        if program.nodes[sid].kind == KIND_BLOCK:
             values[program.parent[sid]] = saved
 
     scores = {i: NodeScore(node=i, value=v, n_reduced=0, n_compiled=0,

@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .ir import ProgramIR, build_ir
 from . import engine_py
@@ -53,8 +53,7 @@ class TestCase:
     expected_output: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExecutionOutcome:
+class ExecutionOutcome(NamedTuple):
     status: str
     steps: int
     final_array: Optional[tuple[int, ...]]

@@ -14,6 +14,8 @@ from perfloc.lang.parser import parse_program
 from perfloc.lang.printer import render_snippet
 from perfloc.mutation import exhaustive_descriptors
 
+import test_splice
+
 # The corpus-wide totals: every exhaustive descriptor of the 11 originals
 # and 11 improved programs, those a hole answers, and those it proves
 # non-compilable. Fixed before the hole pre-check was timed.
@@ -21,27 +23,45 @@ CORPUS_DESCRIPTORS = 46875
 CORPUS_ANSWERED = 40492
 CORPUS_PROVEN = 27283
 
+# The same totals for this module's SOURCE and ``test_splice.SOURCE``,
+# which reach the return and step rules that no corpus program reaches.
+# Fixed before the hole rules were replayed from recorded calls.
+SOURCE_TOTALS = {"holes": (897, 684, 457), "splice": (587, 499, 332)}
+
+
+def differential(program, mismatches, name):
+    """(descriptors, answered, proven) of ``program``'s exhaustive
+    descriptors; those whose hole verdict differs from the full check of
+    the built variant are added to ``mismatches``."""
+    holes = Holes(program)
+    total = answered = proven = 0
+    for d in exhaustive_descriptors(program):
+        verdict = holes.fit(d.target, d.donor, d.donor_id)[0]
+        total += 1
+        if verdict is None:
+            continue
+        answered += 1
+        proven += verdict is False
+        accepted = not static_check(replace_node(program, d.target, d.donor))
+        if verdict != accepted:
+            mismatches.append((name, d.target, d.donor_label))
+    return total, answered, proven
+
 
 def test_holes_agree_with_the_full_check_on_every_corpus_variant(problems):
-    total = answered = proven = 0
+    totals = [0, 0, 0]
     mismatches = []
     for name, problem in sorted(problems.items()):
         for program in (problem.original, *problem.improved):
-            holes = Holes(program)
-            for d in exhaustive_descriptors(program):
-                verdict = holes.fit(d.target, d.donor, d.donor_id)[0]
-                total += 1
-                if verdict is None:
-                    continue
-                answered += 1
-                proven += verdict is False
-                accepted = not static_check(
-                    replace_node(program, d.target, d.donor))
-                if verdict != accepted:
-                    mismatches.append((name, d.target, d.donor_label))
+            for k, n in enumerate(differential(program, mismatches, name)):
+                totals[k] += n
+    sources = {name: differential(parse_program(text), mismatches, name)
+               for name, text in (("holes", SOURCE),
+                                  ("splice", test_splice.SOURCE))}
     assert mismatches == []
-    assert (total, answered, proven) \
+    assert tuple(totals) \
         == (CORPUS_DESCRIPTORS, CORPUS_ANSWERED, CORPUS_PROVEN)
+    assert sources == SOURCE_TOTALS
 
 
 SOURCE = """

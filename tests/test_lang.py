@@ -294,15 +294,12 @@ def test_edits_index_afresh_and_leave_the_input_alone(name):
         assert variant.nodes[assert_shares_off_the_path(variant, p, i)] \
             is donor  # used as given, not copied
         assert _tables(p) == before
-    body_ids = p.body_block_ids()
     for sid in statement_ids(p):
         kind = p.nodes[sid].kind
-        if kind != KIND_BLOCK:
-            variant = delete_statement(p, sid)
-        elif sid in body_ids:
+        if kind == KIND_BLOCK:   # a function body
             variant = empty_function_body(p, sid)
         else:
-            continue
+            variant = delete_statement(p, sid)
         kept = 1 if kind == KIND_BLOCK else 0  # the emptied body
         assert len(variant.nodes) == \
             len(p.nodes) - len(p.subtree_ids(sid)) + kept

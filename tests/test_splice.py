@@ -17,31 +17,54 @@ from perfloc.runtime.exec import (
 from perfloc.runtime.exec import TestCase as Case
 from perfloc.runtime.ir import OP_FUNC, build_ir, splice_ir
 
+import test_holes
+
 # Every hole-accepted exhaustive descriptor of the 11 corpus originals.
 CORPUS_ACCEPTED = 6560
+
+# The same for ``test_holes.SOURCE`` and this module's SOURCE, run on SUITE,
+# which reach the return and step rules that no corpus program reaches.
+# Fixed before the hole rules were replayed from recorded calls.
+SOURCE_ACCEPTED = {"holes": 227, "splice": 167}
+
+
+def differential(program, suite, limits, mismatches, name):
+    """How many of ``program``'s exhaustive descriptors its holes accept;
+    those whose splice runs unlike the built variant are added to
+    ``mismatches``."""
+    ir = compile_program(program)
+    holes = Holes(program)
+    accepted = 0
+    for d in exhaustive_descriptors(program):
+        verdict, slots = holes.fit(d.target, d.donor, d.donor_id)
+        if not verdict:
+            continue
+        accepted += 1
+        spliced = splice_ir(ir, program.parent[d.target], d.target, d.donor,
+                            d.donor_id, slots)
+        built = compile_program(replace_node(program, d.target, d.donor))
+        if run_suite(spliced, suite, limits) \
+                != run_suite(built, suite, limits):
+            mismatches.append((name, d.target, d.donor_label))
+    return accepted
 
 
 def test_splices_run_like_built_variants_on_every_corpus_variant(problems):
     accepted = 0
     mismatches = []
     for name, problem in sorted(problems.items()):
-        program = problem.original
-        ir = compile_program(program)
-        limits, _ = baseline_limits(ir, problem.suite)
-        holes = Holes(program)
-        for d in exhaustive_descriptors(program):
-            verdict, slots = holes.fit(d.target, d.donor, d.donor_id)
-            if not verdict:
-                continue
-            accepted += 1
-            spliced = splice_ir(ir, program.parent[d.target], d.target,
-                                d.donor, d.donor_id, slots)
-            built = compile_program(replace_node(program, d.target, d.donor))
-            if run_suite(spliced, problem.suite, limits) \
-                    != run_suite(built, problem.suite, limits):
-                mismatches.append((name, d.target, d.donor_label))
+        limits, _ = baseline_limits(compile_program(problem.original),
+                                    problem.suite)
+        accepted += differential(problem.original, problem.suite, limits,
+                                 mismatches, name)
+    limits = [BOOTSTRAP_LIMIT] * len(SUITE)
+    sources = {name: differential(parse_program(text), SUITE, limits,
+                                  mismatches, name)
+               for name, text in (("holes", test_holes.SOURCE),
+                                  ("splice", SOURCE))}
     assert mismatches == []
     assert accepted == CORPUS_ACCEPTED
+    assert sources == SOURCE_ACCEPTED
 
 
 def tree(ir, i=None):
