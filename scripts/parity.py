@@ -42,8 +42,8 @@ def compiled_variants(program):
     for d in exhaustive_descriptors(program):
         accepted, slots = holes.fit(d.target, d.donor, d.donor_id)
         if accepted:
-            yield d, splice_ir(ir, program.parent[d.target], d.target,
-                               d.donor, d.donor_id, slots)
+            yield d, splice_ir(ir, program, d.target, d.donor,
+                               d.donor_id, slots)
         elif accepted is None:
             variant = replace_node(program, d.target, d.donor)
             if not static_check(variant):

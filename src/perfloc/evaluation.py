@@ -173,13 +173,19 @@ def bootstrap_diff(accs_a: Sequence[Fraction], accs_b: Sequence[Fraction],
     denominator = math.lcm(*(d.denominator for d in diffs))
     numerators = [d.numerator * (denominator // d.denominator) for d in diffs]
     scale = denominator * inner
-    rng = random.Random(seed)
-    last = len(diffs) - 1
+    # Each draw is ``rng.randint(0, n - 1)``, taken from the same
+    # ``getrandbits`` stream without randint's call chain.
+    getrandbits = random.Random(seed).getrandbits
+    n = len(diffs)
+    k = n.bit_length()
     totals = []
     for _ in range(outer):
         total = 0
         for _ in range(inner):
-            total += numerators[rng.randint(0, last)]
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            total += numerators[r]
         totals.append(total)
     totals.sort()
     lo_q, hi_q = quantiles

@@ -29,18 +29,29 @@ Nodes carry no id, so the walk carries each node's id beside it (child k of
 node i is ``program.first[i] + k``); slots and violations are keyed by those
 ids. Violations come back sorted by node id.
 
-Typed holes: ``Holes`` answers whether a donor expression or operator,
-put at an expression position of an accepted program, would pass this
-check, without building the variant. One recording walk notes, at each
-expression position, the first rule call that reaches it (``check_typed``,
-``type_of``, ``check_assign``, ``check_step`` or ``check_comparable``)
-and the variables visible there; a donor is checked by replaying that
-call with the donor in the position's place, which resolves its names in
-the hole's scope. No rule reaches a VarDecl's name slot or a statement,
-so those give no verdict. The exhaustive loop never builds a variant a
-hole rejects, and runs one it accepts as a splice of the original's IR
-(``runtime.ir.splice_ir``) with the slots that replay resolved, so
-``static_check`` decides only the variants the holes give no verdict on.
+Typed holes: ``Holes`` answers whether a donor, put at a position of an
+accepted program, would pass this check, without building the variant.
+One recording walk notes, at each expression and statement position, the
+first rule call that reaches it (``check_typed``, ``type_of``,
+``check_assign``, ``check_step``, ``check_comparable`` or
+``check_statement``) and the variables visible there; a donor is checked
+by replaying that call with the donor in the position's place, which
+resolves its names in the hole's scope. An operator and a VarDecl's name,
+which no rule call reaches, are tested as their parent rebuilt with the
+donor. There are three verdicts:
+
+- False: the replay reports a violation, which the full check reports too;
+- True: no violation, and the edit leaves every later scope as it was, so
+  the rest of the program checks as before (every expression and operator
+  edit; a statement edit in a ``void`` function where neither statement
+  is a VarDecl);
+- None: no violation, but the edit may change the scopes that follow or
+  whether a non-void function returns.
+
+The exhaustive loop never builds a variant a hole rejects, and runs one it
+accepts as a splice of the original's IR (``runtime.ir.splice_ir``) with
+the slots that replay resolved, so ``static_check`` decides only the
+variants the holes give no verdict on.
 """
 
 from __future__ import annotations
@@ -419,10 +430,10 @@ def _hole(rule, *positions: int):
 
 
 class _Recorder(Checker):
-    """A checker that notes, at every expression position, the first rule
-    call that reaches it: the unbound ``Checker`` rule, its arguments
-    before and after the position's (node, id) pair, and the variables
-    visible there."""
+    """A checker that notes, at every expression and statement position,
+    the first rule call that reaches it: the unbound ``Checker`` rule, its
+    arguments before and after the position's (node, id) pair, and the
+    variables visible there."""
 
     def __init__(self, program: Program):
         super().__init__(program)
@@ -433,22 +444,28 @@ class _Recorder(Checker):
     check_assign = _hole(Checker.check_assign, 0, 2)
     check_step = _hole(Checker.check_step, 1)
     check_comparable = _hole(Checker.check_comparable, 0, 2)
+    check_statement = _hole(Checker.check_statement, 0)
 
 
 class Holes:
-    """The expression holes of an accepted program, after Omar et al.'s
-    typed holes ("Hazelnut", POPL 2017). One recording walk notes, for
-    every expression position, the first checker rule call that reaches
-    it and the variables visible there. ``fit`` replays that call on a
-    plain checker with a donor in the hole, so no variant is built and
-    the checker alone decides which rule governs a position; the slots
+    """The holes of an accepted program, after Omar et al.'s typed holes
+    ("Hazelnut", POPL 2017). One recording walk notes, for every
+    expression and statement position, the first checker rule call that
+    reaches it and the variables visible there. ``fit`` replays that call
+    on a plain checker with a donor in the hole, so no variant is built
+    and the checker alone decides which rule governs a position; the slots
     the replay resolves are the donor's frame slots in the variant.
 
     An expression edit declares nothing and leaves its parent's type as it
     was (a parent's type depends only on its operator or callee), so the
-    rest of the program checks as before: the verdict is exact. No rule
-    call reaches a VarDecl's name slot or a statement, whose edits change
-    the scopes that follow; those positions give no verdict."""
+    rest of the program checks as before: the verdict is exact. A
+    statement replay runs in a scope of its own, closed afterwards, and
+    numbers the donor's declarations from the function's frame size, so
+    each gets a slot no other variable holds. A violation there is exact,
+    since the full walk meets the donor in the same state. Without one,
+    the verdict is exact only when neither statement is a VarDecl, which
+    alone changes the scopes that follow, and the function is ``void``,
+    where no ``MissingReturn`` can arise; elsewhere there is none."""
 
     def __init__(self, program: Program):
         recorder = _Recorder(program)
@@ -456,6 +473,7 @@ class Holes:
         self.program = program
         self.calls = [None] * len(program.nodes) if recorder.violations \
             else recorder.calls
+        self.sizes = dict(zip(program.functions, recorder.sizes))
         self.checker = Checker(program)
         self.checker.signatures = recorder.signatures
 
@@ -464,21 +482,38 @@ class Holes:
         """Whether ``static_check`` accepts the program with ``donor``, node
         ``donor_id`` of this program (-1 for an operator), in place of node
         ``target`` (None where the hole gives no verdict), and the frame
-        slots this check resolved, keyed by node id: for an expression
-        donor, those of its identifiers among them. The slots are a new
-        dict on every call. An operator is tested as its parent expression,
-        rebuilt with the new operator, in the parent's hole."""
-        if donor.kind == KIND_OPERATOR:
-            target = donor_id = self.program.parent[target]
-            parent = self.program.nodes[target]
-            donor = parent.copy_with([donor] + parent.children[1:])
+        slots this check resolved, keyed by node id: those of the donor's
+        identifiers, VarDecls and For loops among them. The slots are a new
+        dict on every call. A position no rule call reaches (an operator,
+        a VarDecl's name) is tested as its parent, rebuilt with the donor
+        in its place, in the parent's hole."""
         call = self.calls[target]
         if call is None:
-            return None, {}
+            program = self.program
+            parent = program.parent[target]
+            old = program.nodes[parent]
+            children = list(old.children)
+            children[target - program.first[parent]] = donor
+            target = donor_id = parent
+            donor = old.copy_with(children)
+            call = self.calls[target]
+            if call is None:
+                return None, {}
         rule, before, after, variables = call
+        statement = rule is Checker.check_statement
         checker = self.checker
         checker.violations = []
         checker.slots = {}
         checker.variables = variables
+        if statement:
+            checker.n_slots = self.sizes[after[0]]
+        checker.open_scope()
         rule(checker, *before, donor, donor_id, *after)
-        return not checker.violations, checker.slots
+        checker.close_scope()
+        if checker.violations:
+            return False, checker.slots
+        if statement and (after[0].ret_type != TYPE_VOID
+                          or donor.kind == KIND_VARDECL
+                          or self.program.nodes[target].kind == KIND_VARDECL):
+            return None, checker.slots
+        return True, checker.slots

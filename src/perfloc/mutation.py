@@ -26,16 +26,18 @@ Scoring model:
   deletion value (gap_filled).
 
 Exhaustive variants come from one flat, node-ordered descriptor list.
-Each expression and operator donor is tested in its target's typed hole
-(``lang.check.Holes``), whose verdict is exact, and each variant takes
-one path by that verdict:
+Each donor is tested in its target's typed hole (``lang.check.Holes``),
+whose verdict is exact where it gives one, and each variant takes one
+path by that verdict:
 
 - rejected: never built; its row is ``classify_variant(original, None)``;
-- accepted: no variant ``Program`` is built, checked or lowered; it runs
-  as a splice of the original's IR (``runtime.ir.splice_ir``), with the
-  frame slots the hole check resolved;
-- no verdict (a VarDecl's name slot, statement targets): built, fully
-  checked, lowered and run.
+- accepted (expressions, operators, and statements of a ``void``
+  function where neither statement is a VarDecl): no variant ``Program``
+  is built, checked or lowered; it runs as a splice of the original's IR
+  (``runtime.ir.splice_ir``), with the frame slots the hole check
+  resolved;
+- no verdict (other statement and VarDecl name edits whose hole check is
+  clean): built, fully checked, lowered and run.
 
 The parent process settles the rejections. At --jobs N the analysis
 (program, descriptors, suite, limits, original, the original's IR)
@@ -183,9 +185,12 @@ def _replacements(program, target_id, exprs, stmts, labels):
         # Function bodies and declarations have no donor pool; their value
         # comes from gap filling.
         return []
+    target_hash = target.structural_hash()
     for donor_id in pool:
         donor = program.nodes[donor_id]
-        if not structurally_equal(donor, target):
+        # unequal hashes (cached on each node) mean unequal structures
+        if donor.structural_hash() != target_hash \
+                or not structurally_equal(donor, target):
             out.append(MutationDescriptor(target_id, donor, donor_id,
                                           labels[donor_id]))
     return out
@@ -299,9 +304,8 @@ def _evaluate_replacement(i: int) -> tuple:
     d = descriptors[i]
     accepted, slots = holes.fit(d.target, d.donor, d.donor_id)
     if accepted:
-        outcome = run_suite(splice_ir(ir, program.parent[d.target], d.target,
-                                      d.donor, d.donor_id, slots),
-                            suite, limits)
+        outcome = run_suite(splice_ir(ir, program, d.target, d.donor,
+                                      d.donor_id, slots), suite, limits)
         klass = classify_variant(original, outcome)
     else:
         klass, outcome = _evaluate_variant(

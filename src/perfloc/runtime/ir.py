@@ -8,10 +8,13 @@ the checker (``lang.check``), which records a frame slot for every
 declaration and every identifier it reads; lowering copies those slots, and
 the engines never see names.
 
-A variant that differs from an accepted program in one expression or
-operator, and that ``lang.check.Holes`` accepts, is not lowered afresh:
-``splice_ir`` patches the original's IR, appending new rows at the end of
-the arrays, with no new opcode and no new step event. ``frame_slot`` and
+A variant that differs from an accepted program in one expression,
+operator or statement, and that ``lang.check.Holes`` accepts, is not
+lowered afresh: ``splice_ir`` patches the original's IR, appending new
+rows at the end of the arrays, with no new opcode and no new step event.
+A statement donor's declarations bind fresh slots past the original
+frame, which grows to hold them; both engines zero a frame at every
+call, so where a variable sits does not change a run. ``frame_slot`` and
 ``operator_code`` are the payload rules both share.
 
 Per-node payload fields ``a`` and ``b``:
@@ -194,22 +197,25 @@ def build_ir(program: Program) -> ProgramIR:
                      program.entry_index())
 
 
-def splice_ir(ir: ProgramIR, parent: int, target: int, donor: AstNode,
+def splice_ir(ir: ProgramIR, program: Program, target: int, donor: AstNode,
               donor_id: int, slots) -> ProgramIR:
-    """The IR of the program ``ir`` was lowered from, with ``donor`` (node
-    ``donor_id`` of that program, -1 for an operator) in place of node
-    ``target``, a child of ``parent``. Only for an expression or operator
-    donor that ``lang.check.Holes`` accepted there: the variant then
-    checks, and its frames are the original's, so ``functions`` and
-    ``entry`` are shared. ``slots`` are the slots that hole check resolved,
-    keyed by the original's node ids.
+    """The IR of ``program``, which ``ir`` was lowered from, with ``donor``
+    (node ``donor_id`` of ``program``, -1 for an operator) in place of node
+    ``target``. Only for a donor that ``lang.check.Holes`` accepted there:
+    the variant then checks, and every variable it shares with the
+    original keeps its slot. ``slots`` are the slots that hole check
+    resolved, keyed by ``program``'s node ids.
 
-    An operator only changes its parent's payload. An expression donor gets
-    new rows at the end: a copy of the parent's child row with the donor in
+    An operator only changes its parent's payload. Any other donor gets new
+    rows at the end: a copy of the parent's child row with the donor in
     the target's place, then the donor's descendants breadth-first, whose
     ``first`` is remapped; the parent's ``first`` then points at the new
-    row. Arrays the splice does not change are shared with ``ir``."""
+    row. A statement donor's VarDecls and For loops bind the fresh slots
+    the hole check gave them, past the original's frame, and the frame of
+    the target's function grows to hold them; ``entry`` is shared. Arrays
+    the splice does not change are shared with ``ir``."""
     kind, a, b, first, nch = ir.kind, ir.a, ir.b, ir.first, ir.nch
+    parent = program.parent[target]
     code = kind[parent]
     if donor.kind == KIND_OPERATOR:
         field = "b" if code == OP_INCDEC else "a"
@@ -230,22 +236,38 @@ def splice_ir(ir: ProgramIR, parent: int, target: int, donor: AstNode,
     new_first = [first[i] for i in src]
     n = len(kind)
     child = n + width   # new id of the next donor row's first child
+    n_slots = 0         # the frame size the donor's declarations need
     for p, i in enumerate(order):
         j = width - 1 + p if p else at
         if nch[i]:
             new_first[j] = child
             child += nch[i]
-        if kind[i] == OP_IDENT or kind[i] == OP_INCDEC:
-            new_a[j] = frame_slot(kind[i], i, first, slots)
+        k = kind[i]
+        if k == OP_VARDECL or k == OP_FOR:
+            new_a[j] = slots[i]
+            n_slots = max(n_slots, slots[i] + 1)
+        elif k == OP_INCDEC or (k == OP_IDENT and i in slots):
+            # an identifier the check gave no slot is a VarDecl's name,
+            # and keeps the -1 it has in ``ir``
+            new_a[j] = frame_slot(k, i, first, slots)
     a = a + array("q", new_a)
     first = first + array("i", new_first)
     first[parent] = n
     if code == OP_INCDEC:
         # the donor is the operand, whose slot the IncDec carries
         a[parent] = new_a[at]
+    functions = ir.functions
+    if n_slots:
+        f = parent
+        while program.parent[f] >= 0:   # function k is node k
+            f = program.parent[f]
+        functions = list(functions)
+        functions[f] = functions[f]._replace(
+            n_slots=max(n_slots, functions[f].n_slots))
     return ir._replace(kind=kind + array("i", [kind[i] for i in src]), a=a,
                        b=b + array("i", [b[i] for i in src]), first=first,
-                       nch=nch + array("i", [nch[i] for i in src]))
+                       nch=nch + array("i", [nch[i] for i in src]),
+                       functions=functions)
 
 
 def pack_array(offset: int, length: int) -> int:

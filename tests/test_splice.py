@@ -1,8 +1,9 @@
 """Splices: a hole-accepted variant runs as a patch on the original's IR.
 
-``runtime.ir.splice_ir`` must give the IR that lowering the built variant
-gives, up to where the new rows sit, and so the same runs. The corpus-wide
-differential below was fixed before the splice was timed.
+``runtime.ir.splice_ir`` must give the runs of the built variant. For an
+expression or operator donor its IR is the built variant's, up to where
+the new rows sit; a statement donor's declarations bind fresh slots past
+the original's frame, where lowering the variant numbers them afresh.
 """
 
 from perfloc.lang.ast import AstNode, KIND_IDENT, KIND_OPERATOR
@@ -20,12 +21,13 @@ from perfloc.runtime.ir import OP_FUNC, build_ir, splice_ir
 import test_holes
 
 # Every hole-accepted exhaustive descriptor of the 11 corpus originals.
-CORPUS_ACCEPTED = 6560
+# Fixed before the statement splices were timed.
+CORPUS_ACCEPTED = 7080
 
 # The same for ``test_holes.SOURCE`` and this module's SOURCE, run on SUITE,
 # which reach the return and step rules that no corpus program reaches.
-# Fixed before the hole rules were replayed from recorded calls.
-SOURCE_ACCEPTED = {"holes": 227, "splice": 167}
+# Fixed with the corpus total.
+SOURCE_ACCEPTED = {"holes": 297, "splice": 182}
 
 
 def differential(program, suite, limits, mismatches, name):
@@ -40,8 +42,8 @@ def differential(program, suite, limits, mismatches, name):
         if not verdict:
             continue
         accepted += 1
-        spliced = splice_ir(ir, program.parent[d.target], d.target, d.donor,
-                            d.donor_id, slots)
+        spliced = splice_ir(ir, program, d.target, d.donor, d.donor_id,
+                            slots)
         built = compile_program(replace_node(program, d.target, d.donor))
         if run_suite(spliced, suite, limits) \
                 != run_suite(built, suite, limits):
@@ -107,8 +109,8 @@ def spliced_and_built(program, target, donor_id, donor=None):
         donor = program.nodes[donor_id]
     verdict, slots = Holes(program).fit(target, donor, donor_id)
     assert verdict is True
-    spliced = splice_ir(build_ir(program), program.parent[target], target,
-                        donor, donor_id, slots)
+    spliced = splice_ir(build_ir(program), program, target, donor,
+                        donor_id, slots)
     return spliced, build_ir(replace_node(program, target, donor)), slots
 
 
@@ -162,7 +164,7 @@ def test_a_unary_operator_swap_matches_the_lowered_variant():
     bang = AstNode(KIND_OPERATOR, op="!")
     assert Holes(p).fit(negate, bang, -1)[0] is False
     base = build_ir(p)
-    spliced = splice_ir(base, p.parent[negate], negate, bang, -1, {})
+    spliced = splice_ir(base, p, negate, bang, -1, {})
     variant = replace_node(p, negate, bang)
     variant.frames = p.frames
     assert spliced == build_ir(variant)
@@ -223,3 +225,73 @@ def test_a_donor_from_another_function_takes_its_holes_slot(problems):
     limits, _ = baseline_limits(build_ir(p), merge.suite)
     assert run_suite(spliced, merge.suite, limits) \
         == run_suite(built, merge.suite, limits)
+
+
+# statement donors --------------------------------------------------------
+
+def assert_same_runs(spliced, built):
+    limits = [BOOTSTRAP_LIMIT] * len(SUITE)
+    assert run_suite(spliced, SUITE, limits) == run_suite(built, SUITE,
+                                                          limits)
+
+
+def statement_fit(program, target_text, donor_text):
+    """(verdict, slots, target, donor id) of the statement that renders as
+    ``donor_text`` put for the one that renders as ``target_text``."""
+    target, donor = find(program, target_text), find(program, donor_text)
+    verdict, slots = Holes(program).fit(target, program.nodes[donor], donor)
+    return verdict, slots, target, donor
+
+
+def test_a_loop_donor_gets_a_counter_slot_past_the_frame():
+    p = parse_program(SOURCE)
+    loop = "for (int i = 0; i < length; i++) { a[i] = a[i] + n; n--; }"
+    spliced, built, slots = spliced_and_built(
+        p, find(p, "if (!done && n < length) { a[0] = -n; }"), find(p, loop))
+    assert_same_runs(spliced, built)
+    # the copy's counter binds a fresh slot, and only `sort` grows
+    sort = 1
+    counter = slots[find(p, loop)]
+    assert p.frames.sizes[sort] <= counter < spliced.functions[sort].n_slots
+    assert spliced.functions[0] == build_ir(p).functions[0]
+
+
+def test_an_if_donor_whose_body_declares():
+    p = parse_program("""
+void sort(int[] a, int length) {
+  int n = length;
+  if (n > 1) { int t = a[0]; a[0] = a[1]; a[1] = t; }
+  n = 0;
+}
+""")
+    branch = "if (n > 1) { int t = a[0]; a[0] = a[1]; a[1] = t; }"
+    spliced, built, slots = spliced_and_built(p, find(p, "n = 0;"),
+                                              find(p, branch))
+    assert_same_runs(spliced, built)
+    # the copy's `t` binds a fresh slot, past every slot of the original
+    t = slots[find(p, "int t = a[0];")]
+    assert p.frames.sizes[0] <= t < spliced.functions[0].n_slots
+
+
+def test_a_declaration_donor_or_target_gets_no_verdict():
+    p = parse_program(test_holes.SOURCE)
+    # `t` is free at `n = 3;`, but the later `int t = 1;` would clash
+    verdict, _, target, donor = statement_fit(p, "n = 3;", "int t = 1;")
+    assert verdict is None
+    assert static_check(replace_node(p, target, p.nodes[donor]))
+    # `touch();` checks where `n` was declared, but `n` is then gone
+    verdict, _, target, donor = statement_fit(p, "int n = length;",
+                                              "touch();")
+    assert verdict is None
+    assert static_check(replace_node(p, target, p.nodes[donor]))
+
+
+def test_a_statement_of_a_non_void_function_gets_no_true_verdict():
+    p = parse_program(SOURCE)
+    assert statement_fit(p, "return 1;", "n--;")[0] is False
+    # a clean replay, but `one` could then finish without returning
+    p = parse_program("int one() { one(); return 1; }\n"
+                      "void sort(int[] a, int length) { }")
+    verdict, _, target, donor = statement_fit(p, "return 1;", "one();")
+    assert verdict is None
+    assert static_check(replace_node(p, target, p.nodes[donor]))
