@@ -4,14 +4,19 @@ engines, and fail on any difference.
 
 Usage: python3 scripts/parity.py [--corpus DIR]
 
-A variant its typed hole accepts runs as a splice of the original's IR,
+A variant its typed hole accepts is a splice patch on the original's IR,
 and one the hole gives no verdict on is built, checked and lowered, as in
-the exhaustive loop. Each runs on ``engine_py`` and on the compiled engine
-with its problem's committed suite, under the original's step limits and
-with a statement counter per IR row. The two must agree on every test's
-status, steps, error and final array, and on the counts.
+the exhaustive loop. Each variant's whole IR runs on ``engine_py`` and on
+the compiled engine with its problem's committed suite, under the
+original's step limits and with a statement counter per IR row. The two
+must agree on every test's status, steps, error and final array, and on
+the counts. Each engine's ``run_patch`` summary must then equal the
+summary of those full runs: a splice runs as its patch on the prepared
+original, on only the tests that reach its target, as in the exhaustive
+loop; a built variant runs as the empty patch on itself, prepared.
 
-Prints the variant count and the elapsed time, and one line per mismatch;
+Prints the variant count, the mismatch count, how many of the splices'
+test runs were left out, and the elapsed time, and one line per mismatch;
 exits 1 on any mismatch, or when the compiled engine cannot be built.
 ``engine_py`` runs about 1.6 Msteps/s, so a whole run takes a few minutes;
 Tier-1 compares a fixed slice of these variants instead
@@ -28,26 +33,26 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from perfloc.corpus import load_problem, problem_dirs
 from perfloc.lang.check import Holes, static_check
 from perfloc.lang.edit import replace_node
-from perfloc.mutation import exhaustive_descriptors
+from perfloc.mutation import exhaustive_descriptors, reaching_tests
 from perfloc.runtime import engine_py
 from perfloc.runtime.exec import baseline_limits, compile_program
-from perfloc.runtime.ir import splice_ir
+from perfloc.runtime.ir import apply_patch, empty_patch, splice_patch
 
 
-def compiled_variants(program):
-    """(descriptor, IR) of every exhaustive variant of ``program`` that
-    compiles."""
-    ir = compile_program(program)
+def compiled_variants(program, ir):
+    """(descriptor, patch on ``ir`` or None, whole IR) of every exhaustive
+    variant of ``program`` that compiles; ``ir`` is the original's."""
     holes = Holes(program)
     for d in exhaustive_descriptors(program):
         accepted, slots = holes.fit(d.target, d.donor, d.donor_id)
         if accepted:
-            yield d, splice_ir(ir, program, d.target, d.donor,
-                               d.donor_id, slots)
+            patch = splice_patch(ir, program, d.target, d.donor,
+                                 d.donor_id, slots)
+            yield d, patch, apply_patch(ir, patch)
         elif accepted is None:
             variant = replace_node(program, d.target, d.donor)
             if not static_check(variant):
-                yield d, compile_program(variant)
+                yield d, None, compile_program(variant)
 
 
 def run(engine, ir, suite, limits):
@@ -65,20 +70,39 @@ def main():
     except ImportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    engines = (engine_py, _engine)
     start = time.perf_counter()
-    compared = mismatches = 0
+    compared = mismatches = test_runs = left_out = 0
     for directory in problem_dirs(args.corpus):
         problem = load_problem(directory)
-        program = problem.original
-        limits, _ = baseline_limits(compile_program(program), problem.suite)
-        for d, ir in compiled_variants(program):
+        program, suite = problem.original, problem.suite
+        ir = compile_program(program)
+        limits, _ = baseline_limits(ir, suite)
+        reach = reaching_tests(program, ir, suite, limits)
+        prepared = [engine.prepare(ir, suite, limits) for engine in engines]
+        every = tuple(range(len(suite)))
+        for d, patch, variant in compiled_variants(program, ir):
             compared += 1
-            if run(engine_py, ir, problem.suite, limits) \
-                    != run(_engine, ir, problem.suite, limits):
+            test_runs += len(suite)
+            full = run(engine_py, variant, suite, limits)
+            same = full == run(_engine, variant, suite, limits)
+            if patch is None:
+                summaries = [engine.run_patch(
+                                 engine.prepare(variant, suite, limits),
+                                 empty_patch(), every)
+                             for engine in engines]
+            else:
+                tests = reach[d.target]
+                left_out += len(suite) - len(tests)
+                summaries = [engine.run_patch(handle, patch, tests)
+                             for engine, handle in zip(engines, prepared)]
+            expected = engine_py.summarize(full[0], suite)
+            if not same or summaries != [expected, expected]:
                 mismatches += 1
                 print(f"mismatch: {os.path.basename(directory)} node "
                       f"{d.target} <- {d.donor_label}")
-    print(f"{compared} variants, {mismatches} mismatches, "
+    print(f"{compared} variants, {mismatches} mismatches, {left_out} of "
+          f"{test_runs} test runs left out, "
           f"{time.perf_counter() - start:.1f} s")
     return 1 if mismatches else 0
 

@@ -15,7 +15,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -30,7 +29,7 @@ from .evaluation import (
 )
 from .lang.printer import render_snippet
 from .mutation import (
-    combined_analysis, deletion_analysis, exhaustive_analysis,
+    WorkerDied, combined_analysis, deletion_analysis, exhaustive_analysis,
 )
 from .profiler import inherited_count, profile, profile_cost, profile_scores
 from .runtime.exec import (
@@ -103,7 +102,7 @@ def _workers_of(where: str):
     naming ``where`` (the problem or program, and the technique)."""
     try:
         yield
-    except BrokenProcessPool:
+    except WorkerDied:
         raise CliDataError(f"{where}: a worker process died") from None
 
 

@@ -26,31 +26,36 @@ Scoring model:
   deletion value (gap_filled).
 
 Exhaustive variants come from one flat, node-ordered descriptor list.
-Each donor is tested in its target's typed hole (``lang.check.Holes``),
+Each donor is tested once in its target's typed hole (``lang.check.Holes``),
 whose verdict is exact where it gives one, and each variant takes one
 path by that verdict:
 
 - rejected: never built; its row is ``classify_variant(original, None)``;
 - accepted (expressions, operators, and statements of a ``void``
   function where neither statement is a VarDecl): no variant ``Program``
-  is built, checked or lowered; it runs as a splice of the original's IR
-  (``runtime.ir.splice_ir``), with the frame slots the hole check
-  resolved;
+  is built, checked or lowered. ``runtime.ir.splice_patch`` describes it
+  as a patch on the original's IR, with the frame slots the hole check
+  resolved, and ``runtime.exec.run_patch`` runs that patch on the
+  original, prepared once per analysis. It runs only the tests on which
+  the original enters the target's nearest enclosing statement: only rows
+  reached through that statement differ, and a grown frame only adds
+  cells that start at zero, so on every other test the variant's outcome
+  is the original's;
 - no verdict (other statement and VarDecl name edits whose hole check is
-  clean): built, fully checked, lowered and run.
+  clean): built, fully checked, lowered and run on the whole suite.
 
-The parent process settles the rejections. At --jobs N the analysis
-(program, descriptors, suite, limits, original, the original's IR)
-crosses to each worker once, through the pool's initializer, and each
-worker builds its own ``Holes`` to repeat the check; a task is the index
-of a variant not proven non-compilable, and its result a (class, cost,
-correctness) row. Rows are kept in descriptor order, so every output is
+The parent process fits every descriptor and settles the rejections. A
+task is the index of a variant not proven non-compilable, with its
+verdict and slots, and its result a (class, cost, correctness) row. At
+--jobs N the analysis (program, descriptors, suite, limits, original, the
+original's IR and which tests reach each node) crosses to each worker
+once, through the pool's initializer, which prepares the worker's own
+original. Rows are kept in descriptor order, so every output is
 byte-identical for any job count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -67,10 +72,10 @@ from .lang.edit import (
     statement_ids, delete_statement, empty_function_body, replace_node,
 )
 from .lang.printer import render_snippet
-from .runtime.ir import splice_ir
+from .runtime.ir import ProgramIR, splice_patch
 from .runtime.exec import (
     TestCase, SuiteResult, baseline_limits, run_suite, compile_program,
-    DEFAULT_TIMEOUT_FACTOR,
+    entering_tests, prepare, run_patch, DEFAULT_TIMEOUT_FACTOR,
 )
 from .scores import (
     NodeScore, AnalysisCost, SOURCE_DELETION, SOURCE_EXHAUSTIVE,
@@ -122,15 +127,19 @@ class AnalysisResult:
     original: SuiteResult
 
 
-def classify_variant(original: SuiteResult,
-                     outcome: Optional[SuiteResult]) -> str:
-    """The one class of a variant; ``outcome`` is None when it did not
-    compile."""
+class WorkerDied(Exception):
+    """A worker process died while the pool evaluated variants."""
+
+
+def classify_variant(original, outcome) -> str:
+    """The one class of a variant, from the suite runs of the original and
+    of the variant (each a ``runtime.exec.Summary`` or a ``SuiteResult``);
+    ``outcome`` is None when the variant did not compile."""
     if outcome is None:
         return CLASS_NOT_COMPILABLE
-    if any(o.status == "Timeout" for o in outcome.per_test):
+    if outcome.any_timeout:
         return CLASS_INFINITE_LOOP
-    if any(o.status == "RuntimeError" for o in outcome.per_test):
+    if outcome.any_error:
         return CLASS_RUNTIME_ERROR
     if outcome.total_cost < original.total_cost:
         return CLASS_LESS_EXPENSIVE
@@ -280,9 +289,24 @@ def deletion_analysis(program: Program, suite: Sequence[TestCase],
 
 # exhaustive ---------------------------------------------------------------
 
+def reaching_tests(program: Program, ir: ProgramIR,
+                   suite: Sequence[TestCase], limits: Sequence[int]
+                   ) -> list[tuple[int, ...]]:
+    """For each node, the numbers of the tests on which the original
+    enters the node's nearest enclosing statement, or every test for a
+    node outside any statement. A splice at the node runs exactly like
+    the original on every other test."""
+    entered = entering_tests(ir, suite, limits)
+    every = tuple(range(len(suite)))
+    return [entered[s] if s >= 0 else every
+            for s in map(program.enclosing_statement,
+                         range(len(program.nodes)))]
+
+
 # The running analysis (program, descriptors, suite, limits, original, the
-# original's IR, its Holes): set in-process at --jobs 1, else once in each
-# worker by the pool's initializer, which builds the worker's own Holes.
+# original's IR, reaching_tests, the prepared original): set in-process at
+# --jobs 1, else once in each worker by the pool's initializer, which
+# prepares the worker's own original.
 _ANALYSIS: tuple = ()
 
 
@@ -292,20 +316,26 @@ def _share_analysis(*analysis) -> None:
 
 
 def _start_worker(*analysis) -> None:
-    _share_analysis(*analysis, Holes(analysis[0]))
+    _, _, suite, limits, _, ir, _ = analysis
+    _share_analysis(*analysis, prepare(ir, suite, limits))
 
 
-def _evaluate_replacement(i: int) -> tuple:
-    """Descriptor ``i``'s (class, cost, correctness) row; cost and
-    correctness are None when the variant does not compile. A variant its
-    hole accepts runs as a splice of the original's IR; one the hole gives
-    no verdict on is built, checked and lowered."""
-    program, descriptors, suite, limits, original, ir, holes = _ANALYSIS
+def _evaluate_replacement(task: tuple) -> tuple:
+    """The (class, cost, correctness) row of ``task``: a descriptor's
+    index, its hole verdict and the slots its hole check resolved. Cost
+    and correctness are None when the variant does not compile. A variant
+    its hole accepts runs as a patch on the prepared original, on the
+    tests that reach its target; one the hole gives no verdict on is
+    built, checked, lowered and run."""
+    i, accepted, slots = task
+    program, descriptors, suite, limits, original, ir, reach, prepared = \
+        _ANALYSIS
     d = descriptors[i]
-    accepted, slots = holes.fit(d.target, d.donor, d.donor_id)
     if accepted:
-        outcome = run_suite(splice_ir(ir, program, d.target, d.donor,
-                                      d.donor_id, slots), suite, limits)
+        outcome = run_patch(prepared, splice_patch(ir, program, d.target,
+                                                   d.donor, d.donor_id,
+                                                   slots),
+                            reach[d.target])
         klass = classify_variant(original, outcome)
     else:
         klass, outcome = _evaluate_variant(
@@ -329,25 +359,33 @@ def exhaustive_analysis(program: Program, suite: Sequence[TestCase],
     rows: list = [None] * len(descriptors)
     tasks = []
     for i, d in enumerate(descriptors):
-        if holes.fit(d.target, d.donor, d.donor_id)[0] is False:
+        accepted, slots = holes.fit(d.target, d.donor, d.donor_id)
+        if accepted is False:
             rows[i] = (classify_variant(original, None), None, None)
         else:
-            tasks.append(i)
-    analysis = (program, descriptors, tuple(suite), tuple(limits), original,
-                ir)
+            tasks.append((i, accepted, slots))
+    suite, limits = tuple(suite), tuple(limits)
+    analysis = (program, descriptors, suite, limits, original, ir,
+                reaching_tests(program, ir, suite, limits))
     if jobs <= 1:
-        _share_analysis(*analysis, holes)
+        _share_analysis(*analysis, prepare(ir, suite, limits))
         try:
             evaluated = list(map(_evaluate_replacement, tasks))
         finally:
             _share_analysis()
     else:
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 initializer=_start_worker,
-                                 initargs=analysis) as pool:
-            evaluated = list(pool.map(_evaluate_replacement, tasks,
-                                      chunksize=32))
-    for i, row in zip(tasks, evaluated):
+        # imported here: a serial run never loads the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            with ProcessPoolExecutor(max_workers=jobs,
+                                     initializer=_start_worker,
+                                     initargs=analysis) as pool:
+                evaluated = list(pool.map(_evaluate_replacement, tasks,
+                                          chunksize=32))
+        except BrokenProcessPool:
+            raise WorkerDied from None
+    for (i, _, _), row in zip(tasks, evaluated):
         rows[i] = row
 
     n_compiled = [0] * len(program.nodes)

@@ -73,4 +73,7 @@ def _load():
     return module
 
 
-run_tests = _load().run_tests
+_module = _load()
+run_tests = _module.run_tests
+prepare = _module.prepare
+run_patch = _module.run_patch

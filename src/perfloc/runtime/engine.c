@@ -13,10 +13,22 @@
    returns one (status, steps, error, final array or None) tuple per test,
    with the status and error codes of engine_py. ``counts``, when not None,
    is a writable array('q') with one cell per node; every statement entry
-   adds one to its node's cell, as in engine_py. A failed allocation raises
-   MemoryError; it is never reported as a run outcome.
+   adds one to its node's cell, as in engine_py.
 
-   runtime/_engine.py compiles this file on first import. */
+   prepare(ir, tests, limits) copies and validates the IR once, packs the
+   suite (each test's ``expected_output`` too) and runs it once, keeping
+   the program's own outcome on every test; it returns a handle.
+   run_patch(handle, patch, tests) applies a runtime.ir.Patch in place:
+   its rows go after the program's, its cells overwrite the program's,
+   and its frame grows (the stack grows with it). Only the appended rows
+   and the rows whose cells changed are validated. It runs the tests
+   numbered in ``tests`` (increasing), counts the program's own outcome
+   for every other test, undoes the patch, and returns (total_steps,
+   n_correct, any_timeout, any_error). A malformed IR or patch raises
+   ValueError, and the handle is left as it was.
+
+   A failed allocation raises MemoryError; it is never reported as a run
+   outcome. runtime/_engine.py compiles this file on first import. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -332,39 +344,143 @@ static int eval_expr(Ctx *ctx, int i, int64_t *frame, int depth,
 
 /* ---- the Python boundary ------------------------------------------------ */
 
+/* One test of a packed suite: its input array, its arguments (the input
+   array's reference first) and step limit, its expected output (prepare
+   only), and the prepared program's own outcome on it. */
 typedef struct {
-    Py_buffer views[5];     /* kind, a, b, first, nch */
-    int n_views;
-    Py_buffer counts;       /* held when counts_view is set */
-    int counts_view;
+    int32_t *input;
+    Py_ssize_t n_input;
+    int32_t *expected;
+    Py_ssize_t n_expected;
+    int64_t *args;
+    int argc;
+    int64_t limit;
+    int64_t base_steps;
+    int base_passed, base_timeout, base_error;
+} Test;
+
+typedef struct {
     Ctx ctx;
-    Py_ssize_t n;           /* nodes */
+    void *col[5];           /* kind, a, b, first, nch: owned copies */
+    Py_ssize_t n;           /* the program's rows; a patch's follow them */
+    Py_ssize_t cap;         /* rows the columns have room for */
     int nf;                 /* functions */
     int entry;
-    int64_t *args;          /* the entry function's arguments */
+    int max_slots;          /* the largest frame */
+    int stack_slots;        /* the stack holds STACK_LIMIT frames this large */
+    Test *tests;
+    Py_ssize_t n_tests;
+    Py_buffer counts;       /* held when counts_view is set */
+    int counts_view;
 } Program;
 
 static const char *const ARRAY_FIELDS[5] = {"kind", "a", "b", "first", "nch"};
 static const Py_ssize_t ITEMSIZE[5] = {4, 8, 4, 4, 4};
 
+/* The cells a patch may overwrite, as runtime.ir numbers them. */
+enum { CELL_A, CELL_B, CELL_FIRST };
+
+static const char HANDLE[] = "perfloc.runtime._engine.handle";
+
 static void release_program(Program *p)
 {
-    for (int k = 0; k < p->n_views; k++)
-        PyBuffer_Release(&p->views[k]);
+    for (int k = 0; k < 5; k++)
+        PyMem_Free(p->col[k]);
     if (p->counts_view)
         PyBuffer_Release(&p->counts);
     PyMem_Free(p->ctx.fbody);
     PyMem_Free(p->ctx.fslots);
     if (p->ctx.stack != NULL)
         PyMem_Free(p->ctx.stack - 1);
-    PyMem_Free(p->args);
+    for (Py_ssize_t t = 0; p->tests != NULL && t < p->n_tests; t++) {
+        PyMem_Free(p->tests[t].input);
+        PyMem_Free(p->tests[t].expected);
+        PyMem_Free(p->tests[t].args);
+    }
+    PyMem_Free(p->tests);
     free(p->ctx.heap);
 }
 
-static int bad_ir(const char *what, Py_ssize_t i)
+/* Room for ``rows`` rows in every column. On failure the columns still
+   hold the program's rows, and the engine still points at them. */
+static int grow_rows(Program *p, Py_ssize_t rows)
 {
-    PyErr_Format(PyExc_ValueError, "malformed IR: %s at node %zd", what, i);
-    return -1;
+    Py_ssize_t cap = Py_MAX(rows, 2 * p->cap);
+    int k;
+    if (rows <= p->cap)
+        return 0;
+    for (k = 0; k < 5; k++) {
+        void *col = PyMem_Realloc(p->col[k], (size_t)cap * ITEMSIZE[k]);
+        if (col == NULL)
+            break;
+        p->col[k] = col;
+    }
+    p->ctx.kind = p->col[0];
+    p->ctx.a = p->col[1];
+    p->ctx.b = p->col[2];
+    p->ctx.first = p->col[3];
+    p->ctx.nch = p->col[4];
+    if (k < 5) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    p->cap = cap;
+    return 0;
+}
+
+/* Copy the five row arrays of ``src``, a ProgramIR or a Patch, to rows
+   ``at`` onward; returns how many rows they hold, or -1 with an exception
+   set. */
+static Py_ssize_t put_rows(Program *p, PyObject *src, Py_ssize_t at)
+{
+    Py_ssize_t rows = 0;
+    for (int k = 0; k < 5; k++) {
+        Py_buffer view;
+        PyObject *obj = PyObject_GetAttrString(src, ARRAY_FIELDS[k]);
+        int ok;
+        if (obj == NULL)
+            return -1;
+        if (PyObject_GetBuffer(obj, &view, PyBUF_SIMPLE) < 0) {
+            Py_DECREF(obj);
+            return -1;
+        }
+        Py_DECREF(obj);
+        if (k == 0)
+            rows = view.len / ITEMSIZE[0];
+        ok = view.len == rows * ITEMSIZE[k]
+             && (k > 0 || grow_rows(p, at + rows) == 0);
+        if (ok && rows > 0)
+            memcpy((char *)p->col[k] + at * ITEMSIZE[k], view.buf,
+                   (size_t)view.len);
+        PyBuffer_Release(&view);
+        if (!ok) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_TypeError, "%s must hold one %zd-byte "
+                             "int per row", ARRAY_FIELDS[k], ITEMSIZE[k]);
+            return -1;
+        }
+    }
+    return rows;
+}
+
+/* Room on the stack for STACK_LIMIT frames of ``slots`` cells, after a
+   leading cell, which is where a slot of -1 points. */
+static int grow_stack(Program *p, int slots)
+{
+    int64_t *stack;
+    if (slots <= p->stack_slots)
+        return 0;
+    stack = PyMem_Realloc(p->ctx.stack == NULL ? NULL : p->ctx.stack - 1,
+                          ((size_t)STACK_LIMIT * slots + 1)
+                          * sizeof(int64_t));
+    if (stack == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *stack = 0;
+    p->ctx.stack = stack + 1;
+    p->stack_slots = slots;
+    return 0;
 }
 
 /* Minimum children of each opcode the engine steps into. */
@@ -380,36 +496,50 @@ static int min_children(const Ctx *c, Py_ssize_t i)
     return 0;
 }
 
-/* Every index the engine follows stays inside the IR, the function table
-   and the frame stack, so a malformed IR raises ValueError instead of
-   reading out of bounds (heap accesses are bounded by element()). */
-static int validate(const Program *p, int max_slots)
+/* Why row ``i`` of a program of ``rows`` rows is unsafe to run, or NULL:
+   every index the engine follows from it must stay inside the rows, the
+   function table and a frame of ``max_slots`` cells, so that a malformed
+   IR raises ValueError instead of reading out of bounds (heap accesses are
+   bounded by element()). */
+static const char *bad_row(const Program *p, Py_ssize_t rows, Py_ssize_t i,
+                           int max_slots)
 {
     const Ctx *c = &p->ctx;
-    for (Py_ssize_t i = 0; i < p->n; i++) {
-        int k = c->kind[i], first = c->first[i], nch = c->nch[i];
-        int64_t a = c->a[i];
-        if (k < 0 || k >= N_OPS)
-            return bad_ir("unknown opcode", i);
-        if (nch < 0 || (nch > 0 && (first < 0 || first > p->n - nch)))
-            return bad_ir("child range outside the IR", i);
-        if (nch < min_children(c, i))
-            return bad_ir("too few children", i);
-        if (k == OP_ASSIGN && c->kind[first] != OP_IDENT
-                && c->nch[first] < 2)
-            return bad_ir("assignment target", i);
-        if (k == OP_IF && (a < 0 || a >= nch))
-            return bad_ir("then-branch length", i);
-        if (k == OP_CALL && (a < -1 || a >= p->nf || c->b[i] != nch
-                             || (a == -1 && nch != 1)
-                             || (a >= 0 && nch > c->fslots[a])))
-            return bad_ir("call", i);
-        if ((k == OP_FOR || k == OP_INCDEC || k == OP_VARDECL)
-                && (a < 0 || a >= max_slots))
-            return bad_ir("frame slot", i);
-        /* a VarDecl's name holds -1; it is never read */
-        if (k == OP_IDENT && (a < -1 || a >= max_slots))
-            return bad_ir("frame slot", i);
+    int k = c->kind[i], first = c->first[i], nch = c->nch[i];
+    int64_t a = c->a[i];
+    if (k < 0 || k >= N_OPS)
+        return "unknown opcode";
+    if (nch < 0 || (nch > 0 && (first < 0 || first > rows - nch)))
+        return "child range outside the rows";
+    if (nch < min_children(c, i))
+        return "too few children";
+    if (k == OP_ASSIGN && c->kind[first] != OP_IDENT && c->nch[first] < 2)
+        return "assignment target";
+    if (k == OP_IF && (a < 0 || a >= nch))
+        return "then-branch length";
+    if (k == OP_CALL && (a < -1 || a >= p->nf || c->b[i] != nch
+                         || (a == -1 && nch != 1)
+                         || (a >= 0 && nch > c->fslots[a])))
+        return "call";
+    if ((k == OP_FOR || k == OP_INCDEC || k == OP_VARDECL)
+            && (a < 0 || a >= max_slots))
+        return "frame slot";
+    /* a VarDecl's name holds -1; it is never read */
+    if (k == OP_IDENT && (a < -1 || a >= max_slots))
+        return "frame slot";
+    return NULL;
+}
+
+static int bad_rows(const Program *p, const char *what, Py_ssize_t rows,
+                    Py_ssize_t lo, Py_ssize_t hi, int max_slots)
+{
+    for (Py_ssize_t i = lo; i < hi; i++) {
+        const char *why = bad_row(p, rows, i, max_slots);
+        if (why != NULL) {
+            PyErr_Format(PyExc_ValueError, "malformed %s: %s at node %zd",
+                         what, why, i);
+            return -1;
+        }
     }
     return 0;
 }
@@ -425,36 +555,16 @@ static long int_attr(PyObject *obj, const char *name)
     return v;
 }
 
-/* Borrow the IR's arrays, copy its function table and allocate the frame
-   stack. On failure an exception is set and the caller still releases. */
+/* Copy the IR's rows and function table, validate them and allocate the
+   frame stack. On failure an exception is set and the caller still
+   releases. */
 static int load_program(PyObject *ir, Program *p)
 {
     PyObject *obj, *functions;
     long entry;
-    int max_slots = 1;
-    for (int k = 0; k < 5; k++) {
-        obj = PyObject_GetAttrString(ir, ARRAY_FIELDS[k]);
-        if (obj == NULL)
-            return -1;
-        if (PyObject_GetBuffer(obj, &p->views[k], PyBUF_SIMPLE) < 0) {
-            Py_DECREF(obj);
-            return -1;
-        }
-        Py_DECREF(obj);
-        p->n_views++;
-        if (p->views[k].len != p->views[0].len / 4 * ITEMSIZE[k]
-                || p->views[k].len % ITEMSIZE[k] != 0) {
-            PyErr_Format(PyExc_TypeError, "ir.%s must hold one %zd-byte "
-                         "int per node", ARRAY_FIELDS[k], ITEMSIZE[k]);
-            return -1;
-        }
-    }
-    p->n = p->views[0].len / 4;
-    p->ctx.kind = p->views[0].buf;
-    p->ctx.a = p->views[1].buf;
-    p->ctx.b = p->views[2].buf;
-    p->ctx.first = p->views[3].buf;
-    p->ctx.nch = p->views[4].buf;
+    p->n = put_rows(p, ir, 0);
+    if (p->n < 0)
+        return -1;
 
     obj = PyObject_GetAttrString(ir, "functions");
     if (obj == NULL)
@@ -471,6 +581,7 @@ static int load_program(PyObject *ir, Program *p)
         PyErr_NoMemory();
         return -1;
     }
+    p->max_slots = 1;
     for (int f = 0; f < p->nf; f++) {
         PyObject *info = PySequence_Fast_GET_ITEM(functions, f);
         long body = int_attr(info, "body");
@@ -486,7 +597,7 @@ static int load_program(PyObject *ir, Program *p)
         }
         p->ctx.fbody[f] = (int32_t)body;
         p->ctx.fslots[f] = (int32_t)slots;
-        max_slots = Py_MAX(max_slots, (int)slots);
+        p->max_slots = Py_MAX(p->max_slots, (int)slots);
     }
     Py_DECREF(functions);
 
@@ -498,20 +609,10 @@ static int load_program(PyObject *ir, Program *p)
         return -1;
     }
     p->entry = (int)entry;
-    if (validate(p, max_slots) < 0)
+    if (bad_rows(p, "IR", p->n, 0, p->n, p->max_slots) < 0)
         return -1;
-
-    /* Frames nest, one per depth below STACK_LIMIT, and each fits in
-       max_slots cells; the leading cell is where a slot of -1 points. */
-    p->ctx.stack = PyMem_Malloc(((size_t)STACK_LIMIT * max_slots + 1)
-                                * sizeof(int64_t));
-    p->args = PyMem_Malloc(p->ctx.fslots[p->entry] * sizeof(int64_t));
-    if (p->ctx.stack == NULL || p->args == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    *p->ctx.stack++ = 0;
-    return 0;
+    /* frames nest, one per depth below STACK_LIMIT */
+    return grow_stack(p, p->max_slots);
 }
 
 /* Borrow ``counts``, which must be a writable array('q') with one cell per
@@ -552,84 +653,146 @@ static int as_int32(PyObject *item, const char *what, int64_t *out)
     return 0;
 }
 
-/* Put a test's input array on the heap at offset 0 and its arguments in
-   p->args; returns the argument count, or -1 with an exception set. */
-static int load_test(Program *p, PyObject *test)
+/* ``obj.name``, a sequence of int32 values, as a new array of ``*n``
+   cells; NULL with an exception set. */
+static int32_t *int32_field(PyObject *obj, const char *name, Py_ssize_t *n)
 {
-    Ctx *ctx = &p->ctx;
-    PyObject *obj, *fast;
-    Py_ssize_t n, k;
+    PyObject *value = PyObject_GetAttrString(obj, name), *fast;
+    int32_t *out;
     int64_t v;
-    int argc = -1;
-
-    obj = PyObject_GetAttrString(test, "input_array");
-    if (obj == NULL)
-        return -1;
-    fast = PySequence_Fast(obj, "input_array must be a sequence");
-    Py_DECREF(obj);
+    if (value == NULL)
+        return NULL;
+    fast = PySequence_Fast(value, "a test's fields must be sequences");
+    Py_DECREF(value);
     if (fast == NULL)
-        return -1;
-    n = PySequence_Fast_GET_SIZE(fast);
-    if (n > HEAP_LIMIT) {
-        PyErr_SetString(PyExc_ValueError, "input_array exceeds the heap");
-        goto done;
-    }
-    if (grow_heap(ctx, n > 0 ? n : 1) != 0) {
+        return NULL;
+    *n = PySequence_Fast_GET_SIZE(fast);
+    out = PyMem_Malloc((size_t)Py_MAX(*n, 1) * sizeof(int32_t));
+    if (out == NULL)
         PyErr_NoMemory();
-        goto done;
+    for (Py_ssize_t k = 0; out != NULL && k < *n; k++) {
+        if (as_int32(PySequence_Fast_GET_ITEM(fast, k), name, &v) < 0) {
+            PyMem_Free(out);
+            out = NULL;
+        } else {
+            out[k] = (int32_t)v;
+        }
     }
-    for (k = 0; k < n; k++) {
-        if (as_int32(PySequence_Fast_GET_ITEM(fast, k), "input_array",
-                     &v) < 0)
-            goto done;
-        ctx->heap[k] = (int32_t)v;
-    }
-    ctx->heap_len = n;
     Py_DECREF(fast);
-
-    obj = PyObject_GetAttrString(test, "extra_args");
-    if (obj == NULL)
-        return -1;
-    fast = PySequence_Fast(obj, "extra_args must be a sequence");
-    Py_DECREF(obj);
-    if (fast == NULL)
-        return -1;
-    if (PySequence_Fast_GET_SIZE(fast) >= ctx->fslots[p->entry]) {
-        PyErr_SetString(PyExc_ValueError,
-                        "more arguments than the entry function's frame");
-        goto done;
-    }
-    p->args[0] = (int64_t)n;   /* the input array: offset 0, length n */
-    for (k = 0; k < PySequence_Fast_GET_SIZE(fast); k++)
-        if (as_int32(PySequence_Fast_GET_ITEM(fast, k), "extra_args",
-                     &p->args[k + 1]) < 0)
-            goto done;
-    argc = (int)k + 1;
-done:
-    Py_DECREF(fast);
-    return argc;
+    return out;
 }
 
-/* Run one test; returns its (status, steps, error, final array) tuple. */
-static PyObject *run_one(Program *p, PyObject *test, PyObject *limit)
+/* Pack ``test`` and its step limit into ``t``; with ``expected``, its
+   expected output too. */
+static int pack_test(Program *p, Test *t, PyObject *test, PyObject *limit,
+                     int expected)
+{
+    int32_t *extra;
+    Py_ssize_t n_extra;
+    t->limit = PyLong_AsLongLong(limit);
+    if (t->limit == -1 && PyErr_Occurred())
+        return -1;
+    t->input = int32_field(test, "input_array", &t->n_input);
+    if (t->input == NULL)
+        return -1;
+    if (t->n_input > HEAP_LIMIT) {
+        PyErr_SetString(PyExc_ValueError, "input_array exceeds the heap");
+        return -1;
+    }
+    if (expected && (t->expected = int32_field(test, "expected_output",
+                                               &t->n_expected)) == NULL)
+        return -1;
+    extra = int32_field(test, "extra_args", &n_extra);
+    if (extra == NULL)
+        return -1;
+    if (n_extra >= p->ctx.fslots[p->entry]) {
+        PyMem_Free(extra);
+        PyErr_SetString(PyExc_ValueError,
+                        "more arguments than the entry function's frame");
+        return -1;
+    }
+    t->args = PyMem_Malloc((size_t)(n_extra + 1) * sizeof(int64_t));
+    if (t->args == NULL) {
+        PyMem_Free(extra);
+        PyErr_NoMemory();
+        return -1;
+    }
+    t->args[0] = (int64_t)t->n_input;   /* the input array: offset 0 */
+    for (Py_ssize_t k = 0; k < n_extra; k++)
+        t->args[k + 1] = extra[k];
+    t->argc = (int)n_extra + 1;
+    PyMem_Free(extra);
+    return 0;
+}
+
+/* Pack ``tests``, one step limit each from ``limits``. */
+static int load_suite(Program *p, PyObject *tests, PyObject *limits,
+                      int expected)
+{
+    PyObject *tests_fast, *limits_fast;
+    int st = -1;
+    tests_fast = PySequence_Fast(tests, "tests must be a sequence");
+    if (tests_fast == NULL)
+        return -1;
+    limits_fast = PySequence_Fast(limits, "limits must be a sequence");
+    if (limits_fast == NULL) {
+        Py_DECREF(tests_fast);
+        return -1;
+    }
+    p->n_tests = PySequence_Fast_GET_SIZE(tests_fast);
+    if (PySequence_Fast_GET_SIZE(limits_fast) != p->n_tests) {
+        PyErr_SetString(PyExc_ValueError, "need one step limit per test");
+        p->n_tests = 0;
+    } else if ((p->tests = PyMem_Calloc(Py_MAX(p->n_tests, 1),
+                                        sizeof(Test))) == NULL) {
+        PyErr_NoMemory();
+        p->n_tests = 0;
+    } else {
+        st = 0;
+        for (Py_ssize_t t = 0; st == 0 && t < p->n_tests; t++)
+            st = pack_test(p, &p->tests[t],
+                           PySequence_Fast_GET_ITEM(tests_fast, t),
+                           PySequence_Fast_GET_ITEM(limits_fast, t),
+                           expected);
+    }
+    Py_DECREF(tests_fast);
+    Py_DECREF(limits_fast);
+    return st;
+}
+
+/* Run test ``t`` from a fresh heap and stack; its final array is then
+   heap[0 .. t->n_input). */
+static int run_test(Program *p, const Test *t)
 {
     Ctx *ctx = &p->ctx;
-    Py_ssize_t n_input;
-    PyObject *final;
-    int argc, st;
-
-    ctx->limit = PyLong_AsLongLong(limit);
-    if (ctx->limit == -1 && PyErr_Occurred())
-        return NULL;
-    argc = load_test(p, test);
-    if (argc < 0)
-        return NULL;
-    n_input = ctx->heap_len;
+    if (grow_heap(ctx, Py_MAX(t->n_input, 1)) != 0)
+        return ST_NOMEM;
+    if (t->n_input > 0)
+        memcpy(ctx->heap, t->input, (size_t)t->n_input * sizeof(int32_t));
+    ctx->heap_len = t->n_input;
+    ctx->limit = t->limit;
     ctx->steps = 0;
     ctx->sp = 0;
     ctx->fault = ERR_NONE;
-    st = call_fn(ctx, p->entry, p->args, argc, 0);
-    switch (st) {
+    return call_fn(ctx, p->entry, t->args, t->argc, 0);
+}
+
+/* Whether a run of ``t`` that ended with ``st`` left its expected
+   output. */
+static int passed(const Program *p, const Test *t, int st)
+{
+    return st == ST_OK && t->n_expected == t->n_input
+           && (t->n_input == 0
+               || memcmp(p->ctx.heap, t->expected,
+                         (size_t)t->n_input * sizeof(int32_t)) == 0);
+}
+
+/* Run one test; returns its (status, steps, error, final array) tuple. */
+static PyObject *run_one(Program *p, const Test *t)
+{
+    Ctx *ctx = &p->ctx;
+    PyObject *final;
+    switch (run_test(p, t)) {
     case ST_NOMEM:
         return PyErr_NoMemory();
     case ST_TIMEOUT:
@@ -639,10 +802,10 @@ static PyObject *run_one(Program *p, PyObject *test, PyObject *limit)
         return Py_BuildValue("(iLiO)", STATUS_ERROR, (long long)ctx->steps,
                              ctx->fault, Py_None);
     }
-    final = PyTuple_New(n_input);
+    final = PyTuple_New(t->n_input);
     if (final == NULL)
         return NULL;
-    for (Py_ssize_t k = 0; k < n_input; k++) {
+    for (Py_ssize_t k = 0; k < t->n_input; k++) {
         PyObject *item = PyLong_FromLong(ctx->heap[k]);
         if (item == NULL) {
             Py_DECREF(final);
@@ -657,40 +820,236 @@ static PyObject *run_one(Program *p, PyObject *test, PyObject *limit)
 static PyObject *run_tests(PyObject *self, PyObject *args)
 {
     PyObject *ir, *tests, *limits, *counts = Py_None, *results = NULL;
-    PyObject *tests_fast = NULL, *limits_fast = NULL;
     Program p;
-    Py_ssize_t n_tests;
     (void)self;
     if (!PyArg_ParseTuple(args, "OOO|O:run_tests", &ir, &tests, &limits,
                           &counts))
         return NULL;
-    tests_fast = PySequence_Fast(tests, "tests must be a sequence");
-    if (tests_fast == NULL)
-        return NULL;
-    limits_fast = PySequence_Fast(limits, "limits must be a sequence");
-    if (limits_fast == NULL) {
-        Py_DECREF(tests_fast);
-        return NULL;
-    }
-    n_tests = PySequence_Fast_GET_SIZE(tests_fast);
     memset(&p, 0, sizeof(p));
-    if (PySequence_Fast_GET_SIZE(limits_fast) != n_tests)
-        PyErr_SetString(PyExc_ValueError, "need one step limit per test");
-    else if (load_program(ir, &p) == 0
-             && (counts == Py_None || load_counts(counts, &p) == 0))
-        results = PyList_New(n_tests);
-    for (Py_ssize_t t = 0; results != NULL && t < n_tests; t++) {
-        PyObject *row = run_one(&p, PySequence_Fast_GET_ITEM(tests_fast, t),
-                                PySequence_Fast_GET_ITEM(limits_fast, t));
+    if (load_program(ir, &p) == 0 && load_suite(&p, tests, limits, 0) == 0
+            && (counts == Py_None || load_counts(counts, &p) == 0))
+        results = PyList_New(p.n_tests);
+    for (Py_ssize_t t = 0; results != NULL && t < p.n_tests; t++) {
+        PyObject *row = run_one(&p, &p.tests[t]);
         if (row == NULL)
             Py_CLEAR(results);
         else
             PyList_SET_ITEM(results, t, row);
     }
     release_program(&p);
-    Py_DECREF(tests_fast);
-    Py_DECREF(limits_fast);
     return results;
+}
+
+static void free_handle(PyObject *handle)
+{
+    Program *p = PyCapsule_GetPointer(handle, HANDLE);
+    release_program(p);
+    PyMem_Free(p);
+}
+
+static PyObject *prepare(PyObject *self, PyObject *args)
+{
+    PyObject *ir, *tests, *limits, *handle;
+    Program *p;
+    (void)self;
+    if (!PyArg_ParseTuple(args, "OOO:prepare", &ir, &tests, &limits))
+        return NULL;
+    p = PyMem_Calloc(1, sizeof(Program));
+    if (p == NULL)
+        return PyErr_NoMemory();
+    if (load_program(ir, p) < 0 || load_suite(p, tests, limits, 1) < 0)
+        goto fail;
+    for (Py_ssize_t t = 0; t < p->n_tests; t++) {
+        Test *test = &p->tests[t];
+        int st = run_test(p, test);
+        if (st == ST_NOMEM) {
+            PyErr_NoMemory();
+            goto fail;
+        }
+        test->base_steps = p->ctx.steps;
+        test->base_passed = passed(p, test, st);
+        test->base_timeout = st == ST_TIMEOUT;
+        test->base_error = st == ST_FAULT;
+    }
+    handle = PyCapsule_New(p, HANDLE, free_handle);
+    if (handle != NULL)
+        return handle;
+fail:
+    release_program(p);
+    PyMem_Free(p);
+    return NULL;
+}
+
+/* A cell a patch overwrote, and the value it held. */
+typedef struct {
+    int field;
+    Py_ssize_t row;
+    int64_t old;
+} Saved;
+
+static int64_t get_cell(const Program *p, int field, Py_ssize_t row)
+{
+    if (field == CELL_A)
+        return ((int64_t *)p->col[1])[row];
+    return ((int32_t *)p->col[field == CELL_B ? 2 : 3])[row];
+}
+
+static void set_cell(Program *p, int field, Py_ssize_t row, int64_t value)
+{
+    if (field == CELL_A)
+        ((int64_t *)p->col[1])[row] = value;
+    else
+        ((int32_t *)p->col[field == CELL_B ? 2 : 3])[row] = (int32_t)value;
+}
+
+/* Overwrite the cells ``patch.cells`` lists, saving each old value in
+   ``saved``; returns how many were written, all of them unless an
+   exception is set. */
+static Py_ssize_t put_cells(Program *p, PyObject *cells, Saved *saved,
+                            Py_ssize_t n_cells)
+{
+    for (Py_ssize_t c = 0; c < n_cells; c++) {
+        PyObject *cell = PySequence_Fast_GET_ITEM(cells, c);
+        int field;
+        Py_ssize_t row;
+        long long value;
+        if (!PyTuple_Check(cell)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "a patch cell is a (field, row, value) tuple");
+            return c;
+        }
+        if (!PyArg_ParseTuple(cell, "inL:cell", &field, &row, &value))
+            return c;
+        if (field < CELL_A || field > CELL_FIRST || row < 0 || row >= p->n
+                || (field != CELL_A
+                    && (value < INT32_MIN || value > INT32_MAX))) {
+            PyErr_Format(PyExc_ValueError, "malformed patch: cell %zd", c);
+            return c;
+        }
+        saved[c].field = field;
+        saved[c].row = row;
+        saved[c].old = get_cell(p, field, row);
+        set_cell(p, field, row, value);
+    }
+    return n_cells;
+}
+
+/* Add the outcome of a test to the summary (steps, passed, timeout,
+   error). */
+#define SUM(steps_, passed_, timeout_, error_) \
+    do { steps += (steps_); n_passed += (passed_); \
+         any_timeout |= (timeout_); any_error |= (error_); } while (0)
+
+static PyObject *run_patch(PyObject *self, PyObject *args)
+{
+    PyObject *handle, *patch, *tests, *cells_obj, *cells = NULL,
+             *listed = NULL, *result = NULL;
+    Program *p;
+    Saved *saved = NULL;
+    Py_ssize_t m, n_cells = 0, written = 0, prev = -1, t;
+    long function, n_slots;
+    int old_slots = 0, max_slots;
+    int64_t steps = 0;
+    Py_ssize_t n_passed = 0;
+    int any_timeout = 0, any_error = 0;
+    (void)self;
+    if (!PyArg_ParseTuple(args, "OOO:run_patch", &handle, &patch, &tests))
+        return NULL;
+    p = PyCapsule_GetPointer(handle, HANDLE);
+    if (p == NULL)
+        return NULL;
+    function = int_attr(patch, "function");
+    n_slots = PyErr_Occurred() ? -1 : int_attr(patch, "n_slots");
+    if (PyErr_Occurred())
+        return NULL;
+    if (function != -1 && (function < 0 || function >= p->nf
+                           || n_slots < p->ctx.fslots[function]
+                           || n_slots > INT32_MAX)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "malformed patch: a frame may only grow");
+        return NULL;
+    }
+    cells_obj = PyObject_GetAttrString(patch, "cells");
+    if (cells_obj == NULL)
+        return NULL;
+    cells = PySequence_Fast(cells_obj, "patch.cells must be a sequence");
+    Py_DECREF(cells_obj);
+    if (cells == NULL)
+        return NULL;
+    listed = PySequence_Fast(tests, "tests must be a sequence");
+    if (listed == NULL)
+        goto done;
+    m = put_rows(p, patch, p->n);
+    if (m < 0)
+        goto done;
+    n_cells = PySequence_Fast_GET_SIZE(cells);
+    saved = PyMem_Malloc((size_t)Py_MAX(n_cells, 1) * sizeof(Saved));
+    if (saved == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    written = put_cells(p, cells, saved, n_cells);
+    if (written < n_cells)
+        goto done;
+    max_slots = p->max_slots;
+    if (function != -1) {
+        old_slots = p->ctx.fslots[function];
+        p->ctx.fslots[function] = (int32_t)n_slots;
+        max_slots = Py_MAX(max_slots, (int)n_slots);
+    }
+    /* prepare validated the program's rows; of those, only the rows whose
+       cells the patch wrote have changed */
+    if (bad_rows(p, "patch", p->n + m, p->n, p->n + m, max_slots) < 0)
+        goto done;
+    for (Py_ssize_t c = 0; c < n_cells; c++)
+        if (bad_rows(p, "patch", p->n + m, saved[c].row, saved[c].row + 1,
+                     max_slots) < 0)
+            goto done;
+    if (grow_stack(p, max_slots) < 0)
+        goto done;
+
+    for (Py_ssize_t j = 0; j < PySequence_Fast_GET_SIZE(listed); j++) {
+        Test *test;
+        int st;
+        t = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(listed, j));
+        if (t == -1 && PyErr_Occurred())
+            goto done;
+        if (t <= prev || t >= p->n_tests) {
+            PyErr_SetString(PyExc_ValueError,
+                            "tests must be increasing test indices");
+            goto done;
+        }
+        for (prev++; prev < t; prev++)
+            SUM(p->tests[prev].base_steps, p->tests[prev].base_passed,
+                p->tests[prev].base_timeout, p->tests[prev].base_error);
+        test = &p->tests[t];
+        st = run_test(p, test);
+        if (st == ST_NOMEM) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        SUM(p->ctx.steps, passed(p, test, st), st == ST_TIMEOUT,
+            st == ST_FAULT);
+    }
+    for (prev++; prev < p->n_tests; prev++)
+        SUM(p->tests[prev].base_steps, p->tests[prev].base_passed,
+            p->tests[prev].base_timeout, p->tests[prev].base_error);
+    result = Py_BuildValue("(LnOO)", (long long)steps, n_passed,
+                           any_timeout ? Py_True : Py_False,
+                           any_error ? Py_True : Py_False);
+done:
+    /* restore the program: its rows end at p->n again */
+    while (written > 0) {
+        written--;
+        set_cell(p, saved[written].field, saved[written].row,
+                 saved[written].old);
+    }
+    if (old_slots)
+        p->ctx.fslots[function] = old_slots;
+    PyMem_Free(saved);
+    Py_XDECREF(listed);
+    Py_DECREF(cells);
+    return result;
 }
 
 static PyMethodDef methods[] = {
@@ -698,6 +1057,15 @@ static PyMethodDef methods[] = {
      "run_tests(ir, tests, limits, counts=None)"
      " -> [(status, steps, error, final)]\n\n"
      "Run every test with its step limit; see engine_py.run_tests."},
+    {"prepare", prepare, METH_VARARGS,
+     "prepare(ir, tests, limits) -> handle\n\n"
+     "Validate the IR, pack the suite and run it once; see "
+     "engine_py.prepare."},
+    {"run_patch", run_patch, METH_VARARGS,
+     "run_patch(handle, patch, tests)"
+     " -> (total_steps, n_correct, any_timeout, any_error)\n\n"
+     "Run the listed tests on the prepared program with a patch applied; "
+     "see engine_py.run_patch."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -26,6 +26,12 @@ enforces. Semantics frozen here:
 - newArray(n) zero-fills; n < 0, or growing the heap past 2^20 ints, raises
   IndexOutOfBounds. Uninitialised variables read as 0 (= false = the empty
   array reference).
+
+``run_tests`` runs a whole IR on a suite. ``prepare`` and ``run_patch``
+run variants given as a ``runtime.ir.Patch`` on a prepared original, on a
+subset of the tests, and return a four-number summary; they validate the
+IR and each patch as ``engine.c`` does, so that both raise ValueError on
+the same malformed input.
 """
 
 from __future__ import annotations
@@ -33,10 +39,10 @@ from __future__ import annotations
 import sys
 
 from .ir import (
-    ProgramIR,
+    Patch, ProgramIR, apply_patch, CELL_A, CELL_FIELDS,
     OP_BLOCK, OP_VARDECL, OP_ASSIGN, OP_IF, OP_FOR, OP_WHILE, OP_RETURN,
     OP_EXPRSTMT, OP_BINARY, OP_UNARY, OP_INCDEC, OP_CALL, OP_INDEX,
-    OP_IDENT, OP_INTLIT, OP_BOOLLIT,
+    OP_IDENT, OP_INTLIT, OP_BOOLLIT, OP_OPER,
     BOP_ADD, BOP_SUB, BOP_MUL, BOP_DIV, BOP_MOD, BOP_LT, BOP_LE, BOP_GT,
     BOP_GE, BOP_EQ, BOP_NE, BOP_AND, BOP_OR,
     HEAP_LIMIT, ARRAY_SHIFT, LEN_MASK, STACK_LIMIT, pack_array,
@@ -274,3 +280,121 @@ def run_tests(ir: ProgramIR, tests, limits, counts=None):
             if status == STATUS_COMPLETED else None
         results.append((status, steps, err, final))
     return results
+
+
+# the suite as a patch runs it --------------------------------------------
+
+_INT32 = range(-(1 << 31), 1 << 31)
+
+
+def _min_children(k, b):
+    """Minimum children of each opcode the engines step into."""
+    if k in (OP_ASSIGN, OP_FOR, OP_UNARY, OP_INDEX):
+        return 2
+    if k == OP_BINARY:
+        return 3
+    if k in (OP_IF, OP_WHILE, OP_EXPRSTMT):
+        return 1
+    if k == OP_VARDECL:
+        return 2 if b else 0
+    if k == OP_RETURN:
+        return 1 if b else 0
+    return 0
+
+
+def _bad_row(ir, i, max_slots):
+    """Why row ``i`` of ``ir`` is unsafe to run, or None: every index the
+    engines follow from it must stay inside the rows, the function table
+    and a frame of ``max_slots`` cells (``engine.c``'s ``bad_row``)."""
+    kind, a, b, first, nch = ir.kind, ir.a, ir.b, ir.first, ir.nch
+    functions = ir.functions
+    k, lo, width, ai = kind[i], first[i], nch[i], a[i]
+    if not 0 <= k <= OP_OPER:
+        return "unknown opcode"
+    if width < 0 or (width > 0 and not 0 <= lo <= len(kind) - width):
+        return "child range outside the rows"
+    if width < _min_children(k, b[i]):
+        return "too few children"
+    if k == OP_ASSIGN and kind[lo] != OP_IDENT and nch[lo] < 2:
+        return "assignment target"
+    if k == OP_IF and not 0 <= ai < width:
+        return "then-branch length"
+    if k == OP_CALL and (not -1 <= ai < len(functions) or b[i] != width
+                         or (ai == -1 and width != 1)
+                         or (ai >= 0 and width > functions[ai].n_slots)):
+        return "call"
+    if k in (OP_FOR, OP_INCDEC, OP_VARDECL) and not 0 <= ai < max_slots:
+        return "frame slot"
+    # a VarDecl's name holds -1; it is never read
+    if k == OP_IDENT and not -1 <= ai < max_slots:
+        return "frame slot"
+    return None
+
+
+def _check_rows(ir, rows, what):
+    max_slots = max([1] + [f.n_slots for f in ir.functions])
+    for i in rows:
+        why = _bad_row(ir, i, max_slots)
+        if why is not None:
+            raise ValueError(f"malformed {what}: {why} at node {i}")
+
+
+def summarize(runs, tests):
+    """The (total_steps, n_correct, any_timeout, any_error) of
+    ``run_tests`` rows of ``tests``: what ``run_patch`` returns."""
+    return (sum(steps for _, steps, _, _ in runs),
+            sum(final == tuple(test.expected_output)
+                for (_, _, _, final), test in zip(runs, tests)),
+            any(status == STATUS_TIMEOUT for status, _, _, _ in runs),
+            any(status == STATUS_ERROR for status, _, _, _ in runs))
+
+
+def prepare(ir: ProgramIR, tests, limits):
+    """A handle on ``ir`` and ``tests`` for ``run_patch``: ``ir`` is
+    validated as ``engine.c`` validates it (ValueError if malformed), each
+    test gets its step limit from ``limits``, and every test runs once to
+    record ``ir``'s own outcome on it."""
+    for f, info in enumerate(ir.functions):
+        if not (0 <= info.body < len(ir.kind) and info.n_slots >= 1
+                and info.n_slots in _INT32):
+            raise ValueError(f"malformed IR: function {f}")
+    if not 0 <= ir.entry < len(ir.functions):
+        raise ValueError("malformed IR: entry")
+    _check_rows(ir, range(len(ir.kind)), "IR")
+    tests, limits = tuple(tests), tuple(limits)
+    if len(tests) != len(limits):
+        raise ValueError("need one step limit per test")
+    return ir, tests, limits, tuple(run_tests(ir, tests, limits))
+
+
+def run_patch(handle, patch: Patch, tests):
+    """Run the tests numbered ``tests`` (increasing indices into the
+    prepared suite) on the prepared program with ``patch`` applied, and
+    return (total_steps, n_correct, any_timeout, any_error) over the whole
+    suite: a test left out counts the prepared program's own outcome.
+    Only the patch is validated: its appended rows, the rows whose cells it
+    overwrites, and its frame, which may only grow. A malformed patch
+    raises ValueError. The handle itself never changes."""
+    ir, suite, limits, base = handle
+    f = patch.function
+    if f != -1 and not (0 <= f < len(ir.functions)
+                        and ir.functions[f].n_slots <= patch.n_slots
+                        and patch.n_slots in _INT32):
+        raise ValueError("malformed patch: a frame may only grow")
+    for c, (field, row, value) in enumerate(patch.cells):
+        if not (0 <= field < len(CELL_FIELDS) and 0 <= row < len(ir.kind)
+                and (field == CELL_A or value in _INT32)):
+            raise ValueError(f"malformed patch: cell {c}")
+    variant = apply_patch(ir, patch)
+    _check_rows(variant, [*range(len(ir.kind), len(variant.kind)),
+                          *(row for _, row, _ in patch.cells)], "patch")
+    listed = list(tests)
+    if any(not 0 <= t < len(suite) for t in listed) \
+            or any(s >= t for s, t in zip(listed, listed[1:])):
+        raise ValueError("tests must be increasing test indices")
+    rows = list(base)
+    runs = run_tests(variant, [suite[t] for t in listed],
+                     [limits[t] for t in listed])
+    for t, run in zip(listed, runs):
+        rows[t] = run
+    return summarize(rows, suite)

@@ -10,12 +10,18 @@ the engines never see names.
 
 A variant that differs from an accepted program in one expression,
 operator or statement, and that ``lang.check.Holes`` accepts, is not
-lowered afresh: ``splice_ir`` patches the original's IR, appending new
-rows at the end of the arrays, with no new opcode and no new step event.
-A statement donor's declarations bind fresh slots past the original
-frame, which grows to hold them; both engines zero a frame at every
-call, so where a variable sits does not change a run. ``frame_slot`` and
-``operator_code`` are the payload rules both share.
+lowered afresh: ``splice_patch`` describes it as a ``Patch`` on the
+original's IR, with no new opcode and no new step event. The patch
+holds only what changes: rows appended after the original's last row,
+the few cells of the original's rows it overwrites (the parent's
+``first``, or an operator payload), and one grown frame. A statement
+donor's declarations bind fresh slots past the original frame, which
+grows to hold them; both engines zero a frame at every call, so where a
+variable sits does not change a run. The engines' ``run_patch`` apply a
+patch to a prepared original in place and undo it after the run;
+``apply_patch`` builds the whole variant IR, for runs of one variant
+and for the differentials. ``frame_slot`` and ``operator_code`` are the
+payload rules lowering and splicing share.
 
 Per-node payload fields ``a`` and ``b``:
 
@@ -197,31 +203,55 @@ def build_ir(program: Program) -> ProgramIR:
                      program.entry_index())
 
 
-def splice_ir(ir: ProgramIR, program: Program, target: int, donor: AstNode,
-              donor_id: int, slots) -> ProgramIR:
-    """The IR of ``program``, which ``ir`` was lowered from, with ``donor``
+# The cells of a program's own rows a patch may overwrite.
+CELL_A, CELL_B, CELL_FIRST = 0, 1, 2
+CELL_FIELDS = ("a", "b", "first")
+
+
+class Patch(NamedTuple):
+    """A variant as a change to a ``ProgramIR``: rows appended after its
+    last row, cells of its own rows overwritten, and at most one frame
+    grown. The engines' ``run_patch`` apply it in place and undo it."""
+    kind: array     # the appended rows, numbered from len(ir.kind) on
+    a: array
+    b: array
+    first: array
+    nch: array
+    cells: tuple    # (field, row, value): field CELL_A, CELL_B or CELL_FIRST
+    function: int   # the function whose frame grows, or -1
+    n_slots: int    # its new frame size
+
+
+def empty_patch() -> Patch:
+    """The patch that changes nothing."""
+    return Patch(array("i"), array("q"), array("i"), array("i"), array("i"),
+                 (), -1, 0)
+
+
+def splice_patch(ir: ProgramIR, program: Program, target: int,
+                 donor: AstNode, donor_id: int, slots) -> Patch:
+    """The patch on ``ir``, lowered from ``program``, that puts ``donor``
     (node ``donor_id`` of ``program``, -1 for an operator) in place of node
     ``target``. Only for a donor that ``lang.check.Holes`` accepted there:
     the variant then checks, and every variable it shares with the
     original keeps its slot. ``slots`` are the slots that hole check
     resolved, keyed by ``program``'s node ids.
 
-    An operator only changes its parent's payload. Any other donor gets new
-    rows at the end: a copy of the parent's child row with the donor in
-    the target's place, then the donor's descendants breadth-first, whose
-    ``first`` is remapped; the parent's ``first`` then points at the new
-    row. A statement donor's VarDecls and For loops bind the fresh slots
-    the hole check gave them, past the original's frame, and the frame of
-    the target's function grows to hold them; ``entry`` is shared. Arrays
-    the splice does not change are shared with ``ir``."""
+    An operator only overwrites its parent's payload. Any other donor gets
+    new rows: a copy of the parent's child row with the donor in the
+    target's place, then the donor's descendants breadth-first, whose
+    ``first`` is remapped; the parent's ``first`` is overwritten to point
+    at the new row. A statement donor's VarDecls and For loops bind the
+    fresh slots the hole check gave them, past the original's frame, and
+    the frame of the target's function grows to hold them. Only the new
+    rows are built; ``ir`` is not copied."""
     kind, a, b, first, nch = ir.kind, ir.a, ir.b, ir.first, ir.nch
     parent = program.parent[target]
     code = kind[parent]
     if donor.kind == KIND_OPERATOR:
-        field = "b" if code == OP_INCDEC else "a"
-        payload = getattr(ir, field)[:]
-        payload[parent] = operator_code(code, donor.op)
-        return ir._replace(**{field: payload})
+        field = CELL_B if code == OP_INCDEC else CELL_A
+        return empty_patch()._replace(
+            cells=((field, parent, operator_code(code, donor.op)),))
 
     row, width = first[parent], nch[parent]
     at = target - row   # the target's place in its parent's child row
@@ -250,24 +280,43 @@ def splice_ir(ir: ProgramIR, program: Program, target: int, donor: AstNode,
             # an identifier the check gave no slot is a VarDecl's name,
             # and keeps the -1 it has in ``ir``
             new_a[j] = frame_slot(k, i, first, slots)
-    a = a + array("q", new_a)
-    first = first + array("i", new_first)
-    first[parent] = n
+    cells = ((CELL_FIRST, parent, n),)
     if code == OP_INCDEC:
         # the donor is the operand, whose slot the IncDec carries
-        a[parent] = new_a[at]
-    functions = ir.functions
+        cells += ((CELL_A, parent, new_a[at]),)
+    function = -1
     if n_slots:
         f = parent
         while program.parent[f] >= 0:   # function k is node k
             f = program.parent[f]
+        if n_slots > ir.functions[f].n_slots:
+            function = f
+    return Patch(array("i", [kind[i] for i in src]), array("q", new_a),
+                 array("i", [b[i] for i in src]), array("i", new_first),
+                 array("i", [nch[i] for i in src]), cells, function, n_slots)
+
+
+def apply_patch(ir: ProgramIR, patch: Patch) -> ProgramIR:
+    """The whole IR ``patch`` describes on ``ir``, in new arrays. Arrays
+    and the function table the patch does not change are shared with
+    ``ir``. The patch is not validated; the engines' ``run_patch`` do
+    that."""
+    columns = {}
+    for field, row, value in patch.cells:
+        name = CELL_FIELDS[field]
+        if name not in columns:
+            columns[name] = getattr(ir, name)[:]
+        columns[name][row] = value
+    if len(patch.kind):
+        for name in ("kind", "a", "b", "first", "nch"):
+            columns[name] = columns.get(name, getattr(ir, name)) \
+                + getattr(patch, name)
+    functions = ir.functions
+    if patch.function >= 0:
         functions = list(functions)
-        functions[f] = functions[f]._replace(
-            n_slots=max(n_slots, functions[f].n_slots))
-    return ir._replace(kind=kind + array("i", [kind[i] for i in src]), a=a,
-                       b=b + array("i", [b[i] for i in src]), first=first,
-                       nch=nch + array("i", [nch[i] for i in src]),
-                       functions=functions)
+        functions[patch.function] = functions[patch.function]._replace(
+            n_slots=patch.n_slots)
+    return ir._replace(functions=functions, **columns)
 
 
 def pack_array(offset: int, length: int) -> int:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import types
 
 import pytest
 
@@ -406,12 +407,39 @@ class _Exhausted:
     def run_tests(ir, tests, limits, counts=None):
         raise MemoryError
 
+    @staticmethod
+    def prepare(ir, tests, limits):
+        raise MemoryError
+
+    @staticmethod
+    def run_patch(handle, patch, tests):
+        raise MemoryError
+
 
 def test_out_of_memory_exits_one_with_one_line(tmp_path, capsys,
                                                monkeypatch):
     monkeypatch.setattr("perfloc.runtime.exec._ENGINE", _Exhausted)
+    for technique in ("deletion", "exhaustive"):
+        assert main(["localize", BUBBLE, "--tests", SUITE, "--technique",
+                     technique, "--out", str(tmp_path)]) == 1, technique
+        assert capsys.readouterr().err.splitlines() \
+            == ["error: out of memory"], technique
+
+
+@pytest.mark.parametrize("call", ["prepare", "run_patch"])
+def test_out_of_memory_in_a_patch_run_exits_one_with_one_line(
+        tmp_path, capsys, monkeypatch, call):
+    # the original's own runs succeed; preparing it, or the first
+    # variant's run, fails
+    from perfloc.runtime import exec as execution
+    engine = types.SimpleNamespace(
+        run_tests=execution._ENGINE.run_tests,
+        prepare=execution._ENGINE.prepare,
+        run_patch=execution._ENGINE.run_patch)
+    setattr(engine, call, getattr(_Exhausted, call))
+    monkeypatch.setattr(execution, "_ENGINE", engine)
     assert main(["localize", BUBBLE, "--tests", SUITE, "--technique",
-                 "deletion", "--out", str(tmp_path)]) == 1
+                 "exhaustive", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
 
 
@@ -425,7 +453,7 @@ def test_crashed_worker_exits_one_with_one_line(tmp_path, capsys,
     import shutil
     # Forked workers inherit the patch; the parent never calls it before
     # the pool breaks.
-    monkeypatch.setattr("perfloc.mutation.run_suite", _die)
+    monkeypatch.setattr("perfloc.mutation.run_patch", _die)
     out = str(tmp_path / "out")
     if command == "localize":
         argv = ["localize", BUBBLE, "--tests", SUITE, "--technique",

@@ -42,7 +42,8 @@ def test_every_benchmark_probe_resolves():
 
 
 LOOP_BINDINGS = ("replace_node", "static_check", "compile_program",
-                 "run_suite", "classify_variant", "baseline_limits")
+                 "run_suite", "run_patch", "classify_variant",
+                 "baseline_limits")
 
 
 def test_the_probes_see_every_step_of_the_exhaustive_loop(bubble_loops,
@@ -78,8 +79,10 @@ def test_the_probes_see_every_step_of_the_exhaustive_loop(bubble_loops,
         "static_check": full_path,
         "classify_variant": generated,
         # the original is lowered once more, for its baseline, whose runs
-        # go through baseline_limits
-        "compile_program": compiled - accepted + 1, "run_suite": compiled,
+        # go through baseline_limits; an accepted variant runs as a patch
+        # on the prepared original, and a built one through run_suite
+        "compile_program": compiled - accepted + 1,
+        "run_suite": compiled - accepted, "run_patch": accepted,
         "baseline_limits": 1,
     }
 

@@ -22,14 +22,14 @@ from perfloc.lang.ast import KIND_INCDEC, KIND_VARDECL
 from perfloc.lang.check import Holes, static_check
 from perfloc.lang.edit import replace_node
 from perfloc.lang.parser import parse_program
-from perfloc.mutation import exhaustive_descriptors
+from perfloc.mutation import exhaustive_descriptors, reaching_tests
 from perfloc.runtime import engine_py
 from perfloc.runtime.exec import (
     BOOTSTRAP_LIMIT, BaselineDiverged, MIN_STEP_LIMIT,
     baseline_limits, compile_program, run_suite,
 )
 from perfloc.runtime.exec import TestCase as Case
-from perfloc.runtime.ir import build_ir, splice_ir
+from perfloc.runtime.ir import apply_patch, build_ir, splice_patch
 
 
 def execute(ir, test, step_limit, engine=None, counts=None):
@@ -357,16 +357,20 @@ def test_a_build_deletes_the_stale_builds_beside_it(tmp_path, c_engine):
 # order exhaustive_descriptors lists them: about 3,500 variants, of which
 # about 1,000 compile. Fixed before the first comparison ran. The 983 a hole
 # accepts also run as splices of the original's IR, which the compiled
-# engine must accept (its ``validate`` checks every row) and run alike.
+# engine must accept (its ``validate`` checks every row) and run alike,
+# and as patches on the prepared original, on only the tests that reach
+# their target, whose summary must be the full runs'.
 PARITY_STRIDE = 7
 
 
 def test_engines_agree_on_a_slice_of_the_corpus_variants(problems, c_engine):
     compared = spliced = 0
     for name, problem in sorted(problems.items()):
-        program = problem.original
+        program, suite = problem.original, problem.suite
         base = compile_program(program)
-        limits, _ = baseline_limits(base, problem.suite)
+        limits, _ = baseline_limits(base, suite)
+        prepared = c_engine.prepare(base, suite, limits)
+        reach = reaching_tests(program, base, suite, limits)
         holes = Holes(program)
         descriptors = exhaustive_descriptors(program)
         for d in descriptors[::PARITY_STRIDE]:
@@ -376,13 +380,18 @@ def test_engines_agree_on_a_slice_of_the_corpus_variants(problems, c_engine):
                 irs.append(compile_program(variant))
             accepted, slots = holes.fit(d.target, d.donor, d.donor_id)
             if accepted:
-                irs.append(splice_ir(base, program, d.target,
-                                     d.donor, d.donor_id, slots))
+                patch = splice_patch(base, program, d.target, d.donor,
+                                     d.donor_id, slots)
+                irs.append(apply_patch(base, patch))
                 spliced += 1
             for ir in irs:
-                expected = engine_py.run_tests(ir, problem.suite, limits)
-                found = c_engine.run_tests(ir, problem.suite, limits)
+                expected = engine_py.run_tests(ir, suite, limits)
+                found = c_engine.run_tests(ir, suite, limits)
                 assert found == expected, (name, d.target, d.donor_label)
+            if accepted:   # ``expected`` holds the splice's runs
+                assert c_engine.run_patch(prepared, patch, reach[d.target]) \
+                    == engine_py.summarize(expected, suite), \
+                    (name, d.target, d.donor_label)
             compared += bool(irs)
     assert compared > 900
     assert spliced == 983

@@ -1,22 +1,34 @@
 """Splices: a hole-accepted variant runs as a patch on the original's IR.
 
-``runtime.ir.splice_ir`` must give the runs of the built variant. For an
-expression or operator donor its IR is the built variant's, up to where
-the new rows sit; a statement donor's declarations bind fresh slots past
-the original's frame, where lowering the variant numbers them afresh.
+``runtime.ir.splice_patch`` describes the variant, and the IR
+``apply_patch`` builds from it must give the runs of the built variant.
+For an expression or operator donor that IR is the built variant's, up to
+where the new rows sit; a statement donor's declarations bind fresh slots
+past the original's frame, where lowering the variant numbers them afresh.
+
+Both engines' ``run_patch`` run a patch on a prepared original, on only
+the tests they are given, and must give the summary of the whole IR's
+full run, refuse a malformed patch, and leave the original as it was.
 """
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from perfloc.lang.ast import AstNode, KIND_IDENT, KIND_OPERATOR
 from perfloc.lang.check import Holes, static_check
 from perfloc.lang.edit import replace_node
 from perfloc.lang.parser import parse_program
 from perfloc.lang.printer import render_snippet
-from perfloc.mutation import exhaustive_descriptors
+from perfloc.mutation import exhaustive_descriptors, reaching_tests
+from perfloc.runtime import engine_py
 from perfloc.runtime.exec import (
     BOOTSTRAP_LIMIT, baseline_limits, compile_program, run_suite,
 )
 from perfloc.runtime.exec import TestCase as Case
-from perfloc.runtime.ir import OP_FUNC, build_ir, splice_ir
+from perfloc.runtime.ir import (
+    CELL_FIRST, OP_FOR, OP_IF, OP_FUNC, apply_patch, build_ir, empty_patch,
+    splice_patch,
+)
 
 import test_holes
 
@@ -42,8 +54,8 @@ def differential(program, suite, limits, mismatches, name):
         if not verdict:
             continue
         accepted += 1
-        spliced = splice_ir(ir, program, d.target, d.donor, d.donor_id,
-                            slots)
+        spliced = apply_patch(ir, splice_patch(ir, program, d.target,
+                                               d.donor, d.donor_id, slots))
         built = compile_program(replace_node(program, d.target, d.donor))
         if run_suite(spliced, suite, limits) \
                 != run_suite(built, suite, limits):
@@ -96,6 +108,13 @@ SUITE = (Case((3, 1, 2), (3,), (1, 2, 3)),
          Case((), (0,), ()))
 
 
+def function_of(program, i):
+    """The function node ``i`` sits in; function k is node k."""
+    while program.parent[i] >= 0:
+        i = program.parent[i]
+    return i
+
+
 def find(program, text, nth=0):
     """Id of the ``nth`` node, in id order, that renders as ``text``."""
     return [i for i, n in enumerate(program.nodes)
@@ -109,8 +128,9 @@ def spliced_and_built(program, target, donor_id, donor=None):
         donor = program.nodes[donor_id]
     verdict, slots = Holes(program).fit(target, donor, donor_id)
     assert verdict is True
-    spliced = splice_ir(build_ir(program), program, target, donor,
-                        donor_id, slots)
+    base = build_ir(program)
+    spliced = apply_patch(base, splice_patch(base, program, target, donor,
+                                             donor_id, slots))
     return spliced, build_ir(replace_node(program, target, donor)), slots
 
 
@@ -164,7 +184,7 @@ def test_a_unary_operator_swap_matches_the_lowered_variant():
     bang = AstNode(KIND_OPERATOR, op="!")
     assert Holes(p).fit(negate, bang, -1)[0] is False
     base = build_ir(p)
-    spliced = splice_ir(base, p, negate, bang, -1, {})
+    spliced = apply_patch(base, splice_patch(base, p, negate, bang, -1, {}))
     variant = replace_node(p, negate, bang)
     variant.frames = p.frames
     assert spliced == build_ir(variant)
@@ -207,18 +227,12 @@ def test_a_donor_from_another_function_takes_its_holes_slot(problems):
     static_check(p)
     sort = 1
     assert p.functions[sort].name == "sort"
-
-    def function_of(i):
-        while p.parent[i] >= 0:
-            i = p.parent[i]
-        return i
-
     # `c`, first met in `sort`, put for `lo` in msort's `a[lo + c]`
     donor = next(i for i, n in enumerate(p.nodes)
                  if n.kind == KIND_IDENT and n.name == "c"
-                 and function_of(i) == sort)
+                 and function_of(p, i) == sort)
     target = p.first[find(p, "lo + c")] + 1
-    assert function_of(target) != sort
+    assert function_of(p, target) != sort
     spliced, built, slots = spliced_and_built(p, target, donor)
     assert slots[donor] != p.frames.slots[donor]  # msort's `c`, not sort's
     assert tree(spliced) == tree(built)
@@ -295,3 +309,167 @@ def test_a_statement_of_a_non_void_function_gets_no_true_verdict():
     verdict, _, target, donor = statement_fit(p, "return 1;", "one();")
     assert verdict is None
     assert static_check(replace_node(p, target, p.nodes[donor]))
+
+
+# patches on a prepared original -------------------------------------------
+
+# SOURCE takes at most 59 steps on a test of SUITE; a patch that loops
+# stops at this limit, which keeps engine_py quick
+LIMITS = [1000] * len(SUITE)
+ALL = tuple(range(len(SUITE)))
+LOOP = "for (int i = 0; i < length; i++) { a[i] = a[i] + n; n--; }"
+BRANCH = "if (!done && n < length) { a[0] = -n; }"
+
+
+@pytest.fixture(scope="session", params=["py", "c"])
+def engine(request):
+    """Each engine in turn: ``engine_py``, then the compiled one."""
+    if request.param == "py":
+        return engine_py
+    return request.getfixturevalue("c_engine")
+
+
+def statement_patch(program, target_text, donor_text, shift=0):
+    """The splice patch of the statement that renders as ``donor_text``
+    put for the one that renders as ``target_text``, with every fresh slot
+    of the donor ``shift`` cells further out."""
+    verdict, slots, target, donor = statement_fit(program, target_text,
+                                                  donor_text)
+    assert verdict is True
+    size = program.frames.sizes[function_of(program, target)]
+    slots = {i: s + shift if s >= size else s for i, s in slots.items()}
+    return splice_patch(build_ir(program), program, target,
+                        program.nodes[donor], donor, slots)
+
+
+def broken_patches(program):
+    """Patches of SOURCE that each break one rule the engines validate,
+    by name: (the start of the message it raises, the patch)."""
+    base = build_ir(program)
+    loop = statement_patch(program, BRANCH, LOOP)
+    branch = statement_patch(program, "n--;", BRANCH)
+    rows = len(base.kind) + len(loop.kind)
+    (_, parent, _), = loop.cells
+    j = list(loop.kind).index(OP_FOR)
+    first, slot = loop.first[:], loop.a[:]
+    first[j] = rows
+    slot[j] = loop.n_slots
+    k = list(branch.kind).index(OP_IF)
+    then = branch.a[:]
+    then[k] = branch.nch[k]
+    return {
+        "a new row's children past the rows":
+            (f"child range outside the rows at node {len(base.kind) + j}",
+             loop._replace(first=first)),
+        "the parent's children past the rows":
+            (f"child range outside the rows at node {parent}",
+             loop._replace(cells=((CELL_FIRST, parent, rows),))),
+        "a slot past the patched frame":
+            ("frame slot", loop._replace(a=slot)),
+        "a then-branch as long as the If":
+            ("then-branch length", branch._replace(a=then)),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "a new row's children past the rows",
+    "the parent's children past the rows",
+    "a slot past the patched frame",
+    "a then-branch as long as the If"])
+def test_a_malformed_patch_raises_value_error(engine, name):
+    p = parse_program(SOURCE)
+    handle = engine.prepare(build_ir(p), SUITE, LIMITS)
+    baseline = engine.run_patch(handle, empty_patch(), ALL)
+    message, patch = broken_patches(p)[name]
+    with pytest.raises(ValueError, match=f"malformed patch: {message}"):
+        engine.run_patch(handle, patch, ALL)
+    assert engine.run_patch(handle, empty_patch(), ALL) == baseline
+
+
+DEEP = """
+void down(int[] a, int length) {
+  if (length > 0) { down(a, length - 1); }
+  a[0] = a[0] + 1;
+}
+
+void sort(int[] a, int length) {
+  for (int i = 0; i < length; i++) { a[0] = a[0] + i; }
+  down(a, 200);
+}
+"""
+
+
+def test_a_frame_past_every_original_frame_grows_the_stack(engine):
+    # 200 nested calls of `down` with 2,000-cell frames: far past the
+    # stack the original's frames of at most 3 cells need
+    p = parse_program(DEEP)
+    base = build_ir(p)
+    patch = statement_patch(p, "a[0] = a[0] + 1;",
+                            "for (int i = 0; i < length; i++) "
+                            "{ a[0] = a[0] + i; }", shift=2000)
+    assert patch.n_slots > 2000 > max(f.n_slots for f in base.functions)
+    limits = [BOOTSTRAP_LIMIT] * len(SUITE)
+    handle = engine.prepare(base, SUITE, limits)
+    full = engine.run_tests(apply_patch(base, patch), SUITE, limits)
+    assert full[0][0] == engine_py.STATUS_COMPLETED
+    assert engine.run_patch(handle, patch, ALL) \
+        == engine_py.summarize(full, SUITE)
+
+
+def source_patches():
+    """Every accepted splice patch of SOURCE, then the broken ones."""
+    p = parse_program(SOURCE)
+    base, holes = build_ir(p), Holes(p)
+    patches = []
+    for d in exhaustive_descriptors(p):
+        verdict, slots = holes.fit(d.target, d.donor, d.donor_id)
+        if verdict:
+            patches.append(splice_patch(base, p, d.target, d.donor,
+                                        d.donor_id, slots))
+    return p, base, patches + [patch for _, patch
+                               in broken_patches(p).values()]
+
+
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6),
+                          st.sets(st.sampled_from(ALL))), max_size=6))
+@settings(max_examples=25, deadline=None)
+def test_an_empty_patch_after_any_patches_gives_the_baseline(engine, runs):
+    p, base, patches = source_patches()
+    handle = engine.prepare(base, SUITE, LIMITS)
+    for pick, tests in runs:
+        patch = patches[pick % len(patches)]
+        tests = sorted(tests)
+        try:
+            found = engine.run_patch(handle, patch, tests)
+        except ValueError:
+            continue
+        full = engine.run_tests(apply_patch(base, patch), SUITE, LIMITS)
+        if tests == list(ALL):
+            assert found == engine_py.summarize(full, SUITE)
+    baseline = engine_py.summarize(engine.run_tests(base, SUITE, LIMITS),
+                                   SUITE)
+    assert engine.run_patch(handle, empty_patch(), ALL) == baseline
+
+
+GUARDED = """
+void sort(int[] a, int length) {
+  int n = length;
+  if (length > 100) { a[0] = n; }
+  n = n + 1;
+}
+"""
+
+
+def test_a_target_no_test_reaches_is_left_out_on_every_test(engine):
+    p = parse_program(GUARDED)
+    base = build_ir(p)
+    target = find(p, "a[0] = n;")
+    reach = reaching_tests(p, base, SUITE, LIMITS)
+    assert reach[target] == reach[p.first[target] + 1] == ()
+    assert reach[find(p, "n = n + 1;")] == ALL
+    patch = statement_patch(p, "a[0] = n;", "n = n + 1;")
+    handle = engine.prepare(base, SUITE, LIMITS)
+    full = engine.run_tests(apply_patch(base, patch), SUITE, LIMITS)
+    assert engine.run_patch(handle, patch, reach[target]) \
+        == engine.run_patch(handle, patch, ALL) \
+        == engine_py.summarize(full, SUITE)
