@@ -45,11 +45,6 @@ SIZES = tuple(range(1, 11))
 ORDERINGS = ("sorted", "reverse", "random")
 VALUE_RANGE = 100
 
-PROBLEM_NAMES = (
-    "insertion", "bubble", "bubble_loops", "selection", "selection2",
-    "shell", "radix", "quick", "cocktail", "merge", "heap",
-)
-
 
 class CorpusInvalid(Exception):
     def __init__(self, failures: list[str]):

@@ -74,7 +74,6 @@ CATEGORY = {
 }
 
 STATEMENT_KINDS = frozenset(k for k, c in CATEGORY.items() if c == CAT_STATEMENT)
-EXPRESSION_KINDS = frozenset(k for k, c in CATEGORY.items() if c == CAT_EXPRESSION)
 
 BINARY_OPS = ("+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=", "&&", "||")
 UNARY_OPS = ("-", "!")
@@ -84,7 +83,6 @@ TYPE_INT = "int"
 TYPE_BOOL = "bool"
 TYPE_ARRAY = "int[]"
 TYPE_VOID = "void"
-TYPES = (TYPE_INT, TYPE_BOOL, TYPE_ARRAY, TYPE_VOID)
 
 ENTRY_NAME = "sort"
 

@@ -49,9 +49,9 @@ donor. There are three verdicts:
   whether a non-void function returns.
 
 The exhaustive loop never builds a variant a hole rejects, and runs one it
-accepts as a splice of the original's IR (``runtime.ir.splice_ir``) with
-the slots that replay resolved, so ``static_check`` decides only the
-variants the holes give no verdict on.
+accepts as a patch on the original's IR (``runtime.ir.splice_patch``)
+with the slots that replay resolved, so ``static_check`` decides only
+the variants the holes give no verdict on.
 """
 
 from __future__ import annotations

@@ -1,5 +1,10 @@
 """The compiled engine: ``engine.c``, built on first import and cached.
 
+Its ``run_tests`` and ``prepare`` take ``engine_py``'s arguments and pack
+the suite into the two buffers ``engine.c`` reads: an ``array('i')`` of
+each test's input, expected output and extra args (OverflowError for a
+value outside int32), and an ``array('q')`` of their lengths and limit.
+
 The first import compiles ``engine.c`` with the C compiler ``sysconfig``
 names, into ``__pycache__/_engine.<key><EXT_SUFFIX>`` next to this file;
 the key is a CRC-32 of the source and the compiler flags. The file is
@@ -15,6 +20,7 @@ A failed build raises ImportError quoting the compiler's first error line;
 import glob
 import os
 import zlib
+from array import array
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 
@@ -73,7 +79,25 @@ def _load():
     return module
 
 
+def _pack(tests, limits):
+    values, layout = [], []
+    for test, limit in zip(tests, limits, strict=True):
+        data, expected, extra = (test.input_array, test.expected_output,
+                                 test.extra_args)
+        values += data
+        values += expected
+        values += extra
+        layout += (len(data), len(expected), len(extra), limit)
+    return array("i", values), array("q", layout)
+
+
+def run_tests(ir, tests, limits, counts=None):
+    return _module.run_tests(ir, *_pack(tests, limits), counts)
+
+
+def prepare(ir, tests, limits):
+    return _module.prepare(ir, *_pack(tests, limits))
+
+
 _module = _load()
-run_tests = _module.run_tests
-prepare = _module.prepare
 run_patch = _module.run_patch

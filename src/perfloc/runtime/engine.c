@@ -7,21 +7,23 @@
    must be made in both files; the parity tests compare them on a slice of
    every corpus problem's variants.
 
-   run_tests(ir, tests, limits, counts=None) runs a whole suite in one
-   call: ``ir`` is a runtime.ir.ProgramIR, each test has ``input_array``
-   and ``extra_args``, and ``limits`` holds one step limit per test. It
-   returns one (status, steps, error, final array or None) tuple per test,
-   with the status and error codes of engine_py. ``counts``, when not None,
-   is a writable array('q') with one cell per node; every statement entry
-   adds one to its node's cell, as in engine_py.
+   run_tests(ir, values, layout, counts=None) runs a whole suite in one
+   call. ``ir`` is a runtime.ir.ProgramIR; runtime/_engine.py packs the
+   suite into ``values``, an array('i') of each test's input array,
+   expected output and extra args in turn, and ``layout``, an array('q')
+   of each test's three lengths and step limit. Only the suite bounds that
+   guard memory are checked here. It returns one (status, steps, error,
+   final array or None) tuple per test, with the status and error codes
+   of engine_py. ``counts``, when not None, is a writable array('q') with
+   one cell per node; every statement entry adds one to its node's cell.
 
-   prepare(ir, tests, limits) copies and validates the IR once, packs the
-   suite (each test's ``expected_output`` too) and runs it once, keeping
-   the program's own outcome on every test; it returns a handle.
-   run_patch(handle, patch, tests) applies a runtime.ir.Patch in place:
-   its rows go after the program's, its cells overwrite the program's,
-   and its frame grows (the stack grows with it). Only the appended rows
-   and the rows whose cells changed are validated. It runs the tests
+   prepare(ir, values, layout) copies and validates the IR and the suite
+   once and runs the suite once, keeping the program's own outcome on
+   every test; it returns a handle. run_patch(handle, patch, tests)
+   applies a runtime.ir.Patch in place: its rows go after the program's,
+   the one row it rewrites (the target's parent) takes its new a, b and
+   first, and its frame grows (the stack grows with it). Only the
+   appended rows and the rewritten row are validated. It runs the tests
    numbered in ``tests`` (increasing), counts the program's own outcome
    for every other test, undoes the patch, and returns (total_steps,
    n_correct, any_timeout, any_error). A malformed IR or patch raises
@@ -129,7 +131,7 @@ static int call_fn(Ctx *ctx, int f, const int64_t *argv, int argc, int depth)
     int n = ctx->fslots[f];
     int64_t *frame = ctx->stack + ctx->sp;
     int st;
-    memcpy(frame, argv, (size_t)argc * sizeof(int64_t));
+    memmove(frame, argv, (size_t)argc * sizeof(int64_t));
     memset(frame + argc, 0, (size_t)(n - argc) * sizeof(int64_t));
     ctx->sp += n;
     ctx->retval = 0;
@@ -344,16 +346,16 @@ static int eval_expr(Ctx *ctx, int i, int64_t *frame, int depth,
 
 /* ---- the Python boundary ------------------------------------------------ */
 
-/* One test of a packed suite: its input array, its arguments (the input
-   array's reference first) and step limit, its expected output (prepare
-   only), and the prepared program's own outcome on it. */
+/* One test of a packed suite, in the program's copy of its values: the
+   input array, expected output and extra args, the step limit, and the
+   prepared program's own outcome on it. */
 typedef struct {
-    int32_t *input;
-    Py_ssize_t n_input;
-    int32_t *expected;
-    Py_ssize_t n_expected;
-    int64_t *args;
-    int argc;
+    const int32_t *input;
+    int64_t n_input;
+    const int32_t *expected;
+    int64_t n_expected;
+    const int32_t *extra;
+    int argc;               /* the input array's reference, then the extra */
     int64_t limit;
     int64_t base_steps;
     int base_passed, base_timeout, base_error;
@@ -368,6 +370,7 @@ typedef struct {
     int entry;
     int max_slots;          /* the largest frame */
     int stack_slots;        /* the stack holds STACK_LIMIT frames this large */
+    int32_t *values;        /* the packed suite's values: owned copy */
     Test *tests;
     Py_ssize_t n_tests;
     Py_buffer counts;       /* held when counts_view is set */
@@ -376,9 +379,6 @@ typedef struct {
 
 static const char *const ARRAY_FIELDS[5] = {"kind", "a", "b", "first", "nch"};
 static const Py_ssize_t ITEMSIZE[5] = {4, 8, 4, 4, 4};
-
-/* The cells a patch may overwrite, as runtime.ir numbers them. */
-enum { CELL_A, CELL_B, CELL_FIRST };
 
 static const char HANDLE[] = "perfloc.runtime._engine.handle";
 
@@ -392,11 +392,7 @@ static void release_program(Program *p)
     PyMem_Free(p->ctx.fslots);
     if (p->ctx.stack != NULL)
         PyMem_Free(p->ctx.stack - 1);
-    for (Py_ssize_t t = 0; p->tests != NULL && t < p->n_tests; t++) {
-        PyMem_Free(p->tests[t].input);
-        PyMem_Free(p->tests[t].expected);
-        PyMem_Free(p->tests[t].args);
-    }
+    PyMem_Free(p->values);
     PyMem_Free(p->tests);
     free(p->ctx.heap);
 }
@@ -544,13 +540,13 @@ static int bad_rows(const Program *p, const char *what, Py_ssize_t rows,
     return 0;
 }
 
-static long int_attr(PyObject *obj, const char *name)
+static long long int_attr(PyObject *obj, const char *name)
 {
     PyObject *value = PyObject_GetAttrString(obj, name);
-    long v;
+    long long v;
     if (value == NULL)
         return -1;
-    v = PyLong_AsLong(value);
+    v = PyLong_AsLongLong(value);
     Py_DECREF(value);
     return v;
 }
@@ -561,7 +557,7 @@ static long int_attr(PyObject *obj, const char *name)
 static int load_program(PyObject *ir, Program *p)
 {
     PyObject *obj, *functions;
-    long entry;
+    long long entry;
     p->n = put_rows(p, ir, 0);
     if (p->n < 0)
         return -1;
@@ -584,15 +580,13 @@ static int load_program(PyObject *ir, Program *p)
     p->max_slots = 1;
     for (int f = 0; f < p->nf; f++) {
         PyObject *info = PySequence_Fast_GET_ITEM(functions, f);
-        long body = int_attr(info, "body");
-        long slots = PyErr_Occurred() ? -1 : int_attr(info, "n_slots");
-        if (PyErr_Occurred()) {
+        long long body = int_attr(info, "body");
+        long long slots = PyErr_Occurred() ? -1 : int_attr(info, "n_slots");
+        if (PyErr_Occurred() || body < 0 || body >= p->n || slots < 1
+                || slots > INT32_MAX) {
             Py_DECREF(functions);
-            return -1;
-        }
-        if (body < 0 || body >= p->n || slots < 1 || slots > INT32_MAX) {
-            Py_DECREF(functions);
-            PyErr_Format(PyExc_ValueError, "malformed IR: function %d", f);
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_ValueError, "malformed IR: function %d", f);
             return -1;
         }
         p->ctx.fbody[f] = (int32_t)body;
@@ -615,148 +609,98 @@ static int load_program(PyObject *ir, Program *p)
     return grow_stack(p, p->max_slots);
 }
 
+/* A view of ``obj``, which must be an array of struct format ``format``
+   (``flags`` adds PyBUF_WRITABLE); -1 with TypeError otherwise. */
+static int int_buffer(PyObject *obj, int flags, const char *format,
+                      Py_ssize_t itemsize, Py_buffer *view, const char *what)
+{
+    if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT) == 0) {
+        if (view->itemsize == itemsize && view->format != NULL
+                && strcmp(view->format, format) == 0)
+            return 0;
+        PyBuffer_Release(view);
+    }
+    PyErr_Format(PyExc_TypeError, "%s must be an array('%s')", what, format);
+    return -1;
+}
+
 /* Borrow ``counts``, which must be a writable array('q') with one cell per
    node. */
 static int load_counts(PyObject *counts, Program *p)
 {
-    if (PyObject_GetBuffer(counts, &p->counts,
-                           PyBUF_WRITABLE | PyBUF_FORMAT) < 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "counts must be a writable array('q')");
+    if (int_buffer(counts, PyBUF_WRITABLE, "q", 8, &p->counts, "counts") < 0)
         return -1;
-    }
     p->counts_view = 1;
-    if (p->counts.itemsize != 8 || p->counts.format == NULL
-            || strcmp(p->counts.format, "q") != 0
-            || p->counts.len != p->n * 8) {
-        PyErr_SetString(PyExc_TypeError,
-                        "counts must be an array('q') with one cell per node");
+    if (p->counts.len != p->n * 8) {
+        PyErr_SetString(PyExc_TypeError, "counts must hold one cell per node");
         return -1;
     }
     p->ctx.counts = p->counts.buf;
     return 0;
 }
 
-/* The int32 value of ``item`` into ``out``; -1 with an exception set if it
-   is not an int or does not fit. */
-static int as_int32(PyObject *item, const char *what, int64_t *out)
+/* Why the packed suite is unsafe to run, or NULL: its lengths must be
+   non-negative and add up to the ``left`` values, every input must fit
+   the heap, and the extra args must leave the entry frame a cell for the
+   input array. */
+static const char *bad_suite(const Program *p, const int64_t *layout,
+                             Py_ssize_t left)
 {
-    long long v = PyLong_AsLongLong(item);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    if (v < INT32_MIN || v > INT32_MAX) {
-        PyErr_Format(PyExc_OverflowError, "%s value %lld is not an int32",
-                     what, v);
-        return -1;
+    for (Py_ssize_t t = 0; t < p->n_tests; t++, layout += 4) {
+        for (int k = 0; k < 3; k++)
+            left = layout[k] < 0 || left < 0 ? -1 : left - layout[k];
+        if (left < 0)
+            break;
+        if (layout[0] > HEAP_LIMIT)
+            return "input_array exceeds the heap";
+        if (layout[2] >= p->ctx.fslots[p->entry])
+            return "more arguments than the entry function's frame";
     }
-    *out = v;
-    return 0;
+    return left ? "malformed suite: lengths that are negative or do not add "
+                  "up to the values" : NULL;
 }
 
-/* ``obj.name``, a sequence of int32 values, as a new array of ``*n``
-   cells; NULL with an exception set. */
-static int32_t *int32_field(PyObject *obj, const char *name, Py_ssize_t *n)
+/* Copy and check the suite ``values`` and ``layout`` pack, four layout
+   cells per test: its input, expected and extra-args lengths and its
+   step limit. */
+static int load_suite(Program *p, PyObject *values_obj, PyObject *layout_obj)
 {
-    PyObject *value = PyObject_GetAttrString(obj, name), *fast;
-    int32_t *out;
-    int64_t v;
-    if (value == NULL)
-        return NULL;
-    fast = PySequence_Fast(value, "a test's fields must be sequences");
-    Py_DECREF(value);
-    if (fast == NULL)
-        return NULL;
-    *n = PySequence_Fast_GET_SIZE(fast);
-    out = PyMem_Malloc((size_t)Py_MAX(*n, 1) * sizeof(int32_t));
-    if (out == NULL)
-        PyErr_NoMemory();
-    for (Py_ssize_t k = 0; out != NULL && k < *n; k++) {
-        if (as_int32(PySequence_Fast_GET_ITEM(fast, k), name, &v) < 0) {
-            PyMem_Free(out);
-            out = NULL;
-        } else {
-            out[k] = (int32_t)v;
-        }
-    }
-    Py_DECREF(fast);
-    return out;
-}
-
-/* Pack ``test`` and its step limit into ``t``; with ``expected``, its
-   expected output too. */
-static int pack_test(Program *p, Test *t, PyObject *test, PyObject *limit,
-                     int expected)
-{
-    int32_t *extra;
-    Py_ssize_t n_extra;
-    t->limit = PyLong_AsLongLong(limit);
-    if (t->limit == -1 && PyErr_Occurred())
-        return -1;
-    t->input = int32_field(test, "input_array", &t->n_input);
-    if (t->input == NULL)
-        return -1;
-    if (t->n_input > HEAP_LIMIT) {
-        PyErr_SetString(PyExc_ValueError, "input_array exceeds the heap");
-        return -1;
-    }
-    if (expected && (t->expected = int32_field(test, "expected_output",
-                                               &t->n_expected)) == NULL)
-        return -1;
-    extra = int32_field(test, "extra_args", &n_extra);
-    if (extra == NULL)
-        return -1;
-    if (n_extra >= p->ctx.fslots[p->entry]) {
-        PyMem_Free(extra);
-        PyErr_SetString(PyExc_ValueError,
-                        "more arguments than the entry function's frame");
-        return -1;
-    }
-    t->args = PyMem_Malloc((size_t)(n_extra + 1) * sizeof(int64_t));
-    if (t->args == NULL) {
-        PyMem_Free(extra);
-        PyErr_NoMemory();
-        return -1;
-    }
-    t->args[0] = (int64_t)t->n_input;   /* the input array: offset 0 */
-    for (Py_ssize_t k = 0; k < n_extra; k++)
-        t->args[k + 1] = extra[k];
-    t->argc = (int)n_extra + 1;
-    PyMem_Free(extra);
-    return 0;
-}
-
-/* Pack ``tests``, one step limit each from ``limits``. */
-static int load_suite(Program *p, PyObject *tests, PyObject *limits,
-                      int expected)
-{
-    PyObject *tests_fast, *limits_fast;
+    Py_buffer values, layout;
+    const int64_t *row;
+    const char *why;
     int st = -1;
-    tests_fast = PySequence_Fast(tests, "tests must be a sequence");
-    if (tests_fast == NULL)
+    if (int_buffer(values_obj, 0, "i", 4, &values, "values") < 0)
         return -1;
-    limits_fast = PySequence_Fast(limits, "limits must be a sequence");
-    if (limits_fast == NULL) {
-        Py_DECREF(tests_fast);
+    if (int_buffer(layout_obj, 0, "q", 8, &layout, "layout") < 0) {
+        PyBuffer_Release(&values);
         return -1;
     }
-    p->n_tests = PySequence_Fast_GET_SIZE(tests_fast);
-    if (PySequence_Fast_GET_SIZE(limits_fast) != p->n_tests) {
-        PyErr_SetString(PyExc_ValueError, "need one step limit per test");
-        p->n_tests = 0;
-    } else if ((p->tests = PyMem_Calloc(Py_MAX(p->n_tests, 1),
-                                        sizeof(Test))) == NULL) {
+    p->n_tests = layout.len / 32;
+    why = layout.len % 32 ? "malformed suite: four layout cells per test"
+                          : bad_suite(p, layout.buf, values.len / 4);
+    if (why != NULL) {
+        PyErr_SetString(PyExc_ValueError, why);
+    } else if ((p->values = PyMem_Malloc(values.len)) == NULL
+               || (p->tests = PyMem_Calloc(p->n_tests, sizeof(Test)))
+                  == NULL) {
         PyErr_NoMemory();
-        p->n_tests = 0;
     } else {
+        const int32_t *at = memcpy(p->values, values.buf, values.len);
+        row = layout.buf;
+        for (Test *t = p->tests; t < p->tests + p->n_tests; t++, row += 4) {
+            t->n_input = row[0];
+            t->n_expected = row[1];
+            t->argc = (int)row[2] + 1;
+            t->limit = row[3];
+            t->input = at;
+            t->expected = t->input + row[0];
+            t->extra = t->expected + row[1];
+            at = t->extra + row[2];
+        }
         st = 0;
-        for (Py_ssize_t t = 0; st == 0 && t < p->n_tests; t++)
-            st = pack_test(p, &p->tests[t],
-                           PySequence_Fast_GET_ITEM(tests_fast, t),
-                           PySequence_Fast_GET_ITEM(limits_fast, t),
-                           expected);
     }
-    Py_DECREF(tests_fast);
-    Py_DECREF(limits_fast);
+    PyBuffer_Release(&values);
+    PyBuffer_Release(&layout);
     return st;
 }
 
@@ -774,7 +718,12 @@ static int run_test(Program *p, const Test *t)
     ctx->steps = 0;
     ctx->sp = 0;
     ctx->fault = ERR_NONE;
-    return call_fn(ctx, p->entry, t->args, t->argc, 0);
+    /* the arguments go straight into the entry's frame; the input array
+       sits at heap offset 0 */
+    ctx->stack[0] = t->n_input;
+    for (int k = 1; k < t->argc; k++)
+        ctx->stack[k] = t->extra[k - 1];
+    return call_fn(ctx, p->entry, ctx->stack, t->argc, 0);
 }
 
 /* Whether a run of ``t`` that ended with ``st`` left its expected
@@ -819,14 +768,14 @@ static PyObject *run_one(Program *p, const Test *t)
 
 static PyObject *run_tests(PyObject *self, PyObject *args)
 {
-    PyObject *ir, *tests, *limits, *counts = Py_None, *results = NULL;
+    PyObject *ir, *values, *layout, *counts = Py_None, *results = NULL;
     Program p;
     (void)self;
-    if (!PyArg_ParseTuple(args, "OOO|O:run_tests", &ir, &tests, &limits,
+    if (!PyArg_ParseTuple(args, "OOO|O:run_tests", &ir, &values, &layout,
                           &counts))
         return NULL;
     memset(&p, 0, sizeof(p));
-    if (load_program(ir, &p) == 0 && load_suite(&p, tests, limits, 0) == 0
+    if (load_program(ir, &p) == 0 && load_suite(&p, values, layout) == 0
             && (counts == Py_None || load_counts(counts, &p) == 0))
         results = PyList_New(p.n_tests);
     for (Py_ssize_t t = 0; results != NULL && t < p.n_tests; t++) {
@@ -849,15 +798,15 @@ static void free_handle(PyObject *handle)
 
 static PyObject *prepare(PyObject *self, PyObject *args)
 {
-    PyObject *ir, *tests, *limits, *handle;
+    PyObject *ir, *values, *layout, *handle;
     Program *p;
     (void)self;
-    if (!PyArg_ParseTuple(args, "OOO:prepare", &ir, &tests, &limits))
+    if (!PyArg_ParseTuple(args, "OOO:prepare", &ir, &values, &layout))
         return NULL;
     p = PyMem_Calloc(1, sizeof(Program));
     if (p == NULL)
         return PyErr_NoMemory();
-    if (load_program(ir, p) < 0 || load_suite(p, tests, limits, 1) < 0)
+    if (load_program(ir, p) < 0 || load_suite(p, values, layout) < 0)
         goto fail;
     for (Py_ssize_t t = 0; t < p->n_tests; t++) {
         Test *test = &p->tests[t];
@@ -880,58 +829,17 @@ fail:
     return NULL;
 }
 
-/* A cell a patch overwrote, and the value it held. */
-typedef struct {
-    int field;
-    Py_ssize_t row;
-    int64_t old;
-} Saved;
-
-static int64_t get_cell(const Program *p, int field, Py_ssize_t row)
+/* Swap row ``i``'s a, b and first with ``cells``: once to rewrite the
+   row, and once more to restore it. */
+static void swap_row(Program *p, Py_ssize_t i, int64_t cells[3])
 {
-    if (field == CELL_A)
-        return ((int64_t *)p->col[1])[row];
-    return ((int32_t *)p->col[field == CELL_B ? 2 : 3])[row];
-}
-
-static void set_cell(Program *p, int field, Py_ssize_t row, int64_t value)
-{
-    if (field == CELL_A)
-        ((int64_t *)p->col[1])[row] = value;
-    else
-        ((int32_t *)p->col[field == CELL_B ? 2 : 3])[row] = (int32_t)value;
-}
-
-/* Overwrite the cells ``patch.cells`` lists, saving each old value in
-   ``saved``; returns how many were written, all of them unless an
-   exception is set. */
-static Py_ssize_t put_cells(Program *p, PyObject *cells, Saved *saved,
-                            Py_ssize_t n_cells)
-{
-    for (Py_ssize_t c = 0; c < n_cells; c++) {
-        PyObject *cell = PySequence_Fast_GET_ITEM(cells, c);
-        int field;
-        Py_ssize_t row;
-        long long value;
-        if (!PyTuple_Check(cell)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "a patch cell is a (field, row, value) tuple");
-            return c;
-        }
-        if (!PyArg_ParseTuple(cell, "inL:cell", &field, &row, &value))
-            return c;
-        if (field < CELL_A || field > CELL_FIRST || row < 0 || row >= p->n
-                || (field != CELL_A
-                    && (value < INT32_MIN || value > INT32_MAX))) {
-            PyErr_Format(PyExc_ValueError, "malformed patch: cell %zd", c);
-            return c;
-        }
-        saved[c].field = field;
-        saved[c].row = row;
-        saved[c].old = get_cell(p, field, row);
-        set_cell(p, field, row, value);
-    }
-    return n_cells;
+    int64_t *a = p->col[1];
+    int32_t *b = p->col[2], *first = p->col[3];
+    int64_t old[3] = {a[i], b[i], first[i]};
+    a[i] = cells[0];
+    b[i] = (int32_t)cells[1];
+    first[i] = (int32_t)cells[2];
+    memcpy(cells, old, sizeof(old));
 }
 
 /* Add the outcome of a test to the summary (steps, passed, timeout,
@@ -942,13 +850,15 @@ static Py_ssize_t put_cells(Program *p, PyObject *cells, Saved *saved,
 
 static PyObject *run_patch(PyObject *self, PyObject *args)
 {
-    PyObject *handle, *patch, *tests, *cells_obj, *cells = NULL,
-             *listed = NULL, *result = NULL;
+    static const char *const FIELDS[6] = {
+        "parent", "parent_a", "parent_b", "parent_first", "function",
+        "n_slots"};
+    PyObject *handle, *patch, *tests, *listed, *result = NULL;
     Program *p;
-    Saved *saved = NULL;
-    Py_ssize_t m, n_cells = 0, written = 0, prev = -1, t;
-    long function, n_slots;
-    int old_slots = 0, max_slots;
+    Py_ssize_t m, prev = -1, t, parent;
+    long long field[6], function, n_slots;
+    int64_t cells[3];
+    int swapped = 0, old_slots = 0, max_slots;
     int64_t steps = 0;
     Py_ssize_t n_passed = 0;
     int any_timeout = 0, any_error = 0;
@@ -958,10 +868,12 @@ static PyObject *run_patch(PyObject *self, PyObject *args)
     p = PyCapsule_GetPointer(handle, HANDLE);
     if (p == NULL)
         return NULL;
-    function = int_attr(patch, "function");
-    n_slots = PyErr_Occurred() ? -1 : int_attr(patch, "n_slots");
-    if (PyErr_Occurred())
-        return NULL;
+    for (int k = 0; k < 6; k++)
+        if ((field[k] = int_attr(patch, FIELDS[k])) == -1 && PyErr_Occurred())
+            return NULL;
+    parent = (Py_ssize_t)field[0];
+    function = field[4];
+    n_slots = field[5];
     if (function != -1 && (function < 0 || function >= p->nf
                            || n_slots < p->ctx.fslots[function]
                            || n_slots > INT32_MAX)) {
@@ -969,43 +881,35 @@ static PyObject *run_patch(PyObject *self, PyObject *args)
                         "malformed patch: a frame may only grow");
         return NULL;
     }
-    cells_obj = PyObject_GetAttrString(patch, "cells");
-    if (cells_obj == NULL)
+    if (parent != -1 && (parent < 0 || parent >= p->n
+                         || field[2] < INT32_MIN || field[2] > INT32_MAX
+                         || field[3] < INT32_MIN || field[3] > INT32_MAX)) {
+        PyErr_SetString(PyExc_ValueError, "malformed patch: parent row");
         return NULL;
-    cells = PySequence_Fast(cells_obj, "patch.cells must be a sequence");
-    Py_DECREF(cells_obj);
-    if (cells == NULL)
-        return NULL;
+    }
     listed = PySequence_Fast(tests, "tests must be a sequence");
     if (listed == NULL)
-        goto done;
+        return NULL;
     m = put_rows(p, patch, p->n);
     if (m < 0)
         goto done;
-    n_cells = PySequence_Fast_GET_SIZE(cells);
-    saved = PyMem_Malloc((size_t)Py_MAX(n_cells, 1) * sizeof(Saved));
-    if (saved == NULL) {
-        PyErr_NoMemory();
-        goto done;
+    if (parent != -1) {
+        memcpy(cells, field + 1, sizeof(cells));
+        swap_row(p, parent, cells);
+        swapped = 1;
     }
-    written = put_cells(p, cells, saved, n_cells);
-    if (written < n_cells)
-        goto done;
     max_slots = p->max_slots;
     if (function != -1) {
         old_slots = p->ctx.fslots[function];
         p->ctx.fslots[function] = (int32_t)n_slots;
         max_slots = Py_MAX(max_slots, (int)n_slots);
     }
-    /* prepare validated the program's rows; of those, only the rows whose
-       cells the patch wrote have changed */
-    if (bad_rows(p, "patch", p->n + m, p->n, p->n + m, max_slots) < 0)
-        goto done;
-    for (Py_ssize_t c = 0; c < n_cells; c++)
-        if (bad_rows(p, "patch", p->n + m, saved[c].row, saved[c].row + 1,
-                     max_slots) < 0)
-            goto done;
-    if (grow_stack(p, max_slots) < 0)
+    /* prepare validated the program's rows; of those, only the rewritten
+       row has changed */
+    if (bad_rows(p, "patch", p->n + m, p->n, p->n + m, max_slots) < 0
+            || (swapped && bad_rows(p, "patch", p->n + m, parent, parent + 1,
+                                    max_slots) < 0)
+            || grow_stack(p, max_slots) < 0)
         goto done;
 
     for (Py_ssize_t j = 0; j < PySequence_Fast_GET_SIZE(listed); j++) {
@@ -1039,28 +943,24 @@ static PyObject *run_patch(PyObject *self, PyObject *args)
                            any_error ? Py_True : Py_False);
 done:
     /* restore the program: its rows end at p->n again */
-    while (written > 0) {
-        written--;
-        set_cell(p, saved[written].field, saved[written].row,
-                 saved[written].old);
-    }
+    if (swapped)
+        swap_row(p, parent, cells);
     if (old_slots)
         p->ctx.fslots[function] = old_slots;
-    PyMem_Free(saved);
-    Py_XDECREF(listed);
-    Py_DECREF(cells);
+    Py_DECREF(listed);
     return result;
 }
 
 static PyMethodDef methods[] = {
     {"run_tests", run_tests, METH_VARARGS,
-     "run_tests(ir, tests, limits, counts=None)"
+     "run_tests(ir, values, layout, counts=None)"
      " -> [(status, steps, error, final)]\n\n"
-     "Run every test with its step limit; see engine_py.run_tests."},
+     "Run every test of a packed suite with its step limit; see "
+     "_engine.run_tests."},
     {"prepare", prepare, METH_VARARGS,
-     "prepare(ir, tests, limits) -> handle\n\n"
-     "Validate the IR, pack the suite and run it once; see "
-     "engine_py.prepare."},
+     "prepare(ir, values, layout) -> handle\n\n"
+     "Validate the IR, copy the packed suite and run it once; see "
+     "_engine.prepare."},
     {"run_patch", run_patch, METH_VARARGS,
      "run_patch(handle, patch, tests)"
      " -> (total_steps, n_correct, any_timeout, any_error)\n\n"

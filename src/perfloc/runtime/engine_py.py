@@ -29,9 +29,9 @@ enforces. Semantics frozen here:
 
 ``run_tests`` runs a whole IR on a suite. ``prepare`` and ``run_patch``
 run variants given as a ``runtime.ir.Patch`` on a prepared original, on a
-subset of the tests, and return a four-number summary; they validate the
-IR and each patch as ``engine.c`` does, so that both raise ValueError on
-the same malformed input.
+subset of the tests, and return a four-number summary. ``run_tests`` and
+``prepare`` validate the IR, and ``run_patch`` each patch, as ``engine.c``
+does, so that both raise ValueError on the same malformed input.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import sys
 
 from .ir import (
-    Patch, ProgramIR, apply_patch, CELL_A, CELL_FIELDS,
+    Patch, ProgramIR, apply_patch,
     OP_BLOCK, OP_VARDECL, OP_ASSIGN, OP_IF, OP_FOR, OP_WHILE, OP_RETURN,
     OP_EXPRSTMT, OP_BINARY, OP_UNARY, OP_INCDEC, OP_CALL, OP_INDEX,
     OP_IDENT, OP_INTLIT, OP_BOOLLIT, OP_OPER,
@@ -270,7 +270,19 @@ def run_tests(ir: ProgramIR, tests, limits, counts=None):
     """Run the entry function on every test, each under its own step limit.
     Returns one (status, steps, error, final array) tuple per test; the final
     array is the input array's cells after a completed run, None otherwise.
-    ``counts`` is passed to every ``run``."""
+    ``counts`` is passed to every ``run``. ``ir`` is validated as
+    ``engine.c`` validates it (ValueError if malformed)."""
+    for f, info in enumerate(ir.functions):
+        if not (0 <= info.body < len(ir.kind) and info.n_slots >= 1
+                and info.n_slots in _INT32):
+            raise ValueError(f"malformed IR: function {f}")
+    if not 0 <= ir.entry < len(ir.functions):
+        raise ValueError("malformed IR: entry")
+    _check_rows(ir, range(len(ir.kind)), "IR")
+    return _run_tests(ir, tests, limits, counts)
+
+
+def _run_tests(ir, tests, limits, counts=None):
     results = []
     for test, limit in zip(tests, limits, strict=True):
         heap = list(test.input_array)
@@ -350,20 +362,11 @@ def summarize(runs, tests):
 
 
 def prepare(ir: ProgramIR, tests, limits):
-    """A handle on ``ir`` and ``tests`` for ``run_patch``: ``ir`` is
-    validated as ``engine.c`` validates it (ValueError if malformed), each
-    test gets its step limit from ``limits``, and every test runs once to
-    record ``ir``'s own outcome on it."""
-    for f, info in enumerate(ir.functions):
-        if not (0 <= info.body < len(ir.kind) and info.n_slots >= 1
-                and info.n_slots in _INT32):
-            raise ValueError(f"malformed IR: function {f}")
-    if not 0 <= ir.entry < len(ir.functions):
-        raise ValueError("malformed IR: entry")
-    _check_rows(ir, range(len(ir.kind)), "IR")
+    """A handle on ``ir`` and ``tests`` for ``run_patch``: each test gets
+    its step limit from ``limits``, and every test runs once, through
+    ``run_tests``, which validates ``ir``, to record ``ir``'s own outcome
+    on it."""
     tests, limits = tuple(tests), tuple(limits)
-    if len(tests) != len(limits):
-        raise ValueError("need one step limit per test")
     return ir, tests, limits, tuple(run_tests(ir, tests, limits))
 
 
@@ -372,29 +375,29 @@ def run_patch(handle, patch: Patch, tests):
     prepared suite) on the prepared program with ``patch`` applied, and
     return (total_steps, n_correct, any_timeout, any_error) over the whole
     suite: a test left out counts the prepared program's own outcome.
-    Only the patch is validated: its appended rows, the rows whose cells it
-    overwrites, and its frame, which may only grow. A malformed patch
-    raises ValueError. The handle itself never changes."""
+    Only the patch is validated: its appended rows, the row it rewrites,
+    and its frame, which may only grow. A malformed patch raises
+    ValueError. The handle itself never changes."""
     ir, suite, limits, base = handle
-    f = patch.function
+    f, parent = patch.function, patch.parent
     if f != -1 and not (0 <= f < len(ir.functions)
                         and ir.functions[f].n_slots <= patch.n_slots
                         and patch.n_slots in _INT32):
         raise ValueError("malformed patch: a frame may only grow")
-    for c, (field, row, value) in enumerate(patch.cells):
-        if not (0 <= field < len(CELL_FIELDS) and 0 <= row < len(ir.kind)
-                and (field == CELL_A or value in _INT32)):
-            raise ValueError(f"malformed patch: cell {c}")
+    if parent != -1 and not (0 <= parent < len(ir.kind)
+                             and patch.parent_b in _INT32
+                             and patch.parent_first in _INT32):
+        raise ValueError("malformed patch: parent row")
     variant = apply_patch(ir, patch)
-    _check_rows(variant, [*range(len(ir.kind), len(variant.kind)),
-                          *(row for _, row, _ in patch.cells)], "patch")
+    rows = range(len(ir.kind), len(variant.kind))
+    _check_rows(variant, rows if parent == -1 else [*rows, parent], "patch")
     listed = list(tests)
     if any(not 0 <= t < len(suite) for t in listed) \
             or any(s >= t for s, t in zip(listed, listed[1:])):
         raise ValueError("tests must be increasing test indices")
     rows = list(base)
-    runs = run_tests(variant, [suite[t] for t in listed],
-                     [limits[t] for t in listed])
+    runs = _run_tests(variant, [suite[t] for t in listed],
+                      [limits[t] for t in listed])
     for t, run in zip(listed, runs):
         rows[t] = run
     return summarize(rows, suite)

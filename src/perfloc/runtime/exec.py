@@ -171,13 +171,12 @@ def entering_tests(ir: ProgramIR, suite: Sequence[TestCase],
 
 
 def baseline_limits(ir: ProgramIR, suite: Sequence[TestCase],
-                    factor: float = DEFAULT_TIMEOUT_FACTOR,
-                    engine=None, counts=None
+                    factor: float = DEFAULT_TIMEOUT_FACTOR, counts=None
                     ) -> tuple[list[int], SuiteResult]:
     """Per-test limits of max(100, ceil(factor x original steps)). The
     original must complete and pass every test under a generous cap."""
-    result = run_suite(ir, suite, [BOOTSTRAP_LIMIT] * len(suite), engine,
-                       counts)
+    result = run_suite(ir, suite, [BOOTSTRAP_LIMIT] * len(suite),
+                       counts=counts)
     for test, outcome in zip(suite, result.per_test):
         if outcome.status != "Completed":
             raise BaselineDiverged(

@@ -11,17 +11,17 @@ the engines never see names.
 A variant that differs from an accepted program in one expression,
 operator or statement, and that ``lang.check.Holes`` accepts, is not
 lowered afresh: ``splice_patch`` describes it as a ``Patch`` on the
-original's IR, with no new opcode and no new step event. The patch
-holds only what changes: rows appended after the original's last row,
-the few cells of the original's rows it overwrites (the parent's
-``first``, or an operator payload), and one grown frame. A statement
-donor's declarations bind fresh slots past the original frame, which
-grows to hold them; both engines zero a frame at every call, so where a
-variable sits does not change a run. The engines' ``run_patch`` apply a
-patch to a prepared original in place and undo it after the run;
-``apply_patch`` builds the whole variant IR, for runs of one variant
-and for the differentials. ``frame_slot`` and ``operator_code`` are the
-payload rules lowering and splicing share.
+original's IR, with no new opcode and no new step event. The patch holds
+only what changes: rows appended after the original's last row, the one
+row of the original it rewrites, the target's parent (whose ``first``
+points at the new rows, or whose payload holds the new operator), and
+one grown frame. A statement donor's declarations bind fresh slots past
+the original frame, which grows to hold them; both engines zero a frame
+at every call, so where a variable sits does not change a run. The
+engines' ``run_patch`` apply a patch to a prepared original in place and
+undo it after the run; ``apply_patch`` builds the whole variant IR, for
+runs of one variant and for the differentials. ``frame_slot`` and
+``operator_code`` are the payload rules lowering and splicing share.
 
 Per-node payload fields ``a`` and ``b``:
 
@@ -203,21 +203,20 @@ def build_ir(program: Program) -> ProgramIR:
                      program.entry_index())
 
 
-# The cells of a program's own rows a patch may overwrite.
-CELL_A, CELL_B, CELL_FIRST = 0, 1, 2
-CELL_FIELDS = ("a", "b", "first")
-
-
 class Patch(NamedTuple):
     """A variant as a change to a ``ProgramIR``: rows appended after its
-    last row, cells of its own rows overwritten, and at most one frame
-    grown. The engines' ``run_patch`` apply it in place and undo it."""
+    last row, at most one of its rows (the target's parent) rewritten
+    whole, and at most one frame grown. The engines' ``run_patch`` apply
+    it in place and undo it."""
     kind: array     # the appended rows, numbered from len(ir.kind) on
     a: array
     b: array
     first: array
     nch: array
-    cells: tuple    # (field, row, value): field CELL_A, CELL_B or CELL_FIRST
+    parent: int     # the row rewritten, or -1
+    parent_a: int   # its new a, b and first
+    parent_b: int
+    parent_first: int
     function: int   # the function whose frame grows, or -1
     n_slots: int    # its new frame size
 
@@ -225,7 +224,7 @@ class Patch(NamedTuple):
 def empty_patch() -> Patch:
     """The patch that changes nothing."""
     return Patch(array("i"), array("q"), array("i"), array("i"), array("i"),
-                 (), -1, 0)
+                 -1, 0, 0, 0, -1, 0)
 
 
 def splice_patch(ir: ProgramIR, program: Program, target: int,
@@ -237,10 +236,10 @@ def splice_patch(ir: ProgramIR, program: Program, target: int,
     original keeps its slot. ``slots`` are the slots that hole check
     resolved, keyed by ``program``'s node ids.
 
-    An operator only overwrites its parent's payload. Any other donor gets
+    An operator only rewrites its parent's payload. Any other donor gets
     new rows: a copy of the parent's child row with the donor in the
     target's place, then the donor's descendants breadth-first, whose
-    ``first`` is remapped; the parent's ``first`` is overwritten to point
+    ``first`` is remapped; the parent's ``first`` is rewritten to point
     at the new row. A statement donor's VarDecls and For loops bind the
     fresh slots the hole check gave them, past the original's frame, and
     the frame of the target's function grows to hold them. Only the new
@@ -249,9 +248,9 @@ def splice_patch(ir: ProgramIR, program: Program, target: int,
     parent = program.parent[target]
     code = kind[parent]
     if donor.kind == KIND_OPERATOR:
-        field = CELL_B if code == OP_INCDEC else CELL_A
-        return empty_patch()._replace(
-            cells=((field, parent, operator_code(code, donor.op)),))
+        new_row = [a[parent], b[parent], first[parent]]
+        new_row[code == OP_INCDEC] = operator_code(code, donor.op)
+        return Patch(*empty_patch()[:5], parent, *new_row, -1, 0)
 
     row, width = first[parent], nch[parent]
     at = target - row   # the target's place in its parent's child row
@@ -280,10 +279,8 @@ def splice_patch(ir: ProgramIR, program: Program, target: int,
             # an identifier the check gave no slot is a VarDecl's name,
             # and keeps the -1 it has in ``ir``
             new_a[j] = frame_slot(k, i, first, slots)
-    cells = ((CELL_FIRST, parent, n),)
-    if code == OP_INCDEC:
-        # the donor is the operand, whose slot the IncDec carries
-        cells += ((CELL_A, parent, new_a[at]),)
+    # the donor of an IncDec is its operand, whose slot the IncDec carries
+    parent_a = new_a[at] if code == OP_INCDEC else a[parent]
     function = -1
     if n_slots:
         f = parent
@@ -293,7 +290,8 @@ def splice_patch(ir: ProgramIR, program: Program, target: int,
             function = f
     return Patch(array("i", [kind[i] for i in src]), array("q", new_a),
                  array("i", [b[i] for i in src]), array("i", new_first),
-                 array("i", [nch[i] for i in src]), cells, function, n_slots)
+                 array("i", [nch[i] for i in src]), parent, parent_a,
+                 b[parent], n, function, n_slots)
 
 
 def apply_patch(ir: ProgramIR, patch: Patch) -> ProgramIR:
@@ -302,11 +300,10 @@ def apply_patch(ir: ProgramIR, patch: Patch) -> ProgramIR:
     ``ir``. The patch is not validated; the engines' ``run_patch`` do
     that."""
     columns = {}
-    for field, row, value in patch.cells:
-        name = CELL_FIELDS[field]
-        if name not in columns:
+    if patch.parent >= 0:
+        for name in ("a", "b", "first"):
             columns[name] = getattr(ir, name)[:]
-        columns[name][row] = value
+            columns[name][patch.parent] = getattr(patch, f"parent_{name}")
     if len(patch.kind):
         for name in ("kind", "a", "b", "first", "nch"):
             columns[name] = columns.get(name, getattr(ir, name)) \

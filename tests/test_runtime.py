@@ -6,6 +6,8 @@ Each step-count constant below was counted by hand from the cost rules
 binding occurrences free) before the first run, then frozen.
 """
 
+import importlib.util
+import json
 import math
 import os
 import shutil
@@ -29,7 +31,7 @@ from perfloc.runtime.exec import (
     baseline_limits, compile_program, run_suite,
 )
 from perfloc.runtime.exec import TestCase as Case
-from perfloc.runtime.ir import apply_patch, build_ir, splice_patch
+from perfloc.runtime.ir import HEAP_LIMIT, apply_patch, build_ir, splice_patch
 
 
 def execute(ir, test, step_limit, engine=None, counts=None):
@@ -321,6 +323,80 @@ def test_the_compiled_engine_refuses_bad_counts(bad, c_engine):
     test = Case((3, 1, 2), (3,), (1, 2, 3))
     with pytest.raises(TypeError, match="counts"):
         c_engine.run_tests(ir, [test], [BOOTSTRAP_LIMIT], counts)
+
+
+BIG = (0,) * (HEAP_LIMIT + 1)
+
+
+@pytest.mark.parametrize("error,message,test", [
+    (ValueError, "input_array exceeds the heap", Case(BIG, (1,), BIG)),
+    (ValueError, "more arguments than the entry function's frame",
+     Case((1,), (1, 2), (1,))),
+    (OverflowError, None, Case((2 ** 31,), (1,), (2 ** 31,))),
+])
+def test_the_compiled_engine_keeps_the_suite_inside_its_memory(
+        error, message, test, c_engine):
+    """``run_tests`` and ``prepare`` refuse an input past the heap, more
+    extra args than the entry frame holds (``sort`` has two slots), and a
+    value outside int32. This holds for the compiled engine only:
+    ``engine_py`` has no memory to guard and does not check these cases
+    (it runs the first and third, and raises IndexError on the second)."""
+    ir = ir_for("void sort(int[] a, int length) { }")
+    with pytest.raises(error, match=message):
+        c_engine.run_tests(ir, [test], [BOOTSTRAP_LIMIT])
+    with pytest.raises(error, match=message):
+        c_engine.prepare(ir, [test], [BOOTSTRAP_LIMIT])
+
+
+UNEVEN = "lengths that are negative or do not add up to the values"
+
+
+@pytest.mark.parametrize("layout,message", [
+    ((2, 4, -1, 100), UNEVEN),   # adds up, with a negative length
+    ((2, 2, 0, 100), UNEVEN),
+    ((2, 2, 2, 100), UNEVEN),
+    ((2, 2, 1), "four layout cells per test"),
+])
+def test_the_compiled_engine_refuses_a_malformed_packed_suite(
+        layout, message, c_engine):
+    """The raw entry points of ``engine.c`` take the suite as ``_engine``
+    packs it: five values here, a two-cell input, its expected output and
+    one extra arg. A layout whose lengths are negative or do not add up to
+    the values, or that does not hold four cells per test, raises
+    ValueError; values that are not an array('i') raise TypeError."""
+    ir = ir_for("void sort(int[] a, int length) { }")
+    values = array("i", [2, 1, 1, 2, 2])
+    packed = array("q", (2, 2, 1, 100))
+    assert c_engine._module.run_tests(ir, values, packed) \
+        == [(0, 1, 0, (2, 1))]
+    for entry in (c_engine._module.run_tests, c_engine._module.prepare):
+        with pytest.raises(ValueError, match=f"malformed suite: {message}"):
+            entry(ir, values, array("q", layout))
+        with pytest.raises(TypeError, match="values must be an array"):
+            entry(ir, array("q", values), packed)
+
+
+def test_the_parity_script_runs_on_a_small_corpus(tmp_path, monkeypatch,
+                                                  capsys, c_engine):
+    """``scripts/parity.py`` on ``bubble_loops`` with three tests: its
+    variants include one built whole, and splices that leave test runs
+    out."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    problem = tmp_path / "bubble_loops"
+    shutil.copytree(os.path.join(root, "corpus", "bubble_loops"), problem)
+    suite = [{"input": values, "args": [len(values)],
+              "expected": sorted(values)}
+             for values in ([3, 1, 2], [2, 1], [5])]
+    (problem / "suite.json").write_text(json.dumps(suite))
+    spec = importlib.util.spec_from_file_location(
+        "parity", os.path.join(root, "scripts", "parity.py"))
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    monkeypatch.setattr(sys, "argv", ["parity.py", "--corpus",
+                                      str(tmp_path)])
+    assert parity.main() == 0
+    assert capsys.readouterr().out.startswith(
+        "318 variants, 0 mismatches, 214 of 954 test runs left out, ")
 
 
 def test_a_failed_build_falls_back_unless_c_is_forced(tmp_path, c_engine):

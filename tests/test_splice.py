@@ -26,8 +26,7 @@ from perfloc.runtime.exec import (
 )
 from perfloc.runtime.exec import TestCase as Case
 from perfloc.runtime.ir import (
-    CELL_FIRST, OP_FOR, OP_IF, OP_FUNC, apply_patch, build_ir, empty_patch,
-    splice_patch,
+    OP_FOR, OP_IF, OP_FUNC, apply_patch, build_ir, empty_patch, splice_patch,
 )
 
 import test_holes
@@ -349,7 +348,7 @@ def broken_patches(program):
     loop = statement_patch(program, BRANCH, LOOP)
     branch = statement_patch(program, "n--;", BRANCH)
     rows = len(base.kind) + len(loop.kind)
-    (_, parent, _), = loop.cells
+    parent = loop.parent
     j = list(loop.kind).index(OP_FOR)
     first, slot = loop.first[:], loop.a[:]
     first[j] = rows
@@ -363,7 +362,7 @@ def broken_patches(program):
              loop._replace(first=first)),
         "the parent's children past the rows":
             (f"child range outside the rows at node {parent}",
-             loop._replace(cells=((CELL_FIRST, parent, rows),))),
+             loop._replace(parent_first=rows)),
         "a slot past the patched frame":
             ("frame slot", loop._replace(a=slot)),
         "a then-branch as long as the If":
@@ -384,6 +383,19 @@ def test_a_malformed_patch_raises_value_error(engine, name):
     with pytest.raises(ValueError, match=f"malformed patch: {message}"):
         engine.run_patch(handle, patch, ALL)
     assert engine.run_patch(handle, empty_patch(), ALL) == baseline
+
+
+def test_run_tests_refuses_a_malformed_ir(engine):
+    # the body Block's one child sits at row -1, which a Python array
+    # would read as its last row
+    ir = build_ir(parse_program(
+        "void sort(int[] a, int length) { a[0] = 1; a[1] = 2; }"))
+    first, nch = ir.first[:], ir.nch[:]
+    body = ir.functions[0].body
+    first[body], nch[body] = -1, 1
+    with pytest.raises(ValueError, match="malformed IR: child range outside "
+                                         f"the rows at node {body}"):
+        engine.run_tests(ir._replace(first=first, nch=nch), SUITE, LIMITS)
 
 
 DEEP = """
