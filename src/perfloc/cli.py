@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 data/analysis failure (invalid corpus, diverging
-baseline, unreadable program), 2 usage error. Diagnostics go to stderr;
-stdout and the output files carry only data.
+baseline, unreadable program, unwritable output), 2 usage error.
+Diagnostics go to stderr; stdout and the output files carry only data.
 
 Every output is deterministic: the same inputs, seed and flags produce
 byte-identical files regardless of --jobs.
@@ -60,9 +60,13 @@ def _say(msg: str) -> None:
 
 
 def _open_csv(directory: str, name: str):
-    os.makedirs(directory, exist_ok=True)
-    return open(os.path.join(directory, name), "w", encoding="utf-8",
-                newline="")
+    path = os.path.join(directory, name)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise CliDataError(f"cannot write {path} ({exc.filename}: "
+                           f"{exc.strerror})") from None
 
 
 def write_nodes_csv(path_dir: str, program, scores) -> None:

@@ -31,7 +31,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .lang.ast import Program, structurally_equal
+from .lang.ast import (
+    Program, TYPE_ARRAY, TYPE_BOOL, TYPE_INT, structurally_equal,
+)
 from .lang.check import static_check
 from .lang.parser import ParseError, parse_program
 from .runtime.exec import (
@@ -108,10 +110,11 @@ def _int32_list(row: dict, key: str, where: str) -> tuple[int, ...]:
 
 def suite_from_json(text: str, program: Program) -> list[TestCase]:
     """Parse a suite for ``program``, rejecting anything the engines could
-    not run as given: every value an int32 (no bools or floats),
-    ``expected`` as long as ``input``, ``input`` no longer than the heap,
-    and one value in ``args`` for each parameter of the entry function
-    after the array."""
+    not run as given: an entry function that does not take an ``int[]``
+    and then only ``int`` or ``bool`` parameters, a value that is not an
+    int32 (JSON bools and floats included), ``expected`` not as long as
+    ``input``, ``input`` longer than the heap, and ``args`` without one
+    value for each parameter after the array, 0 or 1 for a ``bool``."""
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -119,6 +122,12 @@ def suite_from_json(text: str, program: Program) -> list[TestCase]:
     if not isinstance(rows, list):
         raise SuiteInvalid("a suite must be a list of cases")
     entry = program.functions[program.entry_index()]
+    types = [t for t, _ in entry.params or []]
+    if types[:1] != [TYPE_ARRAY] \
+            or not set(types[1:]) <= {TYPE_INT, TYPE_BOOL}:
+        raise SuiteInvalid(
+            f"entry function {entry.name!r} must take an int[] and then "
+            f"only int or bool parameters")
     suite = []
     for i, row in enumerate(rows):
         where = f"case {i}"
@@ -135,11 +144,15 @@ def suite_from_json(text: str, program: Program) -> list[TestCase]:
             raise SuiteInvalid(
                 f"{where}: 'input' has {len(inp)} values, over the heap "
                 f"limit of {HEAP_LIMIT}")
-        if len(args) != len(entry.params) - 1:
+        if len(args) != len(types) - 1:
             raise SuiteInvalid(
                 f"{where}: 'args' has {len(args)} values, but "
-                f"{entry.name!r} takes {len(entry.params) - 1} after the "
-                f"array")
+                f"{entry.name!r} takes {len(types) - 1} after the array")
+        for value, (ptype, name) in zip(args, entry.params[1:]):
+            if ptype == TYPE_BOOL and value not in (0, 1):
+                raise SuiteInvalid(
+                    f"{where}: 'args' gives bool {name!r} {value}, not 0 "
+                    f"or 1")
         suite.append(TestCase(inp, args, expected))
     return suite
 
@@ -304,8 +317,12 @@ def load_problem(directory: str) -> ProblemSpec:
 
 
 def problem_dirs(corpus_dir: str) -> list[str]:
+    try:
+        names = os.listdir(corpus_dir)
+    except OSError as exc:
+        raise CorpusInvalid([f"{corpus_dir}: unreadable ({exc.strerror})"])
     return sorted(
-        os.path.join(corpus_dir, d) for d in os.listdir(corpus_dir)
+        os.path.join(corpus_dir, d) for d in names
         if os.path.isdir(os.path.join(corpus_dir, d))
         and os.path.exists(os.path.join(corpus_dir, d, "problem.json")))
 

@@ -74,7 +74,7 @@ from .lang.edit import (
 from .lang.printer import render_snippet
 from .runtime.ir import ProgramIR, splice_patch
 from .runtime.exec import (
-    TestCase, SuiteResult, baseline_limits, run_suite, compile_program,
+    Summary, TestCase, baseline_limits, run_suite, compile_program,
     entering_tests, prepare, run_patch, DEFAULT_TIMEOUT_FACTOR,
 )
 from .scores import (
@@ -124,17 +124,17 @@ class AnalysisResult:
     scores: dict[int, NodeScore]
     variants: tuple[VariantRecord, ...]
     cost: AnalysisCost
-    original: SuiteResult
+    original: Summary
 
 
 class WorkerDied(Exception):
     """A worker process died while the pool evaluated variants."""
 
 
-def classify_variant(original, outcome) -> str:
+def classify_variant(original: Summary, outcome: Optional[Summary]) -> str:
     """The one class of a variant, from the suite runs of the original and
-    of the variant (each a ``runtime.exec.Summary`` or a ``SuiteResult``);
-    ``outcome`` is None when the variant did not compile."""
+    of the variant; ``outcome`` is None when the variant did not
+    compile."""
     if outcome is None:
         return CLASS_NOT_COMPILABLE
     if outcome.any_timeout:
@@ -217,8 +217,8 @@ def exhaustive_descriptors(program: Program) -> list[MutationDescriptor]:
 # variant evaluation -------------------------------------------------------
 
 def _evaluate_variant(mutated: Program, suite: Sequence[TestCase],
-                      limits: Sequence[int], original: SuiteResult
-                      ) -> tuple[str, Optional[SuiteResult]]:
+                      limits: Sequence[int], original: Summary
+                      ) -> tuple[str, Optional[Summary]]:
     """Check, lower, run and classify one variant. The outcome is None when
     the variant does not compile."""
     outcome = None

@@ -27,9 +27,12 @@ enforces. Semantics frozen here:
   IndexOutOfBounds. Uninitialised variables read as 0 (= false = the empty
   array reference).
 
-``run_tests`` runs a whole IR on a suite. ``prepare`` and ``run_patch``
-run variants given as a ``runtime.ir.Patch`` on a prepared original, on a
-subset of the tests, and return a four-number summary. ``run_tests`` and
+``run_tests`` runs a whole IR on a suite and returns a row per test.
+``prepare`` and ``run_patch`` run variants given as a ``runtime.ir.Patch``
+on a prepared original, on a subset of the tests, and return a
+four-number summary; ``summarize`` gives the same four numbers for
+``run_tests`` rows, and ``runtime.exec`` builds every ``Summary`` of a
+whole run from it. ``run_tests`` and
 ``prepare`` validate the IR, and ``run_patch`` each patch, as ``engine.c``
 does, so that both raise ValueError on the same malformed input.
 """

@@ -5,9 +5,9 @@ the pure-Python one otherwise; set PERFLOC_ENGINE=py or PERFLOC_ENGINE=c to
 force a choice. Every engine runs a suite in one of two ways:
 
 - ``run_tests`` takes a whole ``ProgramIR`` and returns every test's
-  status, steps, error and final array. ``run_suite`` wraps it, for
-  originals (``baseline_limits``, the profile), deletions and variants
-  built whole.
+  status, steps, error and final array. ``baseline_limits`` reads these
+  rows of the original, the profile's counts included; ``run_suite``
+  summarizes them, for deletions and variants built whole.
 - ``prepare`` validates an original and packs its suite once, and runs it
   once; ``run_patch`` then runs one ``runtime.ir.Patch`` of it on only
   the tests it is given, counts the original's outcome on every test left
@@ -15,7 +15,8 @@ force a choice. Every engine runs a suite in one of two ways:
   any test timed out or failed. The exhaustive loop runs its splices this
   way.
 
-Both take a suite's correctness from one ``Fraction(k, n)`` table.
+Every suite run comes back as a ``Summary`` of those four numbers, its
+correctness taken from one ``Fraction(k, n)`` table.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .ir import Patch, ProgramIR, build_ir
 from . import engine_py
 
-STATUS_NAMES = {0: "Completed", 1: "Timeout", 2: "RuntimeError"}
-ERROR_NAMES = {0: None, 1: "IndexOutOfBounds", 2: "DivideByZero",
-               3: "StackOverflow"}
+STATUS_NAMES = {engine_py.STATUS_TIMEOUT: "Timeout",
+                engine_py.STATUS_ERROR: "RuntimeError"}
 
 DEFAULT_TIMEOUT_FACTOR = 2.5
 MIN_STEP_LIMIT = 100
@@ -68,31 +68,9 @@ class TestCase:
     expected_output: tuple[int, ...]
 
 
-class ExecutionOutcome(NamedTuple):
-    status: str
-    steps: int
-    final_array: Optional[tuple[int, ...]]
-    error_kind: Optional[str]
-
-
-@dataclass(frozen=True)
-class SuiteResult:
-    total_cost: int
-    correctness: Fraction
-    per_test: tuple[ExecutionOutcome, ...]
-
-    @property
-    def any_timeout(self) -> bool:
-        return any(o.status == "Timeout" for o in self.per_test)
-
-    @property
-    def any_error(self) -> bool:
-        return any(o.status == "RuntimeError" for o in self.per_test)
-
-
 class Summary(NamedTuple):
-    """A suite run as ``run_patch`` returns it; a ``SuiteResult`` has the
-    same four fields."""
+    """A suite run: total steps over its tests, the share of them that
+    pass, and whether any timed out or stopped on a runtime error."""
     total_cost: int
     correctness: Fraction
     any_timeout: bool
@@ -111,24 +89,16 @@ def correctness_table(n: int) -> tuple[Fraction, ...]:
 compile_program = build_ir
 
 
+def _summary(runs, suite: Sequence[TestCase]) -> Summary:
+    steps, passed, timeout, error = engine_py.summarize(runs, suite)
+    return Summary(steps, correctness_table(len(suite))[passed], timeout,
+                   error)
+
+
 def run_suite(ir: ProgramIR, suite: Sequence[TestCase],
-              limits: Sequence[int], engine=None,
-              counts=None) -> SuiteResult:
-    """Run every test under its own step limit. ``counts``, when given,
-    is an ``array('q')`` with a cell per node that gains one at every
-    statement entry; every engine counts."""
-    runs = (engine or _ENGINE).run_tests(ir, suite, limits, counts)
-    outcomes = []
-    correct = 0
-    total = 0
-    for test, (status, steps, err, final) in zip(suite, runs):
-        outcomes.append(ExecutionOutcome(STATUS_NAMES[status], steps, final,
-                                         ERROR_NAMES[err]))
-        total += steps
-        if final == test.expected_output:
-            correct += 1
-    return SuiteResult(total, correctness_table(len(suite))[correct],
-                       tuple(outcomes))
+              limits: Sequence[int], engine=None) -> Summary:
+    """Run every test under its own step limit."""
+    return _summary((engine or _ENGINE).run_tests(ir, suite, limits), suite)
 
 
 class Prepared(NamedTuple):
@@ -172,18 +142,20 @@ def entering_tests(ir: ProgramIR, suite: Sequence[TestCase],
 
 def baseline_limits(ir: ProgramIR, suite: Sequence[TestCase],
                     factor: float = DEFAULT_TIMEOUT_FACTOR, counts=None
-                    ) -> tuple[list[int], SuiteResult]:
+                    ) -> tuple[list[int], Summary]:
     """Per-test limits of max(100, ceil(factor x original steps)). The
-    original must complete and pass every test under a generous cap."""
-    result = run_suite(ir, suite, [BOOTSTRAP_LIMIT] * len(suite),
-                       counts=counts)
-    for test, outcome in zip(suite, result.per_test):
-        if outcome.status != "Completed":
+    original must complete and pass every test under a generous cap.
+    ``counts``, when given, is an ``array('q')`` with a cell per node that
+    gains one at every statement entry; every engine counts."""
+    runs = _ENGINE.run_tests(ir, suite, [BOOTSTRAP_LIMIT] * len(suite),
+                             counts)
+    for k, (test, (status, _, _, final)) in enumerate(zip(suite, runs)):
+        if status != engine_py.STATUS_COMPLETED:
+            raise BaselineDiverged(f"original program ends in "
+                                   f"{STATUS_NAMES[status]} on case {k}")
+        if final != test.expected_output:
             raise BaselineDiverged(
-                f"original program {outcome.status} on test {test}")
-        if outcome.final_array != test.expected_output:
-            raise BaselineDiverged(
-                f"original program is incorrect on test {test}")
-    limits = [max(MIN_STEP_LIMIT, math.ceil(factor * o.steps))
-              for o in result.per_test]
-    return limits, result
+                f"original program is incorrect on case {k}")
+    limits = [max(MIN_STEP_LIMIT, math.ceil(factor * steps))
+              for _, steps, _, _ in runs]
+    return limits, _summary(runs, suite)

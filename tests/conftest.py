@@ -11,8 +11,14 @@ import shutil
 import sysconfig
 
 import pytest
+from hypothesis import settings
 
 from perfloc.corpus import load_problem, problem_dirs
+from perfloc.runtime import engine_py, exec as execution
+
+# Every run of the suite draws the same Hypothesis examples.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -60,6 +66,20 @@ def c_engine():
             pytest.skip(f"no C compiler ({compiler}) to build the engine")
         pytest.fail(f"the compiled engine did not build: {exc}")
     return _engine
+
+
+@pytest.fixture(scope="session", params=["py", "c"])
+def engine(request):
+    """Each engine in turn: ``engine_py``, then the compiled one."""
+    if request.param == "py":
+        return engine_py
+    return request.getfixturevalue("c_engine")
+
+
+def run_tests(ir, suite, limits, engine=None, counts=None):
+    """The (status, steps, error, final array) row of each test, run on
+    ``engine``, by default the active one."""
+    return (engine or execution._ENGINE).run_tests(ir, suite, limits, counts)
 
 
 def corpus_source(name: str) -> str:

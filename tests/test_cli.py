@@ -298,6 +298,68 @@ def test_validate_failure_exits_one(tmp_path, capsys):
     assert main(["validate", "--corpus", str(bad)]) == 1
     assert "invalid" in capsys.readouterr().err
 
+# -- unusable paths -----------------------------------------------------
+
+@pytest.mark.parametrize("command, path", [
+    ("evaluate", "missing corpus"),
+    ("validate", "missing corpus"),
+    ("validate", "file corpus"),
+    ("profile", "file out"),
+    ("profile", "out below a file"),
+    ("localize", "file out"),
+    ("localize", "out below a file"),
+    ("evaluate", "file out"),
+    ("evaluate", "out below a file"),
+])
+def test_unusable_path_exits_one_with_one_line(tmp_path, capsys, command,
+                                               path):
+    import shutil
+    corpus = tmp_path / "corpus"
+    shutil.copytree(os.path.join(CORPUS_DIR, "bubble"), corpus / "bubble")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    out = {"file out": a_file,
+           "out below a file": a_file / "out"}.get(path, tmp_path / "out")
+    if path == "missing corpus":
+        corpus = tmp_path / "missing"
+    elif path == "file corpus":
+        corpus = a_file
+    argv = {"profile": ["profile", BUBBLE, "--tests", SUITE,
+                        "--out", str(out)],
+            "localize": ["localize", BUBBLE, "--tests", SUITE,
+                         "--technique", "deletion", "--out", str(out)],
+            "evaluate": ["evaluate", "--corpus", str(corpus),
+                         "--out", str(out)],
+            "validate": ["validate", "--corpus", str(corpus)]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    if command == "evaluate" and "out" in path:
+        err = err[1:]   # the line naming the problem it evaluated
+    name = str(corpus) if "corpus" in path else str(a_file)
+    assert len(err) == 1 and name in err[0], err
+
+
+# -- an original that fails its suite -----------------------------------
+
+@pytest.mark.parametrize("body, line", [
+    ("while (true) { }", "ends in Timeout on case 0"),
+    ("a[0] = 0;", "is incorrect on case 1"),
+])
+def test_diverging_original_exits_one_with_one_line(tmp_path, capsys, body,
+                                                    line):
+    program = tmp_path / "p.mini"
+    program.write_text(f"void sort(int[] a, int length) {{ {body} }}\n")
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([
+        {"input": [0], "args": [1], "expected": [0]},
+        {"input": [2, 1], "args": [2], "expected": [1, 2]}]))
+    for technique in ("profile", "deletion"):
+        assert main(["localize", str(program), "--tests", str(suite),
+                     "--technique", technique,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() \
+            == [f"error: original program {line}"], technique
+
 
 # -- malformed suites ---------------------------------------------------
 
@@ -309,6 +371,12 @@ def test_validate_failure_exits_one(tmp_path, capsys):
     # a list replaces the whole value; sort takes one value after the array
     ("args", []),
     ("args", [5, 6]),
+    # a program replaces the original; the line names the entry function
+    ("program", "void sort(int length, int[] a) { }"),
+    ("program", "void sort() { }"),
+    ("program", "void sort(int[] a, int[] b) { }"),
+    # ...or the first case whose arg is neither 0 nor 1 for a bool
+    ("program", "void sort(int[] a, bool flip) { if (flip) { } }"),
 ])
 def test_malformed_suite_exits_one_with_one_line(tmp_path, capsys, key,
                                                  value):
@@ -318,7 +386,12 @@ def test_malformed_suite_exits_one_with_one_line(tmp_path, capsys, key,
     program = corpus / "bubble" / "original.mini"
     suite = corpus / "bubble" / "suite.json"
     cases = json.loads(suite.read_text())
-    if value is None:
+    where = "case 3"
+    if key == "program":
+        program.write_text(value)
+        if "bool" not in value:
+            where = "entry function 'sort'"
+    elif value is None:
         del cases[3][key]
     elif isinstance(value, list):
         cases[3][key] = value
@@ -334,7 +407,7 @@ def test_malformed_suite_exits_one_with_one_line(tmp_path, capsys, key,
                  ["validate", "--corpus", str(corpus)]):
         assert main(argv) == 1, argv[0]
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "case 3" in err[0], (argv[0], err)
+        assert len(err) == 1 and where in err[0], (argv[0], err)
 
 
 def _drop_name(path):

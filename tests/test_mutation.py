@@ -23,9 +23,10 @@ from perfloc.mutation import (
     deletion_analysis, exhaustive_analysis,
     exhaustive_descriptors,
 )
-from perfloc.runtime.exec import ExecutionOutcome, SuiteResult
 from perfloc.runtime.exec import TestCase as Case
-from perfloc.runtime.exec import baseline_limits, compile_program, run_suite
+from perfloc.runtime.exec import (
+    Summary, baseline_limits, compile_program, run_suite,
+)
 
 from conftest import CORPUS_DIR, corpus_source
 from tree_helpers import subtree
@@ -105,37 +106,24 @@ def test_generation_is_deterministic(bl):
 
 # -- classification -----------------------------------------------------
 
-def out(status, steps, final=None, err=None):
-    return ExecutionOutcome(status, steps, final, err)
+def summary(total, correctness, timeout=False, error=False):
+    return Summary(total, Fraction(correctness), timeout, error)
 
 
-def suite_result(total, correctness, outcomes=()):
-    return SuiteResult(total, Fraction(correctness), tuple(outcomes))
-
-
-ORIGINAL = suite_result(1000, 1)
+ORIGINAL = summary(1000, 1)
 
 
 @pytest.mark.parametrize("outcome,expected", [
     (None, CLASS_NOT_COMPILABLE),
-    (suite_result(500, 1, [out("Timeout", 500)]), CLASS_INFINITE_LOOP),
-    (suite_result(2000, 0, [out("Timeout", 1000),
-                            out("RuntimeError", 1000, err="DivideByZero")]),
-     CLASS_INFINITE_LOOP),
-    (suite_result(400, 0, [out("RuntimeError", 400,
-                               err="IndexOutOfBounds")]),
-     CLASS_RUNTIME_ERROR),
-    (suite_result(900, Fraction(1, 2), [out("Completed", 900, (1,))]),
-     CLASS_LESS_EXPENSIVE),
-    (suite_result(900, 1, [out("Completed", 900, (1,))]),
-     CLASS_LESS_EXPENSIVE),
-    (suite_result(1000, Fraction(1, 2), [out("Completed", 1000, (1,))]),
-     CLASS_DEGRADED),
-    (suite_result(1500, Fraction(1, 2), [out("Completed", 1500, (1,))]),
-     CLASS_DEGRADED),
-    (suite_result(1500, 1, [out("Completed", 1500, (1,))]),
-     CLASS_MORE_EXPENSIVE),
-    (suite_result(1000, 1, [out("Completed", 1000, (1,))]), CLASS_IDENTICAL),
+    (summary(500, 1, timeout=True), CLASS_INFINITE_LOOP),
+    (summary(2000, 0, timeout=True, error=True), CLASS_INFINITE_LOOP),
+    (summary(400, 0, error=True), CLASS_RUNTIME_ERROR),
+    (summary(900, Fraction(1, 2)), CLASS_LESS_EXPENSIVE),
+    (summary(900, 1), CLASS_LESS_EXPENSIVE),
+    (summary(1000, Fraction(1, 2)), CLASS_DEGRADED),
+    (summary(1500, Fraction(1, 2)), CLASS_DEGRADED),
+    (summary(1500, 1), CLASS_MORE_EXPENSIVE),
+    (summary(1000, 1), CLASS_IDENTICAL),
 ])
 def test_classification_precedence(outcome, expected):
     assert classify_variant(ORIGINAL, outcome) == expected

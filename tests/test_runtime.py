@@ -14,7 +14,9 @@ import shutil
 import subprocess
 import sys
 from array import array
+from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,16 +29,36 @@ from perfloc.lang.parser import parse_program
 from perfloc.mutation import exhaustive_descriptors, reaching_tests
 from perfloc.runtime import engine_py
 from perfloc.runtime.exec import (
-    BOOTSTRAP_LIMIT, BaselineDiverged, MIN_STEP_LIMIT,
+    BOOTSTRAP_LIMIT, BaselineDiverged, MIN_STEP_LIMIT, Summary,
     baseline_limits, compile_program, run_suite,
 )
 from perfloc.runtime.exec import TestCase as Case
 from perfloc.runtime.ir import HEAP_LIMIT, apply_patch, build_ir, splice_patch
 
+from conftest import run_tests
+
+STATUS = {engine_py.STATUS_COMPLETED: "Completed",
+          engine_py.STATUS_TIMEOUT: "Timeout",
+          engine_py.STATUS_ERROR: "RuntimeError"}
+ERROR = {engine_py.ERR_NONE: None, engine_py.ERR_INDEX: "IndexOutOfBounds",
+         engine_py.ERR_DIV: "DivideByZero",
+         engine_py.ERR_STACK: "StackOverflow"}
+
+
+class Run(NamedTuple):
+    """A ``run_tests`` row with its status and error named."""
+    status: str
+    steps: int
+    error_kind: Optional[str]
+    final_array: Optional[tuple[int, ...]]
+
 
 def execute(ir, test, step_limit, engine=None, counts=None):
-    """Run the entry function on one test; see ``run_suite``."""
-    return run_suite(ir, (test,), (step_limit,), engine, counts).per_test[0]
+    """Run the entry function on one test, on ``engine``, by default the
+    active one."""
+    (status, steps, err, final), = run_tests(ir, (test,), (step_limit,),
+                                             engine, counts)
+    return Run(STATUS[status], steps, ERROR[err], final)
 
 
 def ir_for(text: str):
@@ -174,31 +196,51 @@ def test_entry_is_the_sort_function_regardless_of_order():
     assert out.final_array == (5,)
 
 
-def test_run_suite_aggregates_partial_costs():
+def summary_of_rows(ir, suite, limits, engine):
+    """The ``Summary`` of ``engine``'s own rows of ``suite``."""
+    rows = engine.run_tests(ir, suite, limits)
+    passed = sum(final == test.expected_output
+                 for (_, _, _, final), test in zip(rows, suite))
+    return Summary(sum(steps for _, steps, _, _ in rows),
+                   Fraction(passed, len(suite)) if suite else Fraction(1),
+                   any(row[0] == engine_py.STATUS_TIMEOUT for row in rows),
+                   any(row[0] == engine_py.STATUS_ERROR for row in rows))
+
+
+def test_run_suite_aggregates_partial_costs(engine):
     text = ("void sort(int[] a, int length) "
             "{ if (a[0] > 90) { while (true) { } } a[length] = 0; }")
     suite = [Case((99,), (1,), (99,)), Case((1,), (1,), (1,))]
     ir = ir_for(text)
-    result = run_suite(ir, suite, [50, 50])
-    assert [o.status for o in result.per_test] == ["Timeout", "RuntimeError"]
-    assert result.total_cost == 50 + result.per_test[1].steps
+    result = run_suite(ir, suite, [50, 50], engine)
+    assert result == summary_of_rows(ir, suite, [50, 50], engine)
+    runs = [execute(ir, test, 50, engine) for test in suite]
+    assert [r.status for r in runs] == ["Timeout", "RuntimeError"]
+    assert result.total_cost == 50 + runs[1].steps
     assert result.correctness == 0
+    assert result.any_timeout and result.any_error
 
 
-def test_run_suite_identity_program_correctness():
+def test_run_suite_identity_program_correctness(engine):
     text = "void sort(int[] a, int length) { }"
     suite = [
         Case((1, 2), (2,), (1, 2)),   # already sorted: passes
         Case((2, 1), (2,), (1, 2)),   # needs work: fails
     ]
-    result = run_suite(ir_for(text), suite, [100, 100])
+    ir = ir_for(text)
+    result = run_suite(ir, suite, [100, 100], engine)
+    assert result == summary_of_rows(ir, suite, [100, 100], engine)
     assert result.correctness == pytest.approx(0.5)
     assert result.total_cost == 2
+    assert not (result.any_timeout or result.any_error)
 
 
-def test_run_suite_empty_is_vacuously_correct():
-    result = run_suite(ir_for("void sort(int[] a, int length) { }"), [], [])
+def test_run_suite_empty_is_vacuously_correct(engine):
+    ir = ir_for("void sort(int[] a, int length) { }")
+    result = run_suite(ir, [], [], engine)
+    assert result == summary_of_rows(ir, [], [], engine)
     assert result.total_cost == 0 and result.correctness == 1
+    assert not (result.any_timeout or result.any_error)
 
 
 def test_baseline_limits_formula():
@@ -215,11 +257,16 @@ def test_baseline_limits_formula():
 
 def test_baseline_limits_rejects_diverging_original():
     bad = "void sort(int[] a, int length) { while (true) { } }"
-    with pytest.raises(BaselineDiverged):
+    with pytest.raises(BaselineDiverged, match="ends in Timeout on case 0"):
         baseline_limits(ir_for(bad), [Case((1,), (1,), (1,))], 2.5)
     wrong = "void sort(int[] a, int length) { a[0] = 0 - 1; }"
-    with pytest.raises(BaselineDiverged):
-        baseline_limits(ir_for(wrong), [Case((3,), (1,), (3,))], 2.5)
+    with pytest.raises(BaselineDiverged, match="incorrect on case 1"):
+        baseline_limits(ir_for(wrong), [Case((-1,), (1,), (-1,)),
+                                        Case((3,), (1,), (3,))], 2.5)
+    crash = "void sort(int[] a, int length) { a[length] = 0; }"
+    with pytest.raises(BaselineDiverged,
+                       match="ends in RuntimeError on case 0"):
+        baseline_limits(ir_for(crash), [Case((1,), (1,), (1,))], 2.5)
 
 
 ENGINE_CASES = [
@@ -262,14 +309,14 @@ def test_engines_agree_on_bubble_sort_runs(c_engine, values):
 
 
 def _counted_suites(problems, engine):
-    """Per corpus original: its suite run with counts, run without, and the
-    counts."""
+    """Per corpus original: the rows of its suite run with counts, run
+    without, and the counts."""
     for name, problem in sorted(problems.items()):
         ir = compile_program(problem.original)
         limits = [BOOTSTRAP_LIMIT] * len(problem.suite)
         counts = array("q", [0]) * len(ir.kind)
-        counted = run_suite(ir, problem.suite, limits, engine, counts)
-        plain = run_suite(ir, problem.suite, limits, engine)
+        counted = run_tests(ir, problem.suite, limits, engine, counts)
+        plain = run_tests(ir, problem.suite, limits, engine)
         yield name, counted, plain, counts
 
 
@@ -280,7 +327,7 @@ def test_counting_runs_match_plain_runs(problems):
         assert counted == plain, name
         program = problems[name].original
         body = program.first[program.entry_index()]
-        assert counts[body] == len(plain.per_test), name
+        assert counts[body] == len(plain), name
 
 
 def test_counting_runs_match_compiled_runs(problems, c_engine):

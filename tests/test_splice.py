@@ -22,7 +22,7 @@ from perfloc.lang.printer import render_snippet
 from perfloc.mutation import exhaustive_descriptors, reaching_tests
 from perfloc.runtime import engine_py
 from perfloc.runtime.exec import (
-    BOOTSTRAP_LIMIT, baseline_limits, compile_program, run_suite,
+    BOOTSTRAP_LIMIT, baseline_limits, compile_program,
 )
 from perfloc.runtime.exec import TestCase as Case
 from perfloc.runtime.ir import (
@@ -30,6 +30,7 @@ from perfloc.runtime.ir import (
 )
 
 import test_holes
+from conftest import run_tests
 
 # Every hole-accepted exhaustive descriptor of the 11 corpus originals.
 # Fixed before the statement splices were timed.
@@ -56,8 +57,8 @@ def differential(program, suite, limits, mismatches, name):
         spliced = apply_patch(ir, splice_patch(ir, program, d.target,
                                                d.donor, d.donor_id, slots))
         built = compile_program(replace_node(program, d.target, d.donor))
-        if run_suite(spliced, suite, limits) \
-                != run_suite(built, suite, limits):
+        if run_tests(spliced, suite, limits) \
+                != run_tests(built, suite, limits):
             mismatches.append((name, d.target, d.donor_label))
     return accepted
 
@@ -138,7 +139,7 @@ def assert_same_program(spliced, built):
     assert (spliced.functions, spliced.entry) == (built.functions,
                                                   built.entry)
     limits = [BOOTSTRAP_LIMIT] * len(SUITE)
-    assert run_suite(spliced, SUITE, limits) == run_suite(built, SUITE,
+    assert run_tests(spliced, SUITE, limits) == run_tests(built, SUITE,
                                                           limits)
 
 
@@ -236,15 +237,15 @@ def test_a_donor_from_another_function_takes_its_holes_slot(problems):
     assert slots[donor] != p.frames.slots[donor]  # msort's `c`, not sort's
     assert tree(spliced) == tree(built)
     limits, _ = baseline_limits(build_ir(p), merge.suite)
-    assert run_suite(spliced, merge.suite, limits) \
-        == run_suite(built, merge.suite, limits)
+    assert run_tests(spliced, merge.suite, limits) \
+        == run_tests(built, merge.suite, limits)
 
 
 # statement donors --------------------------------------------------------
 
 def assert_same_runs(spliced, built):
     limits = [BOOTSTRAP_LIMIT] * len(SUITE)
-    assert run_suite(spliced, SUITE, limits) == run_suite(built, SUITE,
+    assert run_tests(spliced, SUITE, limits) == run_tests(built, SUITE,
                                                           limits)
 
 
@@ -318,14 +319,6 @@ LIMITS = [1000] * len(SUITE)
 ALL = tuple(range(len(SUITE)))
 LOOP = "for (int i = 0; i < length; i++) { a[i] = a[i] + n; n--; }"
 BRANCH = "if (!done && n < length) { a[0] = -n; }"
-
-
-@pytest.fixture(scope="session", params=["py", "c"])
-def engine(request):
-    """Each engine in turn: ``engine_py``, then the compiled one."""
-    if request.param == "py":
-        return engine_py
-    return request.getfixturevalue("c_engine")
 
 
 def statement_patch(program, target_text, donor_text, shift=0):
