@@ -31,7 +31,7 @@ from .lang.printer import render_snippet
 from .mutation import (
     WorkerDied, combined_analysis, deletion_analysis, exhaustive_analysis,
 )
-from .profiler import inherited_count, profile, profile_cost, profile_scores
+from .profiler import profile, profile_cost, profile_scores
 from .runtime.exec import (
     BOOTSTRAP_LIMIT, BaselineDiverged, DEFAULT_TIMEOUT_FACTOR, ENGINE_NAME,
 )
@@ -50,50 +50,64 @@ BOOTSTRAP_PAIRS = ((SOURCE_PROFILER, SOURCE_DELETION),
 
 def ratio_text(value) -> str:
     """Exact rationals render as shortest round-trip floats in reports."""
-    if value is None:
-        return ""
-    return repr(float(value))
+    return "" if value is None else repr(float(value))
 
 
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _open_csv(directory: str, name: str):
-    path = os.path.join(directory, name)
+def _cannot_write(path: str, exc: OSError) -> CliDataError:
+    return CliDataError(f"cannot write {path} ({exc.filename}: "
+                        f"{exc.strerror})")
+
+
+def _claim_out(directory: str) -> None:
+    """Create the output directory; the commands call this before their
+    first analysis, so an unusable --out fails at once."""
     try:
         os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(directory, exc) from None
+
+
+def _open_csv(directory: str, name: str):
+    _claim_out(directory)
+    path = os.path.join(directory, name)
+    try:
         return open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise CliDataError(f"cannot write {path} ({exc.filename}: "
-                           f"{exc.strerror})") from None
+        raise _cannot_write(path, exc) from None
+
+
+def _write_csv(directory: str, name: str, header, rows) -> None:
+    """The one way a report is written: a header row, then ``rows``."""
+    with _open_csv(directory, name) as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_nodes_csv(path_dir: str, program, scores) -> None:
-    with _open_csv(path_dir, "nodes.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node_id", "kind", "source", "value", "n_reduced",
-                    "n_compiled", "gap_filled"])
-        counted = scores and next(iter(scores.values())).source in (
-            SOURCE_EXHAUSTIVE, SOURCE_COMBINED)
-        for i, node in enumerate(program.nodes):
-            s = scores[i]
-            red = s.n_reduced if counted else ""
-            comp = s.n_compiled if counted else ""
-            w.writerow([i, node.kind, render_snippet(node),
-                        ratio_text(s.value), red, comp,
-                        int(s.gap_filled)])
+    counted = scores and next(iter(scores.values())).source in (
+        SOURCE_EXHAUSTIVE, SOURCE_COMBINED)
+    _write_csv(path_dir, "nodes.csv",
+               ["node_id", "kind", "source", "value", "n_reduced",
+                "n_compiled", "gap_filled"],
+               ([i, node.kind, render_snippet(node), ratio_text(s.value),
+                 s.n_reduced if counted else "",
+                 s.n_compiled if counted else "", int(s.gap_filled)]
+                for i, node in enumerate(program.nodes)
+                for s in (scores[i],)))
 
 
 def write_variants_csv(path_dir: str, variants) -> None:
-    with _open_csv(path_dir, "variants.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["target", "donor", "class", "cost", "correctness"])
-        for v in variants:
-            cost = "" if v.cost is None else v.cost
-            corr = "" if v.correctness is None else ratio_text(v.correctness)
-            w.writerow([v.target, v.donor_label, v.classification, cost,
-                        corr])
+    _write_csv(path_dir, "variants.csv",
+               ["target", "donor", "class", "cost", "correctness"],
+               ([v.target, v.donor_label, v.classification,
+                 "" if v.cost is None else v.cost,
+                 "" if v.correctness is None else ratio_text(v.correctness)]
+                for v in variants))
 
 
 class CliDataError(Exception):
@@ -113,13 +127,12 @@ def _workers_of(where: str):
 def cmd_profile(args) -> int:
     program = load_program(args.program)
     suite = load_suite(args.tests, program)
+    _claim_out(args.out)
     report = profile(program, suite)
-    with _open_csv(args.out, "profile.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node_id", "kind", "count", "score"])
-        for i, node in enumerate(program.nodes):
-            w.writerow([i, node.kind, inherited_count(program, report, i),
-                        ratio_text(report.node_scores[i])])
+    scores = profile_scores(program, report)
+    _write_csv(args.out, "profile.csv", ["node_id", "kind", "count", "score"],
+               ([i, node.kind, report.counts[i], ratio_text(scores[i].value)]
+                for i, node in enumerate(program.nodes)))
     _say(f"profiled {len(program.nodes)} nodes over {len(suite)} tests "
          f"(total statement entries: {report.total})")
     return 0
@@ -128,28 +141,25 @@ def cmd_profile(args) -> int:
 def cmd_localize(args) -> int:
     program = load_program(args.program)
     suite = load_suite(args.tests, program)
+    _claim_out(args.out)
     technique = args.technique
     variants = ()
     if technique == "profile":
         scores = profile_scores(program, profile(program, suite))
         cost = profile_cost()
-    elif technique == "deletion":
-        result = deletion_analysis(program, suite, args.timeout_factor)
-        scores, variants, cost = result.scores, result.variants, result.cost
-    elif technique == "exhaustive":
-        with _workers_of(f"{args.program}: {technique}"):
-            result = exhaustive_analysis(program, suite, args.timeout_factor,
-                                         args.hint_include_correct,
-                                         args.jobs)
-        scores, variants, cost = result.scores, result.variants, result.cost
     else:
         with _workers_of(f"{args.program}: {technique}"):
-            combined, _, _ = combined_analysis(program, suite,
-                                               args.timeout_factor,
-                                               args.hint_include_correct,
-                                               args.jobs)
-        scores, variants, cost = (combined.scores, combined.variants,
-                                  combined.cost)
+            if technique == "deletion":
+                result = deletion_analysis(program, suite, args.timeout_factor)
+            elif technique == "exhaustive":
+                result = exhaustive_analysis(
+                    program, suite, args.timeout_factor,
+                    args.hint_include_correct, args.jobs)
+            else:
+                result, _, _ = combined_analysis(
+                    program, suite, args.timeout_factor,
+                    args.hint_include_correct, args.jobs)
+        scores, variants, cost = result.scores, result.variants, result.cost
     write_nodes_csv(args.out, program, scores)
     write_variants_csv(args.out, variants)
     _say(f"{technique}: {len(program.nodes)} nodes, "
@@ -160,27 +170,27 @@ def cmd_localize(args) -> int:
 
 
 def _technique_runs(problem, args):
-    """All four score maps plus analysis costs for one problem."""
+    """(scores, cost) per technique, in TECHNIQUE_TAGS order. The analyses'
+    variant logs are freed on return, before the next problem runs."""
+    program, suite = problem.original, problem.suite
     combined, exhaustive, deletion = combined_analysis(
-        problem.original, problem.suite, args.timeout_factor,
-        args.hint_include_correct, args.jobs)
-    prof = profile_scores(problem.original,
-                          profile(problem.original, problem.suite))
-    return {
-        SOURCE_PROFILER: (prof, profile_cost()),
-        SOURCE_DELETION: (deletion.scores, deletion.cost),
-        SOURCE_EXHAUSTIVE: (exhaustive.scores, exhaustive.cost),
-        SOURCE_COMBINED: (combined.scores, combined.cost),
-    }
+        program, suite, args.timeout_factor, args.hint_include_correct,
+        args.jobs)
+    profiler = profile_scores(program, profile(program, suite))
+    return ((profiler, profile_cost()), (deletion.scores, deletion.cost),
+            (exhaustive.scores, exhaustive.cost),
+            (combined.scores, combined.cost))
 
 
 def cmd_evaluate(args) -> int:
     dirs = problem_dirs(args.corpus)
     if not dirs:
         raise CliDataError(f"no problems under {args.corpus}")
+    out = args.out
+    _claim_out(out)
+    # problem name -> technique -> rank-error report, in directory order
     per_problem: dict[str, dict] = {}
-    costs: list[tuple] = []
-    reports_by_technique: dict[str, list] = {t: [] for t in TECHNIQUE_TAGS}
+    cost_rows: list[list] = []
     for directory in dirs:
         problem = load_problem(directory)
         if not problem.annotation:
@@ -190,65 +200,51 @@ def cmd_evaluate(args) -> int:
              f"({len(problem.original.nodes)} nodes)")
         with _workers_of(f"{problem.name}: exhaustive"):
             runs = _technique_runs(problem, args)
-        per_problem[problem.name] = {}
-        for tag in TECHNIQUE_TAGS:
-            scores, cost = runs[tag]
-            ranking = fractional_rank(scores)
-            report = percent_rank_error(ranking, problem.annotation, tag)
-            per_problem[problem.name][tag] = report
-            reports_by_technique[tag].append(report)
-            costs.append((problem.name, tag, cost))
+        reports = per_problem[problem.name] = {}
+        for tag, (scores, cost) in zip(TECHNIQUE_TAGS, runs):
+            reports[tag] = percent_rank_error(fractional_rank(scores),
+                                              problem.annotation, tag)
+            cost_rows.append([problem.name, tag, cost.variants_generated,
+                              cost.compiled, cost.executed, cost.evaluations])
 
-    out = args.out
-    with _open_csv(out, "rank_errors.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["problem", "technique", "node_id", "rank", "ideal_rank",
-                    "error", "accuracy", "upper_half"])
-        for name in sorted(per_problem):
-            for tag in TECHNIQUE_TAGS:
-                for e in per_problem[name][tag].per_node:
-                    w.writerow([name, tag, e.node, ratio_text(e.r_actual),
-                                ratio_text(e.r_ideal), ratio_text(e.error),
-                                ratio_text(e.accuracy), int(e.upper_half)])
+    names = sorted(per_problem)
+    _write_csv(out, "rank_errors.csv",
+               ["problem", "technique", "node_id", "rank", "ideal_rank",
+                "error", "accuracy", "upper_half"],
+               ([name, tag, e.node, ratio_text(e.r_actual),
+                 ratio_text(e.r_ideal), ratio_text(e.error),
+                 ratio_text(e.accuracy), int(e.upper_half)]
+                for name in names for tag in TECHNIQUE_TAGS
+                for e in per_problem[name][tag].per_node))
 
-    table = accuracy_table(reports_by_technique)
-    with _open_csv(out, "accuracy.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["band"] + list(TECHNIQUE_TAGS))
-        for band in ACCURACY_BANDS:
-            w.writerow([band] + [table[band][t] for t in TECHNIQUE_TAGS])
+    table = accuracy_table({tag: [reports[tag]
+                                  for reports in per_problem.values()]
+                            for tag in TECHNIQUE_TAGS})
+    _write_csv(out, "accuracy.csv", ["band", *TECHNIQUE_TAGS],
+               ([band] + [table[band][t] for t in TECHNIQUE_TAGS]
+                for band in ACCURACY_BANDS))
 
     summary = summary_table(per_problem)
-    with _open_csv(out, "summary.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric"] + list(TECHNIQUE_TAGS))
-        for row in SUMMARY_ROWS:
-            w.writerow([row] + [summary[row][t] for t in TECHNIQUE_TAGS])
+    _write_csv(out, "summary.csv", ["metric", *TECHNIQUE_TAGS],
+               ([row] + [summary[row][t] for t in TECHNIQUE_TAGS]
+                for row in SUMMARY_ROWS))
 
     # Accuracy lists paired by improvement node, in (problem, node) order.
-    accs = {tag: [e.accuracy
-                  for name in sorted(per_problem)
+    accs = {tag: [e.accuracy for name in names
                   for e in per_problem[name][tag].per_node]
             for tag in TECHNIQUE_TAGS}
-    lo, hi = args.ci_quantiles
-    with _open_csv(out, "bootstrap.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["technique_a", "technique_b", "mean_diff", "ci_low",
-                    "ci_high", "resamples", "sample_size", "seed"])
-        for a, b in BOOTSTRAP_PAIRS:
-            r = bootstrap_diff(accs[a], accs[b], seed=args.seed,
-                               quantiles=(lo, hi))
-            w.writerow([a, b, ratio_text(r.mean_diff), ratio_text(r.ci_low),
-                        ratio_text(r.ci_high), r.resamples, r.sample_size,
-                        r.seed])
+    _write_csv(out, "bootstrap.csv",
+               ["technique_a", "technique_b", "mean_diff", "ci_low",
+                "ci_high", "resamples", "sample_size", "seed"],
+               ([a, b, ratio_text(r.mean_diff), ratio_text(r.ci_low),
+                 ratio_text(r.ci_high), r.resamples, r.sample_size, r.seed]
+                for a, b in BOOTSTRAP_PAIRS
+                for r in (bootstrap_diff(accs[a], accs[b], seed=args.seed,
+                                         quantiles=args.ci_quantiles),)))
 
-    with _open_csv(out, "cost.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["problem", "technique", "variants_generated", "compiled",
-                    "executed", "evaluations"])
-        for name, tag, cost in costs:
-            w.writerow([name, tag, cost.variants_generated, cost.compiled,
-                        cost.executed, cost.evaluations])
+    _write_csv(out, "cost.csv",
+               ["problem", "technique", "variants_generated", "compiled",
+                "executed", "evaluations"], cost_rows)
     _say(f"wrote reports for {len(per_problem)} problems to {out}")
     return 0
 
@@ -288,17 +284,16 @@ def _parse_quantiles(text: str):
     return lo, hi
 
 
-def _add_run_flags(sub, jobs=True):
+def _add_run_flags(sub):
     sub.add_argument("--timeout-factor", type=_timeout_factor,
                      default=DEFAULT_TIMEOUT_FACTOR,
                      help="variant step budget as a multiple of the "
                           "original's per-test cost (a finite number > 1)")
-    if jobs:
-        sub.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for variant evaluation")
-        sub.add_argument("--hint-include-correct", action="store_true",
-                         help="count fully-correct cheaper variants as "
-                              "cost-reducing instead of only logging them")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="worker processes for variant evaluation")
+    sub.add_argument("--hint-include-correct", action="store_true",
+                     help="count fully-correct cheaper variants as "
+                          "cost-reducing instead of only logging them")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -284,8 +284,7 @@ def load_suite(path: str, program: Program) -> tuple[TestCase, ...]:
         raise CorpusInvalid([f"{path}: bad test suite: {exc}"])
 
 
-def load_problem(directory: str) -> ProblemSpec:
-    """Raises CorpusInvalid, naming the file, on anything it cannot use."""
+def _problem_meta(directory: str) -> dict:
     meta_path = os.path.join(directory, "problem.json")
     try:
         meta = json.loads(_read(meta_path))
@@ -293,6 +292,12 @@ def load_problem(directory: str) -> ProblemSpec:
         raise CorpusInvalid([f"{meta_path}: not JSON ({exc})"])
     if not isinstance(meta, dict) or not isinstance(meta.get("name"), str):
         raise CorpusInvalid([f"{meta_path}: needs a \"name\" string"])
+    return meta
+
+
+def load_problem(directory: str) -> ProblemSpec:
+    """Raises CorpusInvalid, naming the file, on anything it cannot use."""
+    meta = _problem_meta(directory)
     original = load_program(os.path.join(directory, "original.mini"))
     improved_names = sorted(
         f for f in os.listdir(directory)
@@ -317,14 +322,28 @@ def load_problem(directory: str) -> ProblemSpec:
 
 
 def problem_dirs(corpus_dir: str) -> list[str]:
+    """The problem directories, sorted. Raises CorpusInvalid if two give
+    the same problem name, since the reports key problems by name."""
     try:
         names = os.listdir(corpus_dir)
     except OSError as exc:
         raise CorpusInvalid([f"{corpus_dir}: unreadable ({exc.strerror})"])
-    return sorted(
+    dirs = sorted(
         os.path.join(corpus_dir, d) for d in names
         if os.path.isdir(os.path.join(corpus_dir, d))
         and os.path.exists(os.path.join(corpus_dir, d, "problem.json")))
+    owners: dict[str, str] = {}
+    for directory in dirs:
+        try:
+            name = _problem_meta(directory)["name"]
+        except CorpusInvalid:
+            continue    # load_problem reports it with the problem
+        if name in owners:
+            raise CorpusInvalid([
+                f"{os.path.join(directory, 'problem.json')}: problem name "
+                f"{name!r} is already used by {owners[name]}"])
+        owners[name] = directory
+    return dirs
 
 
 def validate_problem(directory: str) -> list[str]:

@@ -25,9 +25,8 @@ from .scores import NodeScore, AnalysisCost, SOURCE_PROFILER
 
 @dataclass(frozen=True)
 class ProfileReport:
-    counts: dict[int, int]
-    node_scores: dict[int, Fraction]
-    total: int
+    counts: list[int]   # node id -> the count it has or inherits
+    total: int          # summed over statements
 
 
 def profile(program: Program, suite: Sequence[TestCase]) -> ProfileReport:
@@ -37,46 +36,26 @@ def profile(program: Program, suite: Sequence[TestCase]) -> ProfileReport:
         raise ValueError(f"program does not compile: {violations[0]}")
     tally = array("q", [0]) * len(program.nodes)
     baseline_limits(build_ir(program), suite, counts=tally)
-
-    nodes, first = program.nodes, program.first
-    counts_map = {i: tally[i] for i, n in enumerate(nodes)
-                  if n.kind in STATEMENT_KINDS}
-    total = sum(counts_map.values())
-
-    node_scores: dict[int, Fraction] = {}
-
-    def spread(i, inherited):
-        if nodes[i].kind in STATEMENT_KINDS:
-            inherited = Fraction(counts_map[i], total) if total \
-                else Fraction(0)
-        node_scores[i] = inherited
-        for c in range(first[i], first[i] + len(nodes[i].children)):
-            spread(c, inherited)
-
-    for k in range(len(program.functions)):  # function k is node k
-        body_score = Fraction(counts_map[first[k]], total) if total \
-            else Fraction(0)
-        node_scores[k] = body_score
-        spread(first[k], body_score)
-
-    return ProfileReport(counts_map, node_scores, total)
-
-
-def inherited_count(program: Program, report: ProfileReport,
-                    node_id: int) -> int:
-    """Raw count a node inherits (its enclosing statement's; functions take
-    their body's)."""
-    if program.nodes[node_id].kind == KIND_FUNCTION:
-        return report.counts[program.first[node_id]]
-    return report.counts[program.enclosing_statement(node_id)]
+    # Ids are breadth-first, so a parent's count precedes its children's.
+    counts, total = [], 0
+    for i, node in enumerate(program.nodes):
+        if node.kind in STATEMENT_KINDS:
+            counts.append(tally[i])
+            total += tally[i]
+        elif node.kind == KIND_FUNCTION:
+            counts.append(tally[program.first[i]])
+        else:
+            counts.append(counts[program.parent[i]])
+    return ProfileReport(counts, total)
 
 
 def profile_scores(program: Program, report: ProfileReport
                    ) -> dict[int, NodeScore]:
+    total = report.total or 1   # a total of 0 means every count is 0
     return {
-        node_id: NodeScore(node=node_id, value=score, n_reduced=0,
-                           n_compiled=0, source=SOURCE_PROFILER)
-        for node_id, score in report.node_scores.items()
+        node_id: NodeScore(node=node_id, value=Fraction(count, total),
+                           n_reduced=0, n_compiled=0, source=SOURCE_PROFILER)
+        for node_id, count in enumerate(report.counts)
     }
 
 

@@ -35,6 +35,9 @@ def test_profile_writes_one_row_per_node(tmp_path):
     assert [r[0] for r in rows[1:]] == [str(i) for i in range(58)]
     scores = [float(r[3]) for r in rows[1:]]
     assert all(0 <= s <= 1 for s in scores)
+    # node 0, the function, counts its body's (node 1's) 30 entries
+    assert rows[1][:3] == ["0", "FunctionDecl", "30"]
+    assert rows[2][:3] == ["1", "Block", "30"]
 
 
 def test_profile_unreadable_program_exits_one(tmp_path, capsys):
@@ -333,8 +336,6 @@ def test_unusable_path_exits_one_with_one_line(tmp_path, capsys, command,
             "validate": ["validate", "--corpus", str(corpus)]}[command]
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
-    if command == "evaluate" and "out" in path:
-        err = err[1:]   # the line naming the problem it evaluated
     name = str(corpus) if "corpus" in path else str(a_file)
     assert len(err) == 1 and name in err[0], err
 
@@ -424,8 +425,21 @@ def _undeclared(path):
     path.write_text(path.read_text().replace("a[j]", "b[j]", 1))
 
 
+def _duplicate(path):
+    """A second problem, ``bubble_loops``, under this problem's name; the
+    line names both directories and the name."""
+    import shutil
+    other = path.parent.parent / "bubble_loops"
+    shutil.copytree(os.path.join(CORPUS_DIR, "bubble_loops"), other)
+    name = json.loads(path.read_text())["name"]
+    meta = json.loads((other / "problem.json").read_text())
+    (other / "problem.json").write_text(json.dumps({**meta, "name": name}))
+    return str(path.parent), str(other), repr(name)
+
+
 @pytest.mark.parametrize("name, breakage", [
     ("problem.json", _drop_name),
+    ("problem.json", _duplicate),
     ("original.mini", _latin1),
     ("improved-1.mini", _latin1),
     ("original.mini", _undeclared),
@@ -436,13 +450,15 @@ def test_malformed_problem_exits_one_with_one_line(tmp_path, capsys, name,
     import shutil
     corpus = tmp_path / "corpus"
     shutil.copytree(os.path.join(CORPUS_DIR, "bubble"), corpus / "bubble")
-    breakage(corpus / "bubble" / name)
+    parts = (name, *(breakage(corpus / "bubble" / name) or ()))
     for argv in (["evaluate", "--corpus", str(corpus),
                   "--out", str(tmp_path / "out")],
                  ["validate", "--corpus", str(corpus)]):
         assert main(argv) == 1, argv[0]
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and name in err[0], (argv[0], err)
+        assert len(err) == 1 and all(p in err[0] for p in parts), \
+            (argv[0], err)
+    assert not list((tmp_path / "out").glob("*"))   # no report written
     if name == "original.mini":
         assert main(["profile", str(corpus / "bubble" / name),
                      "--tests", SUITE, "--out", str(tmp_path / "p")]) == 1

@@ -3,22 +3,26 @@ see every step of the exhaustive loop.
 
 ``perfbench/tracer.py`` wraps each layer at the module and name its caller
 looks up, and reports a probe whose target is gone as absent rather than
-failing. The first test reads the tracer's ``PROBES`` table from its
+failing. The first two tests read the tracer's ``PROBES`` table from its
 source, without running the tracer, so that a rename which would silently
-drop a per-layer metric fails here instead. The others wrap the
-``perfloc.mutation`` bindings the way the tracer does and count the calls.
+drop a per-layer metric, or a probe that is never called and so reads 0,
+fails here instead. The others wrap the ``perfloc.mutation`` bindings the
+way the tracer does and count the calls.
 """
 
 import ast
 import importlib
 import os
+import shutil
 from collections import Counter
 
 import pytest
 
-from perfloc import mutation
+from perfloc import cli, mutation
 from perfloc.lang.check import Holes
 from perfloc.lang.parser import Parser
+
+from conftest import CORPUS_DIR
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                       "tracer.py")
@@ -41,6 +45,30 @@ def test_every_benchmark_probe_resolves():
     assert missing == []
 
 
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_every_benchmark_probe_fires(tmp_path, monkeypatch):
+    # The problems of the exec-heavy workload, with their committed suites.
+    corpus = tmp_path / "corpus"
+    for name in ("bubble_loops", "insertion"):
+        shutil.copytree(os.path.join(CORPUS_DIR, name), corpus / name)
+    calls = Counter()
+    table = probes()
+    for _, module_name, attr in table:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, counting(
+            calls, (module_name, attr), getattr(module, attr)))
+    assert cli.main(["evaluate", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert [(module_name, attr) for _, module_name, attr in table
+            if not calls[module_name, attr]] == []
+
+
 LOOP_BINDINGS = ("replace_node", "static_check", "compile_program",
                  "run_suite", "run_patch", "classify_variant",
                  "baseline_limits")
@@ -49,16 +77,9 @@ LOOP_BINDINGS = ("replace_node", "static_check", "compile_program",
 def test_the_probes_see_every_step_of_the_exhaustive_loop(bubble_loops,
                                                           monkeypatch):
     calls = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     for name in LOOP_BINDINGS:
         monkeypatch.setattr(mutation, name,
-                            counting(name, getattr(mutation, name)))
+                            counting(calls, name, getattr(mutation, name)))
     program = bubble_loops.original
     holes = Holes(program)
     verdicts = Counter(holes.fit(d.target, d.donor, d.donor_id)[0]

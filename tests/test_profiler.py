@@ -12,14 +12,18 @@ from fractions import Fraction
 
 import pytest
 
+from perfloc.lang.ast import STATEMENT_KINDS
 from perfloc.lang.parser import parse_program
-from perfloc.profiler import (
-    inherited_count, profile, profile_cost, profile_scores,
-)
+from perfloc.profiler import profile, profile_cost, profile_scores
 from perfloc.runtime.exec import BaselineDiverged
 from perfloc.runtime.exec import TestCase as Case
 
 from conftest import corpus_source
+
+
+def statement_ids(program):
+    return [i for i, node in enumerate(program.nodes)
+            if node.kind in STATEMENT_KINDS]
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +39,11 @@ def test_statement_counts_match_hand_trace(bl_profile):
     assert report.counts[5] == 60    # i loop: twice per test
     assert report.counts[11] == 330  # j loop: 2 * sum of sizes
     assert report.counts[17] == 1980  # comparison: 2 * sum size*(size-1)
-    assert set(report.counts) == {1, 2, 5, 11, 17, 22, 23, 24}
+    assert statement_ids(program) == [1, 2, 5, 11, 17, 22, 23, 24]
     # the three swap statements always run in lockstep
     assert report.counts[22] == report.counts[23] == report.counts[24]
-    assert report.total == sum(report.counts.values())
+    assert report.total == sum(report.counts[i]
+                               for i in statement_ids(program))
 
 
 def test_single_reverse_run_counts():
@@ -58,8 +63,7 @@ def test_single_reverse_run_counts():
 def test_scores_are_counts_over_total(bl_profile):
     program, report = bl_profile
     scores = profile_scores(program, report)
-    stmt_share = sum(s.value for nid, s in scores.items()
-                     if nid in report.counts)
+    stmt_share = sum(scores[i].value for i in statement_ids(program))
     assert stmt_share == 1
     assert scores[11].value == Fraction(330, report.total)
     for s in scores.values():
@@ -73,8 +77,9 @@ def test_expressions_inherit_their_statement(bl_profile):
     # h < 2 sits in the h-loop header; a[j] > a[j+1] in the comparison
     assert scores[4].value == scores[2].value
     assert scores[21].value == scores[17].value
-    assert inherited_count(program, report, 4) == report.counts[2]
-    # the function declaration takes its body's share
+    assert report.counts[4] == report.counts[2]
+    # the function declaration takes its body's count and share
+    assert report.counts[0] == report.counts[1] == 30
     assert scores[0].value == scores[1].value
 
 
