@@ -5,7 +5,8 @@ baseline, unreadable program, unwritable output), 2 usage error.
 Diagnostics go to stderr; stdout and the output files carry only data.
 
 Every output is deterministic: the same inputs, seed and flags produce
-byte-identical files regardless of --jobs.
+byte-identical files. Every analysis runs in this one process; evaluate
+still accepts --jobs N (N >= 1), which changes nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import csv
 import math
 import os
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__
@@ -29,7 +29,7 @@ from .evaluation import (
 )
 from .lang.printer import render_snippet
 from .mutation import (
-    WorkerDied, combined_analysis, deletion_analysis, exhaustive_analysis,
+    combined_analysis, deletion_analysis, exhaustive_analysis,
 )
 from .profiler import profile, profile_cost, profile_scores
 from .runtime.exec import (
@@ -114,16 +114,6 @@ class CliDataError(Exception):
     """Input data problem: exit code 1, message on stderr."""
 
 
-@contextmanager
-def _workers_of(where: str):
-    """A worker process that dies ends the run with exit 1 and one line
-    naming ``where`` (the problem or program, and the technique)."""
-    try:
-        yield
-    except WorkerDied:
-        raise CliDataError(f"{where}: a worker process died") from None
-
-
 def cmd_profile(args) -> int:
     program = load_program(args.program)
     suite = load_suite(args.tests, program)
@@ -148,17 +138,15 @@ def cmd_localize(args) -> int:
         scores = profile_scores(program, profile(program, suite))
         cost = profile_cost()
     else:
-        with _workers_of(f"{args.program}: {technique}"):
-            if technique == "deletion":
-                result = deletion_analysis(program, suite, args.timeout_factor)
-            elif technique == "exhaustive":
-                result = exhaustive_analysis(
-                    program, suite, args.timeout_factor,
-                    args.hint_include_correct, args.jobs)
-            else:
-                result, _, _ = combined_analysis(
-                    program, suite, args.timeout_factor,
-                    args.hint_include_correct, args.jobs)
+        if technique == "deletion":
+            result = deletion_analysis(program, suite, args.timeout_factor)
+        elif technique == "exhaustive":
+            result = exhaustive_analysis(program, suite, args.timeout_factor,
+                                         args.hint_include_correct)
+        else:
+            result, _, _ = combined_analysis(program, suite,
+                                             args.timeout_factor,
+                                             args.hint_include_correct)
         scores, variants, cost = result.scores, result.variants, result.cost
     write_nodes_csv(args.out, program, scores)
     write_variants_csv(args.out, variants)
@@ -174,8 +162,7 @@ def _technique_runs(problem, args):
     variant logs are freed on return, before the next problem runs."""
     program, suite = problem.original, problem.suite
     combined, exhaustive, deletion = combined_analysis(
-        program, suite, args.timeout_factor, args.hint_include_correct,
-        args.jobs)
+        program, suite, args.timeout_factor, args.hint_include_correct)
     profiler = profile_scores(program, profile(program, suite))
     return ((profiler, profile_cost()), (deletion.scores, deletion.cost),
             (exhaustive.scores, exhaustive.cost),
@@ -198,8 +185,7 @@ def cmd_evaluate(args) -> int:
                 f"{directory}: invalid problem, no improvement nodes")
         _say(f"evaluating {problem.name} "
              f"({len(problem.original.nodes)} nodes)")
-        with _workers_of(f"{problem.name}: exhaustive"):
-            runs = _technique_runs(problem, args)
+        runs = _technique_runs(problem, args)
         reports = per_problem[problem.name] = {}
         for tag, (scores, cost) in zip(TECHNIQUE_TAGS, runs):
             reports[tag] = percent_rank_error(fractional_rank(scores),
@@ -289,8 +275,6 @@ def _add_run_flags(sub):
                      default=DEFAULT_TIMEOUT_FACTOR,
                      help="variant step budget as a multiple of the "
                           "original's per-test cost (a finite number > 1)")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for variant evaluation")
     sub.add_argument("--hint-include-correct", action="store_true",
                      help="count fully-correct cheaper variants as "
                           "cost-reducing instead of only logging them")
@@ -331,6 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--ci-quantiles", type=_parse_quantiles,
                     default=(Fraction("0.025"), Fraction("0.975")),
                     help="confidence-interval quantiles LOW,HIGH")
+    se.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility (N >= 1); evaluate "
+                         "always runs in one process")
     _add_run_flags(se)
     se.set_defaults(func=cmd_evaluate)
 

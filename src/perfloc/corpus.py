@@ -109,18 +109,21 @@ def _int32_list(row: dict, key: str, where: str) -> tuple[int, ...]:
 
 
 def suite_from_json(text: str, program: Program) -> list[TestCase]:
-    """Parse a suite for ``program``, rejecting anything the engines could
-    not run as given: an entry function that does not take an ``int[]``
-    and then only ``int`` or ``bool`` parameters, a value that is not an
-    int32 (JSON bools and floats included), ``expected`` not as long as
-    ``input``, ``input`` longer than the heap, and ``args`` without one
-    value for each parameter after the array, 0 or 1 for a ``bool``."""
+    """Parse a suite for ``program``, rejecting an empty suite and anything
+    the engines could not run as given: an entry function that does not
+    take an ``int[]`` and then only ``int`` or ``bool`` parameters, a value
+    that is not an int32 (JSON bools and floats included), ``expected`` not
+    as long as ``input``, ``input`` longer than the heap, and ``args``
+    without one value for each parameter after the array, 0 or 1 for a
+    ``bool``."""
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SuiteInvalid(f"not JSON: {exc}")
     if not isinstance(rows, list):
         raise SuiteInvalid("a suite must be a list of cases")
+    if not rows:
+        raise SuiteInvalid("a suite needs at least one case")
     entry = program.functions[program.entry_index()]
     types = [t for t, _ in entry.params or []]
     if types[:1] != [TYPE_ARRAY] \

@@ -44,14 +44,9 @@ path by that verdict:
 - no verdict (other statement and VarDecl name edits whose hole check is
   clean): built, fully checked, lowered and run on the whole suite.
 
-The parent process fits every descriptor and settles the rejections. A
-task is the index of a variant not proven non-compilable, with its
-verdict and slots, and its result a (class, cost, correctness) row. At
---jobs N the analysis (program, descriptors, suite, limits, original, the
-original's IR and which tests reach each node) crosses to each worker
-once, through the pool's initializer, which prepares the worker's own
-original. Rows are kept in descriptor order, so every output is
-byte-identical for any job count.
+The analysis is one in-process pass: each descriptor is fitted, then
+settled, run or built by its verdict, classified and logged in descriptor
+order, so every output is byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -125,10 +120,6 @@ class AnalysisResult:
     variants: tuple[VariantRecord, ...]
     cost: AnalysisCost
     original: Summary
-
-
-class WorkerDied(Exception):
-    """A worker process died while the pool evaluated variants."""
 
 
 def classify_variant(original: Summary, outcome: Optional[Summary]) -> str:
@@ -217,14 +208,12 @@ def exhaustive_descriptors(program: Program) -> list[MutationDescriptor]:
 # variant evaluation -------------------------------------------------------
 
 def _evaluate_variant(mutated: Program, suite: Sequence[TestCase],
-                      limits: Sequence[int], original: Summary
-                      ) -> tuple[str, Optional[Summary]]:
-    """Check, lower, run and classify one variant. The outcome is None when
-    the variant does not compile."""
-    outcome = None
-    if not static_check(mutated):
-        outcome = run_suite(compile_program(mutated), suite, limits)
-    return classify_variant(original, outcome), outcome
+                      limits: Sequence[int]) -> Optional[Summary]:
+    """Check, lower and run one variant on the whole suite; None when the
+    variant does not compile."""
+    if static_check(mutated):
+        return None
+    return run_suite(compile_program(mutated), suite, limits)
 
 
 # deletion -----------------------------------------------------------------
@@ -246,7 +235,8 @@ def deletion_analysis(program: Program, suite: Sequence[TestCase],
             mutated = empty_function_body(program, sid)
         else:
             mutated = delete_statement(program, sid)
-        klass, outcome = _evaluate_variant(mutated, suite, limits, original)
+        outcome = _evaluate_variant(mutated, suite, limits)
+        klass = classify_variant(original, outcome)
         if outcome is None:
             variants.append(VariantRecord(sid, DELETE_LABEL, klass, None,
                                           None, False, False))
@@ -303,97 +293,36 @@ def reaching_tests(program: Program, ir: ProgramIR,
                          range(len(program.nodes)))]
 
 
-# The running analysis (program, descriptors, suite, limits, original, the
-# original's IR, reaching_tests, the prepared original): set in-process at
-# --jobs 1, else once in each worker by the pool's initializer, which
-# prepares the worker's own original.
-_ANALYSIS: tuple = ()
-
-
-def _share_analysis(*analysis) -> None:
-    global _ANALYSIS
-    _ANALYSIS = analysis
-
-
-def _start_worker(*analysis) -> None:
-    _, _, suite, limits, _, ir, _ = analysis
-    _share_analysis(*analysis, prepare(ir, suite, limits))
-
-
-def _evaluate_replacement(task: tuple) -> tuple:
-    """The (class, cost, correctness) row of ``task``: a descriptor's
-    index, its hole verdict and the slots its hole check resolved. Cost
-    and correctness are None when the variant does not compile. A variant
-    its hole accepts runs as a patch on the prepared original, on the
-    tests that reach its target; one the hole gives no verdict on is
-    built, checked, lowered and run."""
-    i, accepted, slots = task
-    program, descriptors, suite, limits, original, ir, reach, prepared = \
-        _ANALYSIS
-    d = descriptors[i]
-    if accepted:
-        outcome = run_patch(prepared, splice_patch(ir, program, d.target,
-                                                   d.donor, d.donor_id,
-                                                   slots),
-                            reach[d.target])
-        klass = classify_variant(original, outcome)
-    else:
-        klass, outcome = _evaluate_variant(
-            replace_node(program, d.target, d.donor), suite, limits,
-            original)
-    if outcome is None:
-        return klass, None, None
-    return klass, outcome.total_cost, outcome.correctness
-
-
 def exhaustive_analysis(program: Program, suite: Sequence[TestCase],
                         factor: float = DEFAULT_TIMEOUT_FACTOR,
-                        include_correct: bool = False,
-                        jobs: int = 1) -> AnalysisResult:
+                        include_correct: bool = False) -> AnalysisResult:
     ir = compile_program(program)
     limits, original = baseline_limits(ir, suite, factor)
+    reach = reaching_tests(program, ir, suite, limits)
+    prepared = prepare(ir, suite, limits)
 
     descriptors = exhaustive_descriptors(program)
-    # A variant its hole proves non-compilable is never built or run.
     holes = Holes(program)
-    rows: list = [None] * len(descriptors)
-    tasks = []
-    for i, d in enumerate(descriptors):
-        accepted, slots = holes.fit(d.target, d.donor, d.donor_id)
-        if accepted is False:
-            rows[i] = (classify_variant(original, None), None, None)
-        else:
-            tasks.append((i, accepted, slots))
-    suite, limits = tuple(suite), tuple(limits)
-    analysis = (program, descriptors, suite, limits, original, ir,
-                reaching_tests(program, ir, suite, limits))
-    if jobs <= 1:
-        _share_analysis(*analysis, prepare(ir, suite, limits))
-        try:
-            evaluated = list(map(_evaluate_replacement, tasks))
-        finally:
-            _share_analysis()
-    else:
-        # imported here: a serial run never loads the pool's modules
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        try:
-            with ProcessPoolExecutor(max_workers=jobs,
-                                     initializer=_start_worker,
-                                     initargs=analysis) as pool:
-                evaluated = list(pool.map(_evaluate_replacement, tasks,
-                                          chunksize=32))
-        except BrokenProcessPool:
-            raise WorkerDied from None
-    for (i, _, _), row in zip(tasks, evaluated):
-        rows[i] = row
-
     n_compiled = [0] * len(program.nodes)
     n_reduced = [0] * len(program.nodes)
     variants: list[VariantRecord] = []
-    for d, (klass, cost, correctness) in zip(descriptors, rows):
+    for d in descriptors:
+        accepted, slots = holes.fit(d.target, d.donor, d.donor_id)
+        if accepted is False:
+            outcome = None
+        elif accepted:
+            outcome = run_patch(prepared, splice_patch(ir, program, d.target,
+                                                       d.donor, d.donor_id,
+                                                       slots),
+                                reach[d.target])
+        else:
+            outcome = _evaluate_variant(
+                replace_node(program, d.target, d.donor), suite, limits)
+        klass = classify_variant(original, outcome)
+        cost = correctness = None
         reduced = direct = False
-        if cost is not None:
+        if outcome is not None:
+            cost, correctness = outcome.total_cost, outcome.correctness
             cheaper = cost < original.total_cost
             direct = cheaper and correctness == original.correctness
             reduced = cheaper and (include_correct or not direct)
@@ -418,13 +347,12 @@ def exhaustive_analysis(program: Program, suite: Sequence[TestCase],
 
 def combined_analysis(program: Program, suite: Sequence[TestCase],
                       factor: float = DEFAULT_TIMEOUT_FACTOR,
-                      include_correct: bool = False,
-                      jobs: int = 1) -> tuple[AnalysisResult, AnalysisResult,
-                                              AnalysisResult]:
+                      include_correct: bool = False
+                      ) -> tuple[AnalysisResult, AnalysisResult,
+                                 AnalysisResult]:
     """Returns (combined, exhaustive, deletion); the latter two are the
     ingredient runs, exposed so reports need not recompute them."""
-    exhaustive = exhaustive_analysis(program, suite, factor, include_correct,
-                                     jobs)
+    exhaustive = exhaustive_analysis(program, suite, factor, include_correct)
     deletion = deletion_analysis(program, suite, factor)
     scores: dict[int, NodeScore] = {}
     for nid, score in exhaustive.scores.items():

@@ -89,10 +89,8 @@ def run(ir: ProgramIR, entry: int, args: list, heap: list,
 
     ``counts``, when given, must hold one int cell per node (a list or an
     ``array('q')``); every statement entry bumps its node's cell (the
-    profiler's data source)."""
-    if sys.getrecursionlimit() < _MIN_RECURSION:
-        sys.setrecursionlimit(_MIN_RECURSION)
-
+    profiler's data source). Python's recursion limit is raised to
+    ``_MIN_RECURSION`` only while the program runs."""
     kind = ir.kind
     pa = ir.a
     pb = ir.b
@@ -260,12 +258,16 @@ def run(ir: ProgramIR, entry: int, args: list, heap: list,
             return call(findex, argv, depth + 1)
         raise AssertionError(f"unexpected opcode {k}")
 
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, _MIN_RECURSION))
     try:
         call(entry, args, 0)
     except _Timeout:
         return STATUS_TIMEOUT, state[0], ERR_NONE
     except _Fault as f:
         return STATUS_ERROR, state[0], f.code
+    finally:
+        sys.setrecursionlimit(limit)
     return STATUS_COMPLETED, state[0], ERR_NONE
 
 

@@ -63,8 +63,8 @@ def runs(problems):
         t_deletion = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        combined, exhaustive, _ = combined_analysis(
-            prob.original, prob.suite, jobs=2)
+        combined, exhaustive, _ = combined_analysis(prob.original,
+                                                    prob.suite)
         t_combined = time.perf_counter() - t0
 
         data[name] = SimpleNamespace(

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import sys
 import types
 
 import pytest
@@ -84,8 +85,7 @@ def test_localize_headers_and_variant_log(tmp_path):
 def test_localize_exhaustive_counts_are_integers(tmp_path):
     out = tmp_path / "x"
     assert main(["localize", BUBBLE, "--tests", SUITE,
-                 "--technique", "exhaustive", "--out", str(out),
-                 "--jobs", "2"]) == 0
+                 "--technique", "exhaustive", "--out", str(out)]) == 0
     nodes = read_csv(out / "nodes.csv")
     reduced = sum(int(r[4]) for r in nodes[1:])
     compiled = sum(int(r[5]) for r in nodes[1:])
@@ -98,8 +98,7 @@ def test_localize_exhaustive_counts_are_integers(tmp_path):
 def test_localize_combined_marks_gap_fills(tmp_path):
     out = tmp_path / "c"
     assert main(["localize", BUBBLE, "--tests", SUITE,
-                 "--technique", "combined", "--out", str(out),
-                 "--jobs", "2"]) == 0
+                 "--technique", "combined", "--out", str(out)]) == 0
     nodes = read_csv(out / "nodes.csv")
     flags = {r[0]: r[6] for r in nodes[1:]}
     assert set(flags.values()) == {"0", "1"}
@@ -162,12 +161,15 @@ def test_unusable_timeout_factor_is_a_usage_error(command, factor, tmp_path,
 
 
 def test_bad_jobs_is_a_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["localize", BUBBLE, "--tests", SUITE,
-              "--technique", "exhaustive", "--out", str(tmp_path),
-              "--jobs", "0"])
-    assert err.value.code == 2
-    capsys.readouterr()
+    # localize has no --jobs; evaluate accepts one, but only N >= 1
+    for argv in (["localize", BUBBLE, "--tests", SUITE,
+                  "--technique", "exhaustive", "--jobs", "2"],
+                 ["evaluate", "--corpus", CORPUS_DIR, "--jobs", "0"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(tmp_path)])
+        assert err.value.code == 2, argv[0]
+        assert "--jobs" in capsys.readouterr().err, argv[0]
+        assert not os.listdir(tmp_path), argv[0]
 
 
 # -- evaluate -----------------------------------------------------------
@@ -225,6 +227,25 @@ def test_evaluate_outputs(mini_corpus, tmp_path):
     profiler_rows = [r for r in cost[1:] if r[1] == "Profiler"]
     assert len(profiler_rows) == 2
     assert all(r[5] == "1" for r in profiler_rows)
+
+
+def test_evaluate_never_forks(mini_corpus, tmp_path, monkeypatch):
+    # --jobs is accepted, but every analysis runs in this process
+    import multiprocessing.process
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate started a process")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+    for jobs, out in zip((1, 2), outs):
+        assert main(["evaluate", "--corpus", mini_corpus, "--out", str(out),
+                     "--jobs", str(jobs)]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1])) and len(names) == 5
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_evaluate_seed_env_var(mini_corpus, tmp_path, monkeypatch):
@@ -411,6 +432,28 @@ def test_malformed_suite_exits_one_with_one_line(tmp_path, capsys, key,
         assert len(err) == 1 and where in err[0], (argv[0], err)
 
 
+def test_empty_suite_exits_one_with_one_line(tmp_path, capsys):
+    import shutil
+    # with no case to run, every variant would cost 0 and every node tie
+    corpus = tmp_path / "corpus"
+    shutil.copytree(os.path.join(CORPUS_DIR, "bubble"), corpus / "bubble")
+    program = corpus / "bubble" / "original.mini"
+    suite = corpus / "bubble" / "suite.json"
+    suite.write_text("[]")
+    out = str(tmp_path / "out")
+    for argv in (["profile", str(program), "--tests", str(suite),
+                  "--out", out],
+                 ["localize", str(program), "--tests", str(suite),
+                  "--technique", "exhaustive", "--out", out],
+                 ["evaluate", "--corpus", str(corpus), "--out", out],
+                 ["validate", "--corpus", str(corpus)]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 \
+            and "a suite needs at least one case" in err[0], (argv[0], err)
+    assert not list((tmp_path / "out").glob("*"))   # no report written
+
+
 def _drop_name(path):
     meta = json.loads(path.read_text())
     del meta["name"]
@@ -487,6 +530,26 @@ def test_deep_nesting_exits_one_with_one_line(tmp_path, capsys):
             == ["error: program nested too deeply"], argv[0]
 
 
+def test_the_reference_engine_keeps_the_recursion_limit(tmp_path, capsys):
+    # engine_py raises Python's recursion limit for its own runs only, so
+    # how deep a program may nest does not depend on what ran before
+    from perfloc.lang.parser import parse_program
+    from perfloc.runtime import engine_py
+    from perfloc.runtime.exec import TestCase, compile_program
+    limit = sys.getrecursionlimit()
+    ir = compile_program(parse_program(
+        "void sort(int[] a, int length) { a[0] = 1; }"))
+    engine_py.run_tests(ir, [TestCase((2,), (1,), (1,))], [100])
+    assert sys.getrecursionlimit() == limit
+    program = tmp_path / "deep.mini"
+    program.write_text("void sort(int[] a, int length) { int x = "
+                       + "(" * 400 + "1" + ")" * 400 + "; }\n")
+    assert main(["profile", str(program), "--tests", SUITE,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() \
+        == ["error: program nested too deeply"]
+
+
 # -- failures inside a run ----------------------------------------------
 
 class _Exhausted:
@@ -530,35 +593,6 @@ def test_out_of_memory_in_a_patch_run_exits_one_with_one_line(
     assert main(["localize", BUBBLE, "--tests", SUITE, "--technique",
                  "exhaustive", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
-
-
-def _die(*args, **kwargs):
-    os._exit(1)
-
-
-@pytest.mark.parametrize("command", ["localize", "evaluate"])
-def test_crashed_worker_exits_one_with_one_line(tmp_path, capsys,
-                                                monkeypatch, command):
-    import shutil
-    # Forked workers inherit the patch; the parent never calls it before
-    # the pool breaks.
-    monkeypatch.setattr("perfloc.mutation.run_patch", _die)
-    out = str(tmp_path / "out")
-    if command == "localize":
-        argv = ["localize", BUBBLE, "--tests", SUITE, "--technique",
-                "combined", "--out", out]
-        where = f"{BUBBLE}: combined"
-    else:
-        corpus = tmp_path / "corpus"
-        shutil.copytree(os.path.join(CORPUS_DIR, "bubble"), corpus / "bubble")
-        argv = ["evaluate", "--corpus", str(corpus), "--out", out]
-        meta = json.loads((corpus / "bubble" / "problem.json").read_text())
-        where = f"{meta['name']}: exhaustive"
-    assert main(argv + ["--jobs", "2"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err[-1] == f"error: {where}: a worker process died"
-    # evaluate names the problem it starts before any failure
-    assert len(err) == (1 if command == "localize" else 2), err
 
 
 # -- global flags -------------------------------------------------------

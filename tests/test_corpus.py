@@ -81,6 +81,7 @@ def _case(inp=(2, 1), expected=(1, 2), args=(2,)):
      "over the heap limit"),
     ([_case(), _case(args=())], "case 1: 'args' has 0 values"),
     ([_case(args=(2, 2))], "case 0: 'args' has 2 values, but 'sort' takes 1"),
+    ([], "a suite needs at least one case"),
 ])
 def test_suite_from_json_rejects_malformed_cases(rows, message):
     with pytest.raises(SuiteInvalid, match=message):

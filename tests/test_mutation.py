@@ -5,14 +5,10 @@ and replacement counts were derived once by hand/off-line recomputation and
 frozen here. Its original cost on the standard suite is 38560 steps.
 """
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-import perfloc
 from perfloc.lang.ast import CATEGORY, CAT_STATEMENT, structurally_equal
 from perfloc.lang.edit import replace_node
 from perfloc.lang.parser import parse_program
@@ -28,7 +24,7 @@ from perfloc.runtime.exec import (
     Summary, baseline_limits, compile_program, run_suite,
 )
 
-from conftest import CORPUS_DIR, corpus_source
+from conftest import corpus_source
 from tree_helpers import subtree
 
 ORIGINAL_COST = 38560
@@ -267,36 +263,6 @@ def test_self_replacement_classifies_identical(bl):
                                subtree(bl.original, node_id))
         outcome = run_suite(compile_program(variant), bl.suite, limits)
         assert classify_variant(original, outcome) == CLASS_IDENTICAL
-
-
-def test_jobs_do_not_change_results(bl):
-    serial = exhaustive_analysis(bl.original, bl.suite, jobs=1)
-    parallel = exhaustive_analysis(bl.original, bl.suite, jobs=3)
-    assert serial.scores == parallel.scores
-    assert serial.variants == parallel.variants
-    assert serial.cost == parallel.cost
-
-
-def test_workers_started_afresh_give_the_same_results(bl_exhaustive):
-    # Under forkserver (the Linux default from Python 3.14) a worker
-    # inherits nothing: the analysis reaches it only through the pool's
-    # initializer arguments.
-    script = (
-        "import multiprocessing, os, sys\n"
-        "multiprocessing.set_start_method('forkserver')\n"
-        "from perfloc.corpus import load_problem\n"
-        "from perfloc.mutation import exhaustive_analysis\n"
-        "p = load_problem(os.path.join(sys.argv[1], 'bubble_loops'))\n"
-        "r = exhaustive_analysis(p.original, p.suite, jobs=2)\n"
-        "print(repr((r.scores, r.variants, r.cost)))\n")
-    src = os.path.dirname(os.path.dirname(perfloc.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-c", script, CORPUS_DIR],
-                         env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    serial = bl_exhaustive
-    assert run.stdout == repr((serial.scores, serial.variants,
-                               serial.cost)) + "\n"
 
 
 def test_class_counts_partition_the_variants(bl_exhaustive):

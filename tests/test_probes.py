@@ -16,8 +16,6 @@ import os
 import shutil
 from collections import Counter
 
-import pytest
-
 from perfloc import cli, mutation
 from perfloc.lang.check import Holes
 from perfloc.lang.parser import Parser
@@ -85,8 +83,7 @@ def test_the_probes_see_every_step_of_the_exhaustive_loop(bubble_loops,
     verdicts = Counter(holes.fit(d.target, d.donor, d.donor_id)[0]
                        for d in mutation.exhaustive_descriptors(program))
     proven, accepted = verdicts[False], verdicts[True]
-    result = mutation.exhaustive_analysis(program, bubble_loops.suite,
-                                          jobs=1)
+    result = mutation.exhaustive_analysis(program, bubble_loops.suite)
     generated, compiled = (result.cost.variants_generated,
                            result.cost.compiled)
     assert 0 < compiled < generated
@@ -108,14 +105,11 @@ def test_the_probes_see_every_step_of_the_exhaustive_loop(bubble_loops,
     }
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_the_exhaustive_loop_never_reparses(bubble_loops, monkeypatch, jobs):
-    # Forked workers inherit the patch, so neither the analysis nor any
-    # worker may parse program text.
+def test_the_exhaustive_loop_never_reparses(bubble_loops, monkeypatch):
     def refuse(self):
         raise AssertionError("the exhaustive loop parsed program text")
 
     monkeypatch.setattr(Parser, "parse_program", refuse)
     result = mutation.exhaustive_analysis(bubble_loops.original,
-                                          bubble_loops.suite, jobs=jobs)
+                                          bubble_loops.suite)
     assert result.cost.variants_generated == len(result.variants) > 0
