@@ -185,7 +185,10 @@ def cmd_evaluate(args) -> int:
                 f"{directory}: invalid problem, no improvement nodes")
         _say(f"evaluating {problem.name} "
              f"({len(problem.original.nodes)} nodes)")
-        runs = _technique_runs(problem, args)
+        try:
+            runs = _technique_runs(problem, args)
+        except BaselineDiverged as exc:
+            raise CliDataError(f"{directory}: {exc}") from None
         reports = per_problem[problem.name] = {}
         for tag, (scores, cost) in zip(TECHNIQUE_TAGS, runs):
             reports[tag] = percent_rank_error(fractional_rank(scores),

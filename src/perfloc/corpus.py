@@ -268,15 +268,24 @@ def _read(path: str) -> str:
 
 
 def load_program(path: str) -> Program:
-    """Read, parse and check one program file."""
+    """Read, parse and check one program file. The first violation is
+    reported at its node's source position, as a parse error is."""
     try:
         program = parse_program(_read(path))
     except ParseError as exc:
         raise CorpusInvalid([f"{path}: {exc}"])
     violations = static_check(program)
     if violations:
-        raise CorpusInvalid([f"{path}: does not compile: {violations[0]}"])
+        code, node_id, message = violations[0]
+        node = program.nodes[node_id]
+        raise CorpusInvalid(
+            [f"{path}: {node.line}:{node.col}: {code}: {message}"])
     return program
+
+
+def _entry_params(program: Program) -> str:
+    entry = program.functions[program.entry_index()]
+    return ", ".join(t for t, _ in entry.params or [])
 
 
 def load_suite(path: str, program: Program) -> tuple[TestCase, ...]:
@@ -315,6 +324,14 @@ def load_problem(directory: str) -> ProblemSpec:
             [f"{directory}: designated version {designated_name} missing"])
     designated = improved_names.index(designated_name)
     suite = load_suite(os.path.join(directory, "suite.json"), original)
+    # the suite runs every improved version too
+    params = _entry_params(original)
+    for name, program in zip(improved_names, improved):
+        if _entry_params(program) != params:
+            raise CorpusInvalid([
+                f"{os.path.join(directory, name)}: entry function takes "
+                f"({_entry_params(program)}), not the original's "
+                f"({params})"])
     annotation = diff_improvement_nodes(original, improved[designated])
     pct = meta.get("improvement_pct")
     return ProblemSpec(

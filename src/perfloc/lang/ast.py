@@ -75,14 +75,28 @@ CATEGORY = {
 
 STATEMENT_KINDS = frozenset(k for k, c in CATEGORY.items() if c == CAT_STATEMENT)
 
-BINARY_OPS = ("+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=", "&&", "||")
-UNARY_OPS = ("-", "!")
-INCDEC_OPS = ("++", "--")
-
 TYPE_INT = "int"
 TYPE_BOOL = "bool"
 TYPE_ARRAY = "int[]"
 TYPE_VOID = "void"
+
+# The order fixes the operator mutations and so the rows of variants.csv.
+BINARY_OPS = ("+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=", "&&", "||")
+UNARY_OPS = ("-", "!")
+INCDEC_OPS = ("++", "--")
+
+# The binary operators' precedence levels, loosest first, each with the
+# type both operands must have and the result's type. The operands of
+# ``==`` and ``!=`` (None) may be any two ints or any two bools. The
+# parser, the printer and the checker all read this table.
+BINARY_LEVELS = (
+    (("||",), TYPE_BOOL, TYPE_BOOL),
+    (("&&",), TYPE_BOOL, TYPE_BOOL),
+    (("==", "!="), None, TYPE_BOOL),
+    (("<", "<=", ">", ">="), TYPE_INT, TYPE_BOOL),
+    (("+", "-"), TYPE_INT, TYPE_INT),
+    (("*", "/", "%"), TYPE_INT, TYPE_INT),
+)
 
 ENTRY_NAME = "sort"
 

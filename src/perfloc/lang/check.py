@@ -14,6 +14,10 @@ Violation codes:
   array element, or ++/-- applied to a non-variable.
 - MissingReturn: a non-void function whose body can finish without returning.
 
+Operator typing: a binary operator's operand and result types are its
+level's in ``ast.BINARY_LEVELS``; ``-`` takes and gives an int, ``!`` a
+bool.
+
 Scoping: one scope per function (params), per control body, and per for-loop
 (the header counter lives in the loop scope; its init expression is checked in
 the enclosing scope). No shadowing anywhere. Function names are not values.
@@ -59,7 +63,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .ast import (
-    AstNode, Program,
+    AstNode, Program, BINARY_LEVELS,
     KIND_BLOCK, KIND_VARDECL, KIND_ASSIGN, KIND_IF, KIND_FOR,
     KIND_WHILE, KIND_RETURN, KIND_EXPRSTMT, KIND_BINARY, KIND_UNARY,
     KIND_INCDEC, KIND_CALL, KIND_INDEX, KIND_IDENT, KIND_INT, KIND_BOOL,
@@ -76,10 +80,9 @@ NO_RETURN = "MissingReturn"
 
 BUILTIN_NEWARRAY = "newArray"
 
-ARITH_OPS = ("+", "-", "*", "/", "%")
-REL_OPS = ("<", "<=", ">", ">=")
-EQ_OPS = ("==", "!=")
-LOGIC_OPS = ("&&", "||")
+# operator: (operand type or None, result type), from ``BINARY_LEVELS``
+BINARY_TYPES = {op: (operand, result) for ops, operand, result in BINARY_LEVELS
+                for op in ops}
 
 
 class Violation(NamedTuple):
@@ -315,25 +318,18 @@ class Checker:
 
     def type_of_binary(self, node: AstNode, f: int) -> Optional[str]:
         """Type of a Binary whose children start at id ``f``."""
-        op = node.children[0].op
-        left, right = node.children[1], node.children[2]
-        if op in ARITH_OPS:
-            self.check_typed(left, f + 1, TYPE_INT)
-            self.check_typed(right, f + 2, TYPE_INT)
-            return TYPE_INT
-        if op in REL_OPS:
-            self.check_typed(left, f + 1, TYPE_INT)
-            self.check_typed(right, f + 2, TYPE_INT)
-            return TYPE_BOOL
-        if op in LOGIC_OPS:
-            self.check_typed(left, f + 1, TYPE_BOOL)
-            self.check_typed(right, f + 2, TYPE_BOOL)
-            return TYPE_BOOL
-        if op in EQ_OPS:
+        op, left, right = node.children
+        rule = BINARY_TYPES.get(op.op)
+        if rule is None:
+            self.report(TYPE_ERR, f, f"unknown operator {op.op!r}")
+            return None
+        operand, result = rule
+        if operand is None:
             self.check_comparable(left, f + 1, right, f + 2)
-            return TYPE_BOOL
-        self.report(TYPE_ERR, f, f"unknown operator {op!r}")
-        return None
+        else:
+            self.check_typed(left, f + 1, operand)
+            self.check_typed(right, f + 2, operand)
+        return result
 
     def check_step(self, op: str, target: AstNode, tid: int,
                    nid: int) -> None:

@@ -10,34 +10,37 @@ counter):
     type       : "int" ["[]"] | "bool" | "void"
     block      : "{" statement* "}"
     statement  : type IDENT ["=" expr] ";"
-               | "if" "(" expr ")" "{" statement* "}" ["else" "{" statement* "}"]
-               | "for" "(" "int" IDENT "=" expr ";" expr ";" IDENT ("++"|"--") ")"
-                     "{" statement* "}"
-               | "while" "(" expr ")" "{" statement* "}"
+               | "if" "(" expr ")" block ["else" block]
+               | "for" "(" "int" IDENT "=" expr ";" expr ";" IDENT INCDEC ")"
+                     block
+               | "while" "(" expr ")" block
                | "return" [expr] ";"
                | expr "=" expr ";"
                | expr ";"
-    expr       : orexpr
-    orexpr     : andexpr ("||" andexpr)*
-    andexpr    : eqexpr ("&&" eqexpr)*
-    eqexpr     : relexpr (("==" | "!=") relexpr)*
-    relexpr    : addexpr (("<" | "<=" | ">" | ">=") addexpr)*
-    addexpr    : mulexpr (("+" | "-") mulexpr)*
-    mulexpr    : unary (("*" | "/" | "%") unary)*
-    unary      : ("-" | "!") unary | postfix
-    postfix    : primary ("[" expr "]")* | IDENT ("++" | "--")
+    expr       : binary(0)
+    binary(k)  : binary(k + 1) (OP(k) binary(k + 1))*, for each level k
+                 of ``ast.BINARY_LEVELS``; past the last level, unary
+    unary      : UNARY unary | postfix
+    postfix    : primary ("[" expr "]")* | IDENT INCDEC
     primary    : INT | "true" | "false" | IDENT ["(" [expr ("," expr)*] ")"]
                | "(" expr ")"
 
-Line comments start with ``//``.
+``UNARY`` and ``INCDEC`` are ``ast.UNARY_OPS`` and ``ast.INCDEC_OPS``. A
+function's body is a Block node; a control body's statements are the
+control node's own children.
+
+Tokens are ASCII: ``INT`` is ``[0-9]+``, ``IDENT`` is
+``[A-Za-z_][A-Za-z0-9_]*`` but not a keyword, and spaces, tabs, carriage
+returns, newlines and ``//`` line comments separate them.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 
 from .ast import (
-    AstNode, Program,
+    AstNode, Program, BINARY_LEVELS, BINARY_OPS, UNARY_OPS, INCDEC_OPS,
     KIND_FUNCTION, KIND_BLOCK, KIND_VARDECL, KIND_ASSIGN, KIND_IF, KIND_FOR,
     KIND_WHILE, KIND_RETURN, KIND_EXPRSTMT, KIND_BINARY, KIND_UNARY,
     KIND_INCDEC, KIND_CALL, KIND_INDEX, KIND_IDENT, KIND_INT, KIND_BOOL,
@@ -48,8 +51,21 @@ from .ast import (
 KEYWORDS = {"int", "bool", "void", "if", "else", "for", "while", "return",
             "true", "false"}
 
-TWO_CHAR = ("<=", ">=", "==", "!=", "&&", "||", "++", "--")
-ONE_CHAR = "+-*/%<>=!(){}[],;"
+# two-character symbols first, so "<=" is never read as "<" then "="
+PUNCTUATION = sorted({*BINARY_OPS, *UNARY_OPS, *INCDEC_OPS, *"=(){}[],;"},
+                     key=lambda p: (-len(p), p))
+
+# One pattern per token class, tried in this order; "bad" takes whatever
+# character no other class starts with.
+TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("comment", r"//[^\n]*"),
+    ("int", r"[0-9]+"),
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("punct", "|".join(map(re.escape, PUNCTUATION))),
+    ("newline", r"\n"),
+    ("space", r"[ \t\r]+"),
+    ("bad", r"."),
+)))
 
 
 class ParseError(SyntaxError):
@@ -63,57 +79,21 @@ def tokenize(text):
     """Return a deque of (kind, text, line, col) tuples; kind is one of
     'ident', 'keyword', 'int', 'punct', 'eof'."""
     tokens = deque()
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append((kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        pair = text[i:i + 2]
-        if pair in TWO_CHAR:
-            tokens.append(("punct", pair, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in ONE_CHAR:
-            tokens.append(("punct", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(("eof", "", line, col))
+            line_start = m.end()
+        elif kind != "space" and kind != "comment":
+            tok = m.group()
+            col = m.start() - line_start + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {tok!r}", line, col)
+            if kind == "ident" and tok in KEYWORDS:
+                kind = "keyword"
+            tokens.append((kind, tok, line, col))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -177,21 +157,24 @@ class Parser:
         _, _, line, col = self.peek()
         ret_type = self.parse_type()
         name = self.parse_ident_text()
-        self.expect("(")
-        params = []
-        if not self.at(")"):
-            while True:
-                ptype = self.parse_type()
-                pname = self.parse_ident_text()
-                params.append((ptype, pname))
-                if self.at(","):
-                    self.next()
-                else:
-                    break
-        self.expect(")")
-        body = self.parse_block()
+        params = self.parse_list(
+            lambda: (self.parse_type(), self.parse_ident_text()))
+        _, _, bline, bcol = self.peek()
+        body = AstNode(KIND_BLOCK, self.parse_body(), line=bline, col=bcol)
         return AstNode(KIND_FUNCTION, [body], name=name, ret_type=ret_type,
                        params=params, line=line, col=col)
+
+    def parse_list(self, item):
+        """``"(" [item ("," item)*] ")"``: the items ``item()`` parses."""
+        self.expect("(")
+        items = []
+        if not self.at(")"):
+            items.append(item())
+            while self.at(","):
+                self.next()
+                items.append(item())
+        self.expect(")")
+        return items
 
     def parse_ident_text(self):
         kind, tok, line, col = self.next()
@@ -199,17 +182,13 @@ class Parser:
             raise ParseError(f"expected an identifier, got {tok!r}", line, col)
         return tok
 
-    def parse_block(self):
-        _, _, line, col = self.peek()
+    def parse_body(self):
+        """``"{" statement* "}"``: the statements."""
         self.expect("{")
-        stmts = self.parse_statements()
-        self.expect("}")
-        return AstNode(KIND_BLOCK, stmts, line=line, col=col)
-
-    def parse_statements(self):
         stmts = []
         while not self.at("}") and self.tokens[0][0] != "eof":
             stmts.append(self.parse_statement())
+        self.expect("}")
         return stmts
 
     # statements -----------------------------------------------------------
@@ -218,14 +197,8 @@ class Parser:
         kind, tok, line, col = self.peek()
         if self.at_type():
             return self.parse_vardecl()
-        if tok == "if" and kind == "keyword":
-            return self.parse_if()
-        if tok == "for" and kind == "keyword":
-            return self.parse_for()
-        if tok == "while" and kind == "keyword":
-            return self.parse_while()
-        if tok == "return" and kind == "keyword":
-            return self.parse_return()
+        if kind == "keyword" and tok in ("if", "for", "while", "return"):
+            return getattr(self, f"parse_{tok}")()
         expr = self.parse_expr()
         if self.at("="):
             self.next()
@@ -256,15 +229,11 @@ class Parser:
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
-        self.expect("{")
-        then_stmts = self.parse_statements()
-        self.expect("}")
+        then_stmts = self.parse_body()
         else_stmts = []
         if self.at("else"):
             self.next()
-            self.expect("{")
-            else_stmts = self.parse_statements()
-            self.expect("}")
+            else_stmts = self.parse_body()
         return AstNode(KIND_IF, [cond] + then_stmts + else_stmts,
                        then_count=len(then_stmts), line=line, col=col)
 
@@ -286,12 +255,10 @@ class Parser:
             raise ParseError(
                 f"for-update must step the counter {loop_var!r}", uline, ucol)
         _, step, sline, scol = self.next()
-        if step not in ("++", "--"):
+        if step not in INCDEC_OPS:
             raise ParseError("for-update must be ++ or --", sline, scol)
         self.expect(")")
-        self.expect("{")
-        body = self.parse_statements()
-        self.expect("}")
+        body = self.parse_body()
         return AstNode(KIND_FOR, [init, cond] + body, loop_var=loop_var,
                        loop_step=step, line=line, col=col)
 
@@ -300,9 +267,7 @@ class Parser:
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
-        self.expect("{")
-        body = self.parse_statements()
-        self.expect("}")
+        body = self.parse_body()
         return AstNode(KIND_WHILE, [cond] + body, line=line, col=col)
 
     def parse_return(self):
@@ -318,8 +283,7 @@ class Parser:
     def parse_expr(self):
         return self.parse_binary_level(0)
 
-    LEVELS = (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="),
-              ("+", "-"), ("*", "/", "%"))
+    LEVELS = tuple(ops for ops, _, _ in BINARY_LEVELS)
 
     def parse_binary_level(self, level):
         if level == len(self.LEVELS):
@@ -336,7 +300,7 @@ class Parser:
 
     def parse_unary(self):
         kind, tok, line, col = self.peek()
-        if kind == "punct" and tok in ("-", "!"):
+        if kind == "punct" and tok in UNARY_OPS:
             self.next()
             opnode = AstNode(KIND_OPERATOR, op=tok, line=line, col=col)
             operand = self.parse_unary()
@@ -354,7 +318,7 @@ class Parser:
                 expr = AstNode(KIND_INDEX, [expr, index],
                                line=expr.line, col=expr.col)
                 continue
-            if kind == "punct" and tok in ("++", "--"):
+            if kind == "punct" and tok in INCDEC_OPS:
                 if expr.kind != KIND_IDENT:
                     raise ParseError(f"{tok} needs a plain variable", line, col)
                 self.next()
@@ -375,17 +339,8 @@ class Parser:
         if kind == "ident":
             self.next()
             if self.at("("):
-                self.next()
-                args = []
-                if not self.at(")"):
-                    while True:
-                        args.append(self.parse_expr())
-                        if self.at(","):
-                            self.next()
-                        else:
-                            break
-                self.expect(")")
-                return AstNode(KIND_CALL, args, name=tok, line=line, col=col)
+                return AstNode(KIND_CALL, self.parse_list(self.parse_expr),
+                               name=tok, line=line, col=col)
             return AstNode(KIND_IDENT, name=tok, line=line, col=col)
         if kind == "punct" and tok == "(":
             self.next()

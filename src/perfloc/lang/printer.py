@@ -4,25 +4,27 @@
 and rendering again yields byte-identical text. Layout rules: four-space
 indent, one statement per line, ``} else {`` cuddled, one blank line between
 functions, a single trailing newline. Parentheses are emitted only where
-precedence requires them, so ``a[j] > a[j + 1]`` stays flat while
-``(a + b) * c`` keeps its grouping.
+precedence (``ast.BINARY_LEVELS``) requires them, so ``a[j] > a[j + 1]``
+stays flat while ``(a + b) * c`` keeps its grouping.
 """
 
 from __future__ import annotations
 
 from .ast import (
-    AstNode, Program,
+    AstNode, Program, BINARY_LEVELS, STATEMENT_KINDS,
     KIND_FUNCTION, KIND_BLOCK, KIND_VARDECL, KIND_ASSIGN, KIND_IF, KIND_FOR,
     KIND_WHILE, KIND_RETURN, KIND_EXPRSTMT, KIND_BINARY, KIND_UNARY,
     KIND_INCDEC, KIND_CALL, KIND_INDEX, KIND_IDENT, KIND_INT, KIND_BOOL,
     KIND_OPERATOR,
 )
 
-PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4,
-              ">=": 4, "+": 5, "-": 5, "*": 6, "/": 6, "%": 6}
-UNARY_PRECEDENCE = 7
-POSTFIX_PRECEDENCE = 8
-ATOM_PRECEDENCE = 9
+# A binary operator binds as tightly as its level in ``BINARY_LEVELS``,
+# counted from 1; unary, postfix and atomic forms bind tighter still.
+PRECEDENCE = {op: level for level, (ops, _, _) in enumerate(BINARY_LEVELS, 1)
+              for op in ops}
+UNARY_PRECEDENCE = len(BINARY_LEVELS) + 1
+POSTFIX_PRECEDENCE = UNARY_PRECEDENCE + 1
+ATOM_PRECEDENCE = POSTFIX_PRECEDENCE + 1
 
 INDENT = "    "
 
@@ -154,8 +156,7 @@ def render_snippet(node: AstNode) -> str:
         return node.op
     if kind == KIND_FUNCTION:
         return " ".join(render_function(node).split())
-    if kind in (KIND_BLOCK, KIND_VARDECL, KIND_ASSIGN, KIND_IF, KIND_FOR,
-                KIND_WHILE, KIND_RETURN, KIND_EXPRSTMT):
+    if kind in STATEMENT_KINDS:
         out: list = []
         _statement(node, 0, out)
         return " ".join(" ".join(out).split())

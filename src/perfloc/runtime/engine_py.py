@@ -48,7 +48,7 @@ from .ir import (
     OP_IDENT, OP_INTLIT, OP_BOOLLIT, OP_OPER,
     BOP_ADD, BOP_SUB, BOP_MUL, BOP_DIV, BOP_MOD, BOP_LT, BOP_LE, BOP_GT,
     BOP_GE, BOP_EQ, BOP_NE, BOP_AND, BOP_OR,
-    HEAP_LIMIT, ARRAY_SHIFT, LEN_MASK, STACK_LIMIT, pack_array,
+    HEAP_LIMIT, ARRAY_SHIFT, LEN_MASK, STACK_LIMIT, pack_array, wrap32,
 )
 
 STATUS_COMPLETED = 0
@@ -75,10 +75,6 @@ class _Fault(Exception):
 class _Return(Exception):
     def __init__(self, value):
         self.value = value
-
-
-def _wrap(v):
-    return ((v + 0x80000000) & 0xFFFFFFFF) - 0x80000000
 
 
 def run(ir: ProgramIR, entry: int, args: list, heap: list,
@@ -159,7 +155,7 @@ def run(ir: ProgramIR, entry: int, args: list, heap: list,
             while eval_expr(cond, frame, depth):
                 for c in range(lo, hi):
                     exec_stmt(c, frame, depth)
-                frame[slot] = _wrap(frame[slot] + step)
+                frame[slot] = wrap32(frame[slot] + step)
         elif k == OP_WHILE:
             cond = first[i]
             lo = cond + 1
@@ -199,11 +195,11 @@ def run(ir: ProgramIR, entry: int, args: list, heap: list,
                 return eval_expr(first[i] + 2, frame, depth)
             r = eval_expr(first[i] + 2, frame, depth)
             if op == BOP_ADD:
-                return _wrap(l + r)
+                return wrap32(l + r)
             if op == BOP_SUB:
-                return _wrap(l - r)
+                return wrap32(l - r)
             if op == BOP_MUL:
-                return _wrap(l * r)
+                return wrap32(l * r)
             if op == BOP_LT:
                 return 1 if l < r else 0
             if op == BOP_LE:
@@ -222,7 +218,7 @@ def run(ir: ProgramIR, entry: int, args: list, heap: list,
             if q < 0 and q * r != l:
                 q += 1
             if op == BOP_DIV:
-                return _wrap(q)
+                return wrap32(q)
             return l - q * r
         if k == OP_INDEX:
             ref = eval_expr(first[i], frame, depth)
@@ -235,12 +231,12 @@ def run(ir: ProgramIR, entry: int, args: list, heap: list,
         if k == OP_INCDEC:
             slot = pa[i]
             old = frame[slot]
-            frame[slot] = _wrap(old + pb[i])
+            frame[slot] = wrap32(old + pb[i])
             return old
         if k == OP_UNARY:
             v = eval_expr(first[i] + 1, frame, depth)
             if pa[i] == 0:
-                return _wrap(-v)
+                return wrap32(-v)
             return 0 if v else 1
         if k == OP_CALL:
             findex = pa[i]

@@ -106,6 +106,11 @@ STACK_LIMIT = 512
 INT_MIN = -(1 << 31)
 
 
+def wrap32(v: int) -> int:
+    """``v`` wrapped to int32, two's complement."""
+    return ((v + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+
+
 def frame_slot(code: int, i: int, first, slots) -> int:
     """The frame slot row ``i``, an Identifier or an IncDec (opcode
     ``code``), carries in ``a``: an Identifier its own, an IncDec its
@@ -170,7 +175,7 @@ def build_ir(program: Program) -> ProgramIR:
         elif k == KIND_INT:
             # Literals are int32 like everything else; oversized source
             # literals wrap here so both engines see the same value.
-            a[i] = ((node.value + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+            a[i] = wrap32(node.value)
         elif k == KIND_BINARY or k == KIND_UNARY:
             a[i] = operator_code(code, children[0].op)
         elif k == KIND_INCDEC:

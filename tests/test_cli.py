@@ -66,6 +66,27 @@ def test_profile_type_error_exits_one(tmp_path, capsys):
 
 # -- localize -----------------------------------------------------------
 
+@pytest.mark.parametrize("body, position, code, message", [
+    ("a[0] = y;", "2:12", "UndeclaredIdentifier", "'y' is not declared"),
+    ("if (length) {\n    }", "2:9", "TypeMismatch", "expected bool, got int"),
+    ("int length = 2;", "2:5", "DuplicateDeclaration",
+     "'length' is already declared"),
+    ("sort(a);", "2:5", "ArityMismatch", "'sort' takes 2 arguments, got 1"),
+    ("length + 1 = 2;", "2:5", "BadAssignTarget",
+     "cannot assign to a Binary"),
+    ("}\n\nint pick(int x) {\n    x = 1;", "4:1", "MissingReturn",
+     "'pick' can finish without returning int"),
+])
+def test_compile_error_names_its_position(tmp_path, capsys, body, position,
+                                          code, message):
+    bad = tmp_path / "bad.mini"
+    bad.write_text(f"void sort(int[] a, int length) {{\n    {body}\n}}\n")
+    assert main(["profile", str(bad), "--tests", SUITE,
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() \
+        == [f"invalid: {bad}: {position}: {code}: {message}"]
+
+
 def test_localize_headers_and_variant_log(tmp_path):
     out = tmp_path / "deletion"
     assert main(["localize", BUBBLE, "--tests", SUITE,
@@ -383,6 +404,22 @@ def test_diverging_original_exits_one_with_one_line(tmp_path, capsys, body,
             == [f"error: original program {line}"], technique
 
 
+def test_evaluate_names_the_problem_whose_original_diverges(mini_corpus,
+                                                            tmp_path, capsys):
+    import shutil
+    corpus = tmp_path / "corpus"
+    shutil.copytree(mini_corpus, corpus)
+    (corpus / "insertion" / "original.mini").write_text(
+        "void sort(int[] a, int length) { a[0] = 0; }\n")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--corpus", str(corpus), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("evaluating ")     # bubble, which is sound
+    assert err[-1].startswith(f"error: {corpus / 'insertion'}: original "
+                              f"program is incorrect on case "), err
+    assert not list(out.glob("*"))   # no report written
+
+
 # -- malformed suites ---------------------------------------------------
 
 @pytest.mark.parametrize("key, value", [
@@ -507,6 +544,21 @@ def test_malformed_problem_exits_one_with_one_line(tmp_path, capsys, name,
                      "--tests", SUITE, "--out", str(tmp_path / "p")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and name in err[0], err
+
+
+def test_improved_entry_must_take_the_original_parameters(tmp_path, capsys):
+    import shutil
+    corpus = tmp_path / "corpus"
+    shutil.copytree(os.path.join(CORPUS_DIR, "bubble"), corpus / "bubble")
+    improved = corpus / "bubble" / "improved-1.mini"
+    improved.write_text("void sort(int[] a) { }\n")
+    for argv in (["evaluate", "--corpus", str(corpus),
+                  "--out", str(tmp_path / "out")],
+                 ["validate", "--corpus", str(corpus)]):
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid: {improved}: entry function takes (int[]), not the "
+            f"original's (int[], int)"], argv[0]
 
 
 def test_deep_nesting_exits_one_with_one_line(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Parser, printer, static checker and tree-surgery tests."""
 
 import hashlib
+import itertools
 
 import pytest
 
 from perfloc.lang.ast import (
-    CATEGORY, CAT_DECLARATION, CAT_EXPRESSION, CAT_OPERATOR, CAT_STATEMENT,
+    BINARY_LEVELS, BINARY_OPS, CATEGORY, CAT_DECLARATION, CAT_EXPRESSION, CAT_OPERATOR, CAT_STATEMENT,
     KIND_ASSIGN, KIND_BLOCK, KIND_FOR, KIND_IDENT, KIND_IF, KIND_INT,
     KIND_OPERATOR, KIND_VARDECL, STATEMENT_KINDS,
     Program, structurally_equal,
@@ -89,6 +90,58 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_program("void sort(int[] a, int length) {\n  a[0] = 1\n}")
     assert "3:" in str(err.value)
+
+
+@pytest.mark.parametrize("statement, col", [
+    ("a[0] = \u00b2;", 12),       # superscript two: a digit to str.isdigit
+    ("int \u00e9 = 1;", 9),       # e acute: a letter to str.isalpha
+    ("a[0] = \u0663;", 12),       # Arabic-Indic three: a decimal digit
+])
+def test_tokens_are_ascii(statement, col):
+    with pytest.raises(ParseError) as err:
+        parse_program(f"void sort(int[] a, int length) {{\n    {statement}\n}}")
+    assert "unexpected character" in str(err.value)
+    assert (err.value.line, err.value.col) == (2, col)
+
+
+def test_end_of_input_is_at_the_end_of_the_text():
+    # a trailing comment does not hold the position at its start
+    with pytest.raises(ParseError) as err:
+        parse_program("void sort(int[] a, int length) {\n// no brace")
+    assert str(err.value) == "2:12: expected '}', got 'end of input'"
+
+
+def test_binary_levels_hold_every_binary_operator_once():
+    level_ops = [op for ops, _, _ in BINARY_LEVELS for op in ops]
+    assert len(level_ops) == len(set(level_ops)) == len(BINARY_OPS)
+    assert set(BINARY_OPS) == set(level_ops)
+
+
+def _outer_op(statement):
+    expr = statement.children[0]
+    return (expr.kind, expr.children[0].op)
+
+
+def test_operators_round_trip_in_every_grouping():
+    """Every ordered pair of binary operators, grouped either way, and
+    each unary operator over each binary one survives parse, render and
+    parse, with the grouping the source's parentheses give."""
+    cases = []
+    for p, q in itertools.product(BINARY_OPS, repeat=2):
+        cases.append((f"(a {p} b) {q} c;", ("Binary", q)))
+        cases.append((f"a {p} (b {q} c);", ("Binary", p)))
+    for p, u in itertools.product(BINARY_OPS, ("-", "!")):
+        cases.append((f"{u}(a {p} b);", ("Unary", u)))
+        cases.append((f"{u}a {p} b;", ("Binary", p)))
+    text = "void f() {\n%s\n}\n" % "\n".join(c for c, _ in cases)
+    once = parse_program(text)
+    twice = parse_program(render_program(once))
+    body_once = once.functions[0].children[0].children
+    body_twice = twice.functions[0].children[0].children
+    assert len(body_once) == len(body_twice) == len(cases)
+    for (source, outer), a, b in zip(cases, body_once, body_twice):
+        assert _outer_op(a) == outer, source
+        assert structurally_equal(a, b), (source, render_snippet(b))
 
 
 @pytest.mark.parametrize("text,code", [
