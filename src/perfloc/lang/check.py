@@ -457,7 +457,10 @@ class Holes:
     rest of the program checks as before: the verdict is exact. A
     statement replay runs in a scope of its own, closed afterwards, and
     numbers the donor's declarations from the function's frame size, so
-    each gets a slot no other variable holds. A violation there is exact,
+    each gets a slot no other variable holds. A donor declares at most as
+    many variables as its own function, so these slots stay below twice
+    the largest function's size, the frame ``runtime.ir.build_ir`` gives
+    every function. A violation there is exact,
     since the full walk meets the donor in the same state. Without one,
     the verdict is exact only when neither statement is a VarDecl, which
     alone changes the scopes that follow, and the function is ``void``,

@@ -31,7 +31,9 @@ control node's own children.
 
 Tokens are ASCII: ``INT`` is ``[0-9]+``, ``IDENT`` is
 ``[A-Za-z_][A-Za-z0-9_]*`` but not a keyword, and spaces, tabs, carriage
-returns, newlines and ``//`` line comments separate them.
+returns, newlines and ``//`` line comments separate them. An ``INT``
+literal keeps its value modulo 2^32, of any length; lowering wraps it to
+int32.
 """
 
 from __future__ import annotations
@@ -332,7 +334,8 @@ class Parser:
         kind, tok, line, col = self.peek()
         if kind == "int":
             self.next()
-            return AstNode(KIND_INT, value=int(tok), line=line, col=col)
+            return AstNode(KIND_INT, value=literal_value(tok), line=line,
+                           col=col)
         if kind == "keyword" and tok in ("true", "false"):
             self.next()
             return AstNode(KIND_BOOL, value=(tok == "true"), line=line, col=col)
@@ -349,6 +352,16 @@ class Parser:
             return expr
         got = tok if kind != "eof" else "end of input"
         self.error(f"expected an expression, got {got!r}")
+
+
+def literal_value(digits: str) -> int:
+    """The decimal ``digits`` modulo 2^32, read nine at a time: ``int``
+    refuses a string of more than 4,300 digits."""
+    value = 0
+    for k in range(0, len(digits), 9):
+        chunk = digits[k:k + 9]
+        value = (value * 10 ** len(chunk) + int(chunk)) % (1 << 32)
+    return value
 
 
 def parse_program(text: str) -> Program:

@@ -38,9 +38,9 @@ path by that verdict:
   resolved, and ``runtime.exec.run_patch`` runs that patch on the
   original, prepared once per analysis. It runs only the tests on which
   the original enters the target's nearest enclosing statement: only rows
-  reached through that statement differ, and a grown frame only adds
-  cells that start at zero, so on every other test the variant's outcome
-  is the original's;
+  reached through that statement differ, and the variant has the
+  original's frames, so on every other test the variant's outcome is the
+  original's;
 - no verdict (other statement and VarDecl name edits whose hole check is
   clean): built, fully checked, lowered and run on the whole suite.
 

@@ -21,9 +21,10 @@
    once and runs the suite once, keeping the program's own outcome on
    every test; it returns a handle. run_patch(handle, patch, tests)
    applies a runtime.ir.Patch in place: its rows go after the program's,
-   the one row it rewrites (the target's parent) takes its new a, b and
-   first, and its frame grows (the stack grows with it). Only the
-   appended rows and the rewritten row are validated. It runs the tests
+   and the one row it rewrites (the target's parent) takes its new a, b
+   and first. Only the appended rows and the rewritten row are validated.
+   Every frame has the IR's n_slots cells, patched or not, so the stack of
+   STACK_LIMIT frames is allocated once, at load. It runs the tests
    numbered in ``tests`` (increasing), counts the program's own outcome
    for every other test, undoes the patch, and returns (total_steps,
    n_correct, any_timeout, any_error). A malformed IR or patch raises
@@ -69,8 +70,7 @@ typedef struct {
     const int32_t *b;
     const int32_t *first;
     const int32_t *nch;
-    int32_t *fbody;         /* per function: body block id */
-    int32_t *fslots;        /* per function: frame size */
+    int n_slots;            /* every frame's size */
     int64_t steps;
     int64_t limit;
     int32_t *heap;
@@ -126,16 +126,17 @@ static inline int32_t *element(Ctx *ctx, int64_t ref, int64_t idx)
     return ctx->heap + at;
 }
 
+/* Run the body of function row ``f``, the row's one child. */
 static int call_fn(Ctx *ctx, int f, const int64_t *argv, int argc, int depth)
 {
-    int n = ctx->fslots[f];
+    int n = ctx->n_slots;
     int64_t *frame = ctx->stack + ctx->sp;
     int st;
     memmove(frame, argv, (size_t)argc * sizeof(int64_t));
     memset(frame + argc, 0, (size_t)(n - argc) * sizeof(int64_t));
     ctx->sp += n;
     ctx->retval = 0;
-    st = exec_stmt(ctx, ctx->fbody[f], frame, depth);
+    st = exec_stmt(ctx, ctx->first[f], frame, depth);
     ctx->sp -= n;
     return st == ST_RETURN ? ST_OK : st;
 }
@@ -366,10 +367,7 @@ typedef struct {
     void *col[5];           /* kind, a, b, first, nch: owned copies */
     Py_ssize_t n;           /* the program's rows; a patch's follow them */
     Py_ssize_t cap;         /* rows the columns have room for */
-    int nf;                 /* functions */
     int entry;
-    int max_slots;          /* the largest frame */
-    int stack_slots;        /* the stack holds STACK_LIMIT frames this large */
     int32_t *values;        /* the packed suite's values: owned copy */
     Test *tests;
     Py_ssize_t n_tests;
@@ -388,8 +386,6 @@ static void release_program(Program *p)
         PyMem_Free(p->col[k]);
     if (p->counts_view)
         PyBuffer_Release(&p->counts);
-    PyMem_Free(p->ctx.fbody);
-    PyMem_Free(p->ctx.fslots);
     if (p->ctx.stack != NULL)
         PyMem_Free(p->ctx.stack - 1);
     PyMem_Free(p->values);
@@ -459,26 +455,6 @@ static Py_ssize_t put_rows(Program *p, PyObject *src, Py_ssize_t at)
     return rows;
 }
 
-/* Room on the stack for STACK_LIMIT frames of ``slots`` cells, after a
-   leading cell, which is where a slot of -1 points. */
-static int grow_stack(Program *p, int slots)
-{
-    int64_t *stack;
-    if (slots <= p->stack_slots)
-        return 0;
-    stack = PyMem_Realloc(p->ctx.stack == NULL ? NULL : p->ctx.stack - 1,
-                          ((size_t)STACK_LIMIT * slots + 1)
-                          * sizeof(int64_t));
-    if (stack == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    *stack = 0;
-    p->ctx.stack = stack + 1;
-    p->stack_slots = slots;
-    return 0;
-}
-
 /* Minimum children of each opcode the engine steps into. */
 static int min_children(const Ctx *c, Py_ssize_t i)
 {
@@ -493,12 +469,11 @@ static int min_children(const Ctx *c, Py_ssize_t i)
 }
 
 /* Why row ``i`` of a program of ``rows`` rows is unsafe to run, or NULL:
-   every index the engine follows from it must stay inside the rows, the
-   function table and a frame of ``max_slots`` cells, so that a malformed
-   IR raises ValueError instead of reading out of bounds (heap accesses are
+   every index the engine follows from it must stay inside the rows and a
+   frame, and a call must enter a function's row, so that a malformed IR
+   raises ValueError instead of reading out of bounds (heap accesses are
    bounded by element()). */
-static const char *bad_row(const Program *p, Py_ssize_t rows, Py_ssize_t i,
-                           int max_slots)
+static const char *bad_row(const Program *p, Py_ssize_t rows, Py_ssize_t i)
 {
     const Ctx *c = &p->ctx;
     int k = c->kind[i], first = c->first[i], nch = c->nch[i];
@@ -509,28 +484,31 @@ static const char *bad_row(const Program *p, Py_ssize_t rows, Py_ssize_t i,
         return "child range outside the rows";
     if (nch < min_children(c, i))
         return "too few children";
+    if (k == OP_FUNC && nch != 1)
+        return "function body";
     if (k == OP_ASSIGN && c->kind[first] != OP_IDENT && c->nch[first] < 2)
         return "assignment target";
     if (k == OP_IF && (a < 0 || a >= nch))
         return "then-branch length";
-    if (k == OP_CALL && (a < -1 || a >= p->nf || c->b[i] != nch
+    if (k == OP_CALL && (a < -1 || a >= rows || c->b[i] != nch
                          || (a == -1 && nch != 1)
-                         || (a >= 0 && nch > c->fslots[a])))
+                         || (a >= 0 && (c->kind[a] != OP_FUNC
+                                        || nch > c->n_slots))))
         return "call";
     if ((k == OP_FOR || k == OP_INCDEC || k == OP_VARDECL)
-            && (a < 0 || a >= max_slots))
+            && (a < 0 || a >= c->n_slots))
         return "frame slot";
     /* a VarDecl's name holds -1; it is never read */
-    if (k == OP_IDENT && (a < -1 || a >= max_slots))
+    if (k == OP_IDENT && (a < -1 || a >= c->n_slots))
         return "frame slot";
     return NULL;
 }
 
 static int bad_rows(const Program *p, const char *what, Py_ssize_t rows,
-                    Py_ssize_t lo, Py_ssize_t hi, int max_slots)
+                    Py_ssize_t lo, Py_ssize_t hi)
 {
     for (Py_ssize_t i = lo; i < hi; i++) {
-        const char *why = bad_row(p, rows, i, max_slots);
+        const char *why = bad_row(p, rows, i);
         if (why != NULL) {
             PyErr_Format(PyExc_ValueError, "malformed %s: %s at node %zd",
                          what, why, i);
@@ -551,62 +529,39 @@ static long long int_attr(PyObject *obj, const char *name)
     return v;
 }
 
-/* Copy the IR's rows and function table, validate them and allocate the
-   frame stack. On failure an exception is set and the caller still
-   releases. */
+/* Copy and validate the IR's rows, and allocate the stack: STACK_LIMIT
+   frames, one per depth, after a leading cell, which is where a slot of -1
+   points. On failure an exception is set and the caller still releases. */
 static int load_program(PyObject *ir, Program *p)
 {
-    PyObject *obj, *functions;
-    long long entry;
+    long long entry, n_slots;
     p->n = put_rows(p, ir, 0);
     if (p->n < 0)
         return -1;
-
-    obj = PyObject_GetAttrString(ir, "functions");
-    if (obj == NULL)
-        return -1;
-    functions = PySequence_Fast(obj, "ir.functions must be a sequence");
-    Py_DECREF(obj);
-    if (functions == NULL)
-        return -1;
-    p->nf = (int)Py_MIN(PySequence_Fast_GET_SIZE(functions), INT32_MAX);
-    p->ctx.fbody = PyMem_Malloc((p->nf + 1) * sizeof(int32_t));
-    p->ctx.fslots = PyMem_Malloc((p->nf + 1) * sizeof(int32_t));
-    if (p->ctx.fbody == NULL || p->ctx.fslots == NULL) {
-        Py_DECREF(functions);
-        PyErr_NoMemory();
-        return -1;
-    }
-    p->max_slots = 1;
-    for (int f = 0; f < p->nf; f++) {
-        PyObject *info = PySequence_Fast_GET_ITEM(functions, f);
-        long long body = int_attr(info, "body");
-        long long slots = PyErr_Occurred() ? -1 : int_attr(info, "n_slots");
-        if (PyErr_Occurred() || body < 0 || body >= p->n || slots < 1
-                || slots > INT32_MAX) {
-            Py_DECREF(functions);
-            if (!PyErr_Occurred())
-                PyErr_Format(PyExc_ValueError, "malformed IR: function %d", f);
-            return -1;
-        }
-        p->ctx.fbody[f] = (int32_t)body;
-        p->ctx.fslots[f] = (int32_t)slots;
-        p->max_slots = Py_MAX(p->max_slots, (int)slots);
-    }
-    Py_DECREF(functions);
-
-    entry = int_attr(ir, "entry");
+    n_slots = int_attr(ir, "n_slots");
+    entry = PyErr_Occurred() ? -1 : int_attr(ir, "entry");
     if (PyErr_Occurred())
         return -1;
-    if (entry < 0 || entry >= p->nf) {
+    if (n_slots < 1 || n_slots > INT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "malformed IR: frame size");
+        return -1;
+    }
+    p->ctx.n_slots = (int)n_slots;
+    if (entry < 0 || entry >= p->n || p->ctx.kind[entry] != OP_FUNC) {
         PyErr_SetString(PyExc_ValueError, "malformed IR: entry");
         return -1;
     }
     p->entry = (int)entry;
-    if (bad_rows(p, "IR", p->n, 0, p->n, p->max_slots) < 0)
+    if (bad_rows(p, "IR", p->n, 0, p->n) < 0)
         return -1;
-    /* frames nest, one per depth below STACK_LIMIT */
-    return grow_stack(p, p->max_slots);
+    p->ctx.stack = PyMem_Malloc(((size_t)STACK_LIMIT * n_slots + 1)
+                                * sizeof(int64_t));
+    if (p->ctx.stack == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *p->ctx.stack++ = 0;
+    return 0;
 }
 
 /* A view of ``obj``, which must be an array of struct format ``format``
@@ -653,7 +608,7 @@ static const char *bad_suite(const Program *p, const int64_t *layout,
             break;
         if (layout[0] > HEAP_LIMIT)
             return "input_array exceeds the heap";
-        if (layout[2] >= p->ctx.fslots[p->entry])
+        if (layout[2] >= p->ctx.n_slots)
             return "more arguments than the entry function's frame";
     }
     return left ? "malformed suite: lengths that are negative or do not add "
@@ -850,15 +805,14 @@ static void swap_row(Program *p, Py_ssize_t i, int64_t cells[3])
 
 static PyObject *run_patch(PyObject *self, PyObject *args)
 {
-    static const char *const FIELDS[6] = {
-        "parent", "parent_a", "parent_b", "parent_first", "function",
-        "n_slots"};
+    static const char *const FIELDS[4] = {
+        "parent", "parent_a", "parent_b", "parent_first"};
     PyObject *handle, *patch, *tests, *listed, *result = NULL;
     Program *p;
     Py_ssize_t m, prev = -1, t, parent;
-    long long field[6], function, n_slots;
+    long long field[4];
     int64_t cells[3];
-    int swapped = 0, old_slots = 0, max_slots;
+    int swapped = 0;
     int64_t steps = 0;
     Py_ssize_t n_passed = 0;
     int any_timeout = 0, any_error = 0;
@@ -868,19 +822,10 @@ static PyObject *run_patch(PyObject *self, PyObject *args)
     p = PyCapsule_GetPointer(handle, HANDLE);
     if (p == NULL)
         return NULL;
-    for (int k = 0; k < 6; k++)
+    for (int k = 0; k < 4; k++)
         if ((field[k] = int_attr(patch, FIELDS[k])) == -1 && PyErr_Occurred())
             return NULL;
     parent = (Py_ssize_t)field[0];
-    function = field[4];
-    n_slots = field[5];
-    if (function != -1 && (function < 0 || function >= p->nf
-                           || n_slots < p->ctx.fslots[function]
-                           || n_slots > INT32_MAX)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "malformed patch: a frame may only grow");
-        return NULL;
-    }
     if (parent != -1 && (parent < 0 || parent >= p->n
                          || field[2] < INT32_MIN || field[2] > INT32_MAX
                          || field[3] < INT32_MIN || field[3] > INT32_MAX)) {
@@ -898,18 +843,11 @@ static PyObject *run_patch(PyObject *self, PyObject *args)
         swap_row(p, parent, cells);
         swapped = 1;
     }
-    max_slots = p->max_slots;
-    if (function != -1) {
-        old_slots = p->ctx.fslots[function];
-        p->ctx.fslots[function] = (int32_t)n_slots;
-        max_slots = Py_MAX(max_slots, (int)n_slots);
-    }
     /* prepare validated the program's rows; of those, only the rewritten
        row has changed */
-    if (bad_rows(p, "patch", p->n + m, p->n, p->n + m, max_slots) < 0
-            || (swapped && bad_rows(p, "patch", p->n + m, parent, parent + 1,
-                                    max_slots) < 0)
-            || grow_stack(p, max_slots) < 0)
+    if (bad_rows(p, "patch", p->n + m, p->n, p->n + m) < 0
+            || (swapped && bad_rows(p, "patch", p->n + m, parent,
+                                    parent + 1) < 0))
         goto done;
 
     for (Py_ssize_t j = 0; j < PySequence_Fast_GET_SIZE(listed); j++) {
@@ -945,8 +883,6 @@ done:
     /* restore the program: its rows end at p->n again */
     if (swapped)
         swap_row(p, parent, cells);
-    if (old_slots)
-        p->ctx.fslots[function] = old_slots;
     Py_DECREF(listed);
     return result;
 }

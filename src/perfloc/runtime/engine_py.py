@@ -21,8 +21,10 @@ enforces. Semantics frozen here:
   checks at the store. Assignment to a variable evaluates only the value.
 - A for loop evaluates its init once (in the enclosing scope), stores it,
   then alternates condition / body / silent counter update.
-- Calls evaluate arguments left to right, then enter the callee's body block.
-  More than 512 live frames raises StackOverflow.
+- Calls evaluate arguments left to right, then enter the callee's body,
+  the one child of its row, in a frame of ``ir.n_slots`` zeroed cells
+  that starts with the arguments. More than 512 live frames raises
+  StackOverflow.
 - newArray(n) zero-fills; n < 0, or growing the heap past 2^20 ints, raises
   IndexOutOfBounds. Uninitialised variables read as 0 (= false = the empty
   array reference).
@@ -43,9 +45,9 @@ import sys
 
 from .ir import (
     Patch, ProgramIR, apply_patch,
-    OP_BLOCK, OP_VARDECL, OP_ASSIGN, OP_IF, OP_FOR, OP_WHILE, OP_RETURN,
-    OP_EXPRSTMT, OP_BINARY, OP_UNARY, OP_INCDEC, OP_CALL, OP_INDEX,
-    OP_IDENT, OP_INTLIT, OP_BOOLLIT, OP_OPER,
+    OP_FUNC, OP_BLOCK, OP_VARDECL, OP_ASSIGN, OP_IF, OP_FOR, OP_WHILE,
+    OP_RETURN, OP_EXPRSTMT, OP_BINARY, OP_UNARY, OP_INCDEC, OP_CALL,
+    OP_INDEX, OP_IDENT, OP_INTLIT, OP_BOOLLIT, OP_OPER,
     BOP_ADD, BOP_SUB, BOP_MUL, BOP_DIV, BOP_MOD, BOP_LT, BOP_LE, BOP_GT,
     BOP_GE, BOP_EQ, BOP_NE, BOP_AND, BOP_OR,
     HEAP_LIMIT, ARRAY_SHIFT, LEN_MASK, STACK_LIMIT, pack_array, wrap32,
@@ -92,7 +94,7 @@ def run(ir: ProgramIR, entry: int, args: list, heap: list,
     pb = ir.b
     first = ir.first
     nch = ir.nch
-    functions = ir.functions
+    n_slots = ir.n_slots
 
     state = [0]  # steps
 
@@ -101,13 +103,12 @@ def run(ir: ProgramIR, entry: int, args: list, heap: list,
         if state[0] == step_limit:
             raise _Timeout
 
-    def call(findex, argv, depth):
-        info = functions[findex]
-        frame = [0] * info.n_slots
+    def call(f, argv, depth):
+        frame = [0] * n_slots
         for i, v in enumerate(argv):
             frame[i] = v
         try:
-            exec_stmt(info.body, frame, depth)
+            exec_stmt(first[f], frame, depth)
         except _Return as r:
             return r.value
         return None
@@ -273,11 +274,9 @@ def run_tests(ir: ProgramIR, tests, limits, counts=None):
     array is the input array's cells after a completed run, None otherwise.
     ``counts`` is passed to every ``run``. ``ir`` is validated as
     ``engine.c`` validates it (ValueError if malformed)."""
-    for f, info in enumerate(ir.functions):
-        if not (0 <= info.body < len(ir.kind) and info.n_slots >= 1
-                and info.n_slots in _INT32):
-            raise ValueError(f"malformed IR: function {f}")
-    if not 0 <= ir.entry < len(ir.functions):
+    if ir.n_slots not in range(1, 1 << 31):
+        raise ValueError("malformed IR: frame size")
+    if not (0 <= ir.entry < len(ir.kind) and ir.kind[ir.entry] == OP_FUNC):
         raise ValueError("malformed IR: entry")
     _check_rows(ir, range(len(ir.kind)), "IR")
     return _run_tests(ir, tests, limits, counts)
@@ -315,12 +314,11 @@ def _min_children(k, b):
     return 0
 
 
-def _bad_row(ir, i, max_slots):
+def _bad_row(ir, i):
     """Why row ``i`` of ``ir`` is unsafe to run, or None: every index the
-    engines follow from it must stay inside the rows, the function table
-    and a frame of ``max_slots`` cells (``engine.c``'s ``bad_row``)."""
+    engines follow from it must stay inside the rows and a frame, and a
+    call must enter a function's row (``engine.c``'s ``bad_row``)."""
     kind, a, b, first, nch = ir.kind, ir.a, ir.b, ir.first, ir.nch
-    functions = ir.functions
     k, lo, width, ai = kind[i], first[i], nch[i], a[i]
     if not 0 <= k <= OP_OPER:
         return "unknown opcode"
@@ -328,26 +326,28 @@ def _bad_row(ir, i, max_slots):
         return "child range outside the rows"
     if width < _min_children(k, b[i]):
         return "too few children"
+    if k == OP_FUNC and width != 1:
+        return "function body"
     if k == OP_ASSIGN and kind[lo] != OP_IDENT and nch[lo] < 2:
         return "assignment target"
     if k == OP_IF and not 0 <= ai < width:
         return "then-branch length"
-    if k == OP_CALL and (not -1 <= ai < len(functions) or b[i] != width
+    if k == OP_CALL and (not -1 <= ai < len(kind) or b[i] != width
                          or (ai == -1 and width != 1)
-                         or (ai >= 0 and width > functions[ai].n_slots)):
+                         or (ai >= 0 and (kind[ai] != OP_FUNC
+                                          or width > ir.n_slots))):
         return "call"
-    if k in (OP_FOR, OP_INCDEC, OP_VARDECL) and not 0 <= ai < max_slots:
+    if k in (OP_FOR, OP_INCDEC, OP_VARDECL) and not 0 <= ai < ir.n_slots:
         return "frame slot"
     # a VarDecl's name holds -1; it is never read
-    if k == OP_IDENT and not -1 <= ai < max_slots:
+    if k == OP_IDENT and not -1 <= ai < ir.n_slots:
         return "frame slot"
     return None
 
 
 def _check_rows(ir, rows, what):
-    max_slots = max([1] + [f.n_slots for f in ir.functions])
     for i in rows:
-        why = _bad_row(ir, i, max_slots)
+        why = _bad_row(ir, i)
         if why is not None:
             raise ValueError(f"malformed {what}: {why} at node {i}")
 
@@ -376,15 +376,11 @@ def run_patch(handle, patch: Patch, tests):
     prepared suite) on the prepared program with ``patch`` applied, and
     return (total_steps, n_correct, any_timeout, any_error) over the whole
     suite: a test left out counts the prepared program's own outcome.
-    Only the patch is validated: its appended rows, the row it rewrites,
-    and its frame, which may only grow. A malformed patch raises
-    ValueError. The handle itself never changes."""
+    Only the patch is validated: its appended rows and the row it
+    rewrites. A malformed patch raises ValueError. The handle itself never
+    changes."""
     ir, suite, limits, base = handle
-    f, parent = patch.function, patch.parent
-    if f != -1 and not (0 <= f < len(ir.functions)
-                        and ir.functions[f].n_slots <= patch.n_slots
-                        and patch.n_slots in _INT32):
-        raise ValueError("malformed patch: a frame may only grow")
+    parent = patch.parent
     if parent != -1 and not (0 <= parent < len(ir.kind)
                              and patch.parent_b in _INT32
                              and patch.parent_first in _INT32):

@@ -12,20 +12,21 @@ A variant that differs from an accepted program in one expression,
 operator or statement, and that ``lang.check.Holes`` accepts, is not
 lowered afresh: ``splice_patch`` describes it as a ``Patch`` on the
 original's IR, with no new opcode and no new step event. The patch holds
-only what changes: rows appended after the original's last row, the one
-row of the original it rewrites, the target's parent (whose ``first``
-points at the new rows, or whose payload holds the new operator), and
-one grown frame. A statement donor's declarations bind fresh slots past
-the original frame, which grows to hold them; both engines zero a frame
-at every call, so where a variable sits does not change a run. The
+only what changes: rows appended after the original's last row, and the
+one row of the original it rewrites, the target's parent (whose ``first``
+points at the new rows, or whose payload holds the new operator). Every
+frame of a program has the same ``n_slots`` cells, which every splice's
+fresh slots fit (see ``build_ir``), so a patch never changes a frame. The
 engines' ``run_patch`` apply a patch to a prepared original in place and
 undo it after the run; ``apply_patch`` builds the whole variant IR, for
 runs of one variant and for the differentials. ``frame_slot`` and
 ``operator_code`` are the payload rules lowering and splicing share.
 
+Function k is row k, and its one child is its body. A Call's ``a`` names
+its callee's row.
+
 Per-node payload fields ``a`` and ``b``:
 
-    FunctionDecl  a = body block id        b = function index
     VarDecl       a = slot                 b = 1 if it has an initialiser
     If            a = then-branch length
     For           a = counter slot         b = +1 or -1 (update direction)
@@ -33,7 +34,7 @@ Per-node payload fields ``a`` and ``b``:
     Binary        a = operator code
     Unary         a = 0 (negate) / 1 (not)
     IncDec        a = variable slot        b = +1 or -1
-    Call          a = callee function index, or -1 for newArray
+    Call          a = callee's row, or -1 for newArray
                                            b = argument count
     Identifier    a = slot; -1 for a VarDecl's name. An IncDec operand
                   holds its variable's slot, which neither engine reads
@@ -128,27 +129,23 @@ def operator_code(code: int, op: str) -> int:
     return 1 if op == "++" else -1
 
 
-class FunctionInfo(NamedTuple):
-    name: str
-    body: int       # id of the body Block
-    n_slots: int    # frame size, at least 1
-    n_params: int
-
-
 class ProgramIR(NamedTuple):
     kind: array
     a: array
     b: array
     first: array
     nch: array
-    functions: list[FunctionInfo]
-    entry: int      # index of the function under test
+    entry: int      # row of the function under test
+    n_slots: int    # every frame's size, at least 1
 
 
 def build_ir(program: Program) -> ProgramIR:
     """Lower a program in one pass over its node table, taking frame slots
     from ``program.frames``. A program not yet checked is checked here; one
-    the checker rejects raises ValueError."""
+    the checker rejects raises ValueError. Every frame gets twice the
+    largest function's slots: a statement donor declares at most as many
+    variables as its own function, and ``Holes.fit`` numbers them from its
+    target function's size, so every splice fits."""
     if program.frames is None:
         violations = static_check(program)
         if violations:
@@ -161,6 +158,7 @@ def build_ir(program: Program) -> ProgramIR:
     b = array("i", [0] * n)
     first = program.first
     nch = array("i", [0] * n)
+    # functions take ids 0..F-1, in declaration order
     func_index = {f.name: i for i, f in enumerate(program.functions)}
 
     for i, node in enumerate(program.nodes):
@@ -197,22 +195,15 @@ def build_ir(program: Program) -> ProgramIR:
             a[i] = node.then_count
         elif k == KIND_RETURN:
             b[i] = 1 if children else 0
-        elif k == KIND_FUNCTION:
-            a[i] = first[i]
-            b[i] = i  # functions take ids 0..F-1, in declaration order
 
-    functions = [FunctionInfo(func.name, first[k], max(sizes[k], 1),
-                              len(func.params))
-                 for k, func in enumerate(program.functions)]
-    return ProgramIR(kind, a, b, array("i", first), nch, functions,
-                     program.entry_index())
+    return ProgramIR(kind, a, b, array("i", first), nch,
+                     program.entry_index(), max(1, 2 * max(sizes, default=0)))
 
 
 class Patch(NamedTuple):
     """A variant as a change to a ``ProgramIR``: rows appended after its
-    last row, at most one of its rows (the target's parent) rewritten
-    whole, and at most one frame grown. The engines' ``run_patch`` apply
-    it in place and undo it."""
+    last row, and at most one of its rows (the target's parent) rewritten
+    whole. The engines' ``run_patch`` apply it in place and undo it."""
     kind: array     # the appended rows, numbered from len(ir.kind) on
     a: array
     b: array
@@ -222,14 +213,12 @@ class Patch(NamedTuple):
     parent_a: int   # its new a, b and first
     parent_b: int
     parent_first: int
-    function: int   # the function whose frame grows, or -1
-    n_slots: int    # its new frame size
 
 
 def empty_patch() -> Patch:
     """The patch that changes nothing."""
     return Patch(array("i"), array("q"), array("i"), array("i"), array("i"),
-                 -1, 0, 0, 0, -1, 0)
+                 -1, 0, 0, 0)
 
 
 def splice_patch(ir: ProgramIR, program: Program, target: int,
@@ -246,16 +235,16 @@ def splice_patch(ir: ProgramIR, program: Program, target: int,
     target's place, then the donor's descendants breadth-first, whose
     ``first`` is remapped; the parent's ``first`` is rewritten to point
     at the new row. A statement donor's VarDecls and For loops bind the
-    fresh slots the hole check gave them, past the original's frame, and
-    the frame of the target's function grows to hold them. Only the new
-    rows are built; ``ir`` is not copied."""
+    fresh slots the hole check gave them, past the slots of the target's
+    function and inside ``ir.n_slots``. Only the new rows are built;
+    ``ir`` is not copied."""
     kind, a, b, first, nch = ir.kind, ir.a, ir.b, ir.first, ir.nch
     parent = program.parent[target]
     code = kind[parent]
     if donor.kind == KIND_OPERATOR:
         new_row = [a[parent], b[parent], first[parent]]
         new_row[code == OP_INCDEC] = operator_code(code, donor.op)
-        return Patch(*empty_patch()[:5], parent, *new_row, -1, 0)
+        return Patch(*empty_patch()[:5], parent, *new_row)
 
     row, width = first[parent], nch[parent]
     at = target - row   # the target's place in its parent's child row
@@ -270,7 +259,6 @@ def splice_patch(ir: ProgramIR, program: Program, target: int,
     new_first = [first[i] for i in src]
     n = len(kind)
     child = n + width   # new id of the next donor row's first child
-    n_slots = 0         # the frame size the donor's declarations need
     for p, i in enumerate(order):
         j = width - 1 + p if p else at
         if nch[i]:
@@ -279,31 +267,22 @@ def splice_patch(ir: ProgramIR, program: Program, target: int,
         k = kind[i]
         if k == OP_VARDECL or k == OP_FOR:
             new_a[j] = slots[i]
-            n_slots = max(n_slots, slots[i] + 1)
         elif k == OP_INCDEC or (k == OP_IDENT and i in slots):
             # an identifier the check gave no slot is a VarDecl's name,
             # and keeps the -1 it has in ``ir``
             new_a[j] = frame_slot(k, i, first, slots)
     # the donor of an IncDec is its operand, whose slot the IncDec carries
     parent_a = new_a[at] if code == OP_INCDEC else a[parent]
-    function = -1
-    if n_slots:
-        f = parent
-        while program.parent[f] >= 0:   # function k is node k
-            f = program.parent[f]
-        if n_slots > ir.functions[f].n_slots:
-            function = f
     return Patch(array("i", [kind[i] for i in src]), array("q", new_a),
                  array("i", [b[i] for i in src]), array("i", new_first),
                  array("i", [nch[i] for i in src]), parent, parent_a,
-                 b[parent], n, function, n_slots)
+                 b[parent], n)
 
 
 def apply_patch(ir: ProgramIR, patch: Patch) -> ProgramIR:
     """The whole IR ``patch`` describes on ``ir``, in new arrays. Arrays
-    and the function table the patch does not change are shared with
-    ``ir``. The patch is not validated; the engines' ``run_patch`` do
-    that."""
+    the patch does not change are shared with ``ir``. The patch is not
+    validated; the engines' ``run_patch`` do that."""
     columns = {}
     if patch.parent >= 0:
         for name in ("a", "b", "first"):
@@ -313,12 +292,7 @@ def apply_patch(ir: ProgramIR, patch: Patch) -> ProgramIR:
         for name in ("kind", "a", "b", "first", "nch"):
             columns[name] = columns.get(name, getattr(ir, name)) \
                 + getattr(patch, name)
-    functions = ir.functions
-    if patch.function >= 0:
-        functions = list(functions)
-        functions[patch.function] = functions[patch.function]._replace(
-            n_slots=patch.n_slots)
-    return ir._replace(functions=functions, **columns)
+    return ir._replace(**columns)
 
 
 def pack_array(offset: int, length: int) -> int:

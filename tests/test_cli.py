@@ -41,6 +41,29 @@ def test_profile_writes_one_row_per_node(tmp_path):
     assert rows[2][:3] == ["1", "Block", "30"]
 
 
+def test_a_literal_of_5000_digits_profiles_as_its_value_mod_2_32(tmp_path):
+    # 10^5000 - 1 is 2^32 - 1 modulo 2^32, which lowers to the int32 -1
+    with open(BUBBLE, encoding="utf-8") as fh:
+        source = fh.read()
+    with open(SUITE, encoding="utf-8") as fh:
+        cases = [case for case in json.load(fh) if case["input"]]
+    for case in cases:
+        case["expected"] = sorted([-1] + case["input"][1:])
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(cases))
+    reports = []
+    for literal in ("9" * 5000, str(2 ** 32 - 1)):
+        program = tmp_path / f"p{len(literal)}.mini"
+        program.write_text(source.replace("{", f"{{ a[0] = {literal};", 1))
+        out = tmp_path / f"out{len(literal)}"
+        assert main(["profile", str(program), "--tests", str(suite),
+                     "--out", str(out)]) == 0
+        reports.append((out / "profile.csv").read_bytes())
+    assert reports[0] == reports[1]
+    # the Assign, the Index, `a`, `0` and the literal
+    assert len(read_csv(tmp_path / "out5000" / "profile.csv")) == 1 + 58 + 5
+
+
 def test_profile_unreadable_program_exits_one(tmp_path, capsys):
     code = main(["profile", str(tmp_path / "nope.mini"),
                  "--tests", SUITE, "--out", str(tmp_path)])

@@ -378,16 +378,17 @@ BIG = (0,) * (HEAP_LIMIT + 1)
 @pytest.mark.parametrize("error,message,test", [
     (ValueError, "input_array exceeds the heap", Case(BIG, (1,), BIG)),
     (ValueError, "more arguments than the entry function's frame",
-     Case((1,), (1, 2), (1,))),
+     Case((1,), (1, 2, 3, 4), (1,))),
     (OverflowError, None, Case((2 ** 31,), (1,), (2 ** 31,))),
 ])
 def test_the_compiled_engine_keeps_the_suite_inside_its_memory(
         error, message, test, c_engine):
     """``run_tests`` and ``prepare`` refuse an input past the heap, more
-    extra args than the entry frame holds (``sort`` has two slots), and a
-    value outside int32. This holds for the compiled engine only:
-    ``engine_py`` has no memory to guard and does not check these cases
-    (it runs the first and third, and raises IndexError on the second)."""
+    extra args than the entry frame holds (four cells, twice ``sort``'s two
+    slots), and a value outside int32. This holds for the compiled engine
+    only: ``engine_py`` has no memory to guard and does not check these
+    cases (it runs the first and third, and raises IndexError on the
+    second)."""
     ir = ir_for("void sort(int[] a, int length) { }")
     with pytest.raises(error, match=message):
         c_engine.run_tests(ir, [test], [BOOTSTRAP_LIMIT])
@@ -542,10 +543,12 @@ def test_build_ir_copies_the_checkers_slots():
     assert ir.a[incdec] == slots[decl] == 2
     # the operand holds the slot too; neither engine reads it
     assert ir.a[program.first[incdec] + 1] == 2
-    # a function with no locals still gets a frame slot
-    assert [f.n_slots for f in ir.functions] == [1, 3]
+    # every frame holds twice the largest function's slots
     assert program.frames.sizes == [0, 3]
+    assert ir.n_slots == 6
     assert ir.entry == 1
+    # a program with no variables still gets a frame slot
+    assert build_ir(parse_program("void sort() { }")).n_slots == 1
 
 
 def test_build_ir_refuses_a_program_the_checker_rejects():

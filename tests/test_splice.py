@@ -4,7 +4,8 @@
 ``apply_patch`` builds from it must give the runs of the built variant.
 For an expression or operator donor that IR is the built variant's, up to
 where the new rows sit; a statement donor's declarations bind fresh slots
-past the original's frame, where lowering the variant numbers them afresh.
+past its target function's, where lowering the variant numbers them
+afresh. Every splice keeps the original's frame size.
 
 Both engines' ``run_patch`` run a patch on a prepared original, on only
 the tests they are given, and must give the summary of the whole IR's
@@ -26,7 +27,8 @@ from perfloc.runtime.exec import (
 )
 from perfloc.runtime.exec import TestCase as Case
 from perfloc.runtime.ir import (
-    OP_FOR, OP_IF, OP_FUNC, apply_patch, build_ir, empty_patch, splice_patch,
+    OP_CALL, OP_FOR, OP_FUNC, OP_IDENT, OP_IF, OP_INCDEC, OP_VARDECL,
+    apply_patch, build_ir, empty_patch, splice_patch,
 )
 
 import test_holes
@@ -36,48 +38,69 @@ from conftest import run_tests
 # Fixed before the statement splices were timed.
 CORPUS_ACCEPTED = 7080
 
+# Of those, the splices whose declarations take slots past their target
+# function's frame size, which the program's frame size must cover.
+CORPUS_PAST_THE_FUNCTION = 98
+
 # The same for ``test_holes.SOURCE`` and this module's SOURCE, run on SUITE,
 # which reach the return and step rules that no corpus program reaches.
 # Fixed with the corpus total.
 SOURCE_ACCEPTED = {"holes": 297, "splice": 182}
 
 
+SLOT_OPS = (OP_FOR, OP_INCDEC, OP_VARDECL, OP_IDENT)
+
+
+def largest_slot(ir, rows):
+    """The largest frame slot the rows ``rows`` of ``ir`` name, or -1."""
+    return max((ir.a[i] for i in rows if ir.kind[i] in SLOT_OPS), default=-1)
+
+
 def differential(program, suite, limits, mismatches, name):
-    """How many of ``program``'s exhaustive descriptors its holes accept;
-    those whose splice runs unlike the built variant are added to
-    ``mismatches``."""
+    """How many of ``program``'s exhaustive descriptors its holes accept,
+    and how many of those name a slot past their target function's frame.
+    A splice that runs unlike the built variant, changes the frame size or
+    names a slot past it is added to ``mismatches``."""
     ir = compile_program(program)
     holes = Holes(program)
-    accepted = 0
+    accepted = past = 0
     for d in exhaustive_descriptors(program):
         verdict, slots = holes.fit(d.target, d.donor, d.donor_id)
         if not verdict:
             continue
         accepted += 1
-        spliced = apply_patch(ir, splice_patch(ir, program, d.target,
-                                               d.donor, d.donor_id, slots))
+        patch = splice_patch(ir, program, d.target, d.donor, d.donor_id,
+                             slots)
+        spliced = apply_patch(ir, patch)
         built = compile_program(replace_node(program, d.target, d.donor))
+        # a rewritten parent's slot, an IncDec's, is its new operand's
+        slot = largest_slot(spliced, range(len(ir.kind), len(spliced.kind)))
+        size = program.frames.sizes[function_of(program, d.target)]
+        past += slot >= max(size, 1)
         if run_tests(spliced, suite, limits) \
-                != run_tests(built, suite, limits):
+                != run_tests(built, suite, limits) \
+                or spliced.n_slots != ir.n_slots or slot >= ir.n_slots:
             mismatches.append((name, d.target, d.donor_label))
-    return accepted
+    return accepted, past
 
 
 def test_splices_run_like_built_variants_on_every_corpus_variant(problems):
-    accepted = 0
+    accepted = past = 0
     mismatches = []
     for name, problem in sorted(problems.items()):
         limits, _ = baseline_limits(compile_program(problem.original),
                                     problem.suite)
-        accepted += differential(problem.original, problem.suite, limits,
-                                 mismatches, name)
+        counts = differential(problem.original, problem.suite, limits,
+                              mismatches, name)
+        accepted, past = accepted + counts[0], past + counts[1]
     limits = [BOOTSTRAP_LIMIT] * len(SUITE)
     sources = {name: differential(parse_program(text), SUITE, limits,
-                                  mismatches, name)
+                                  mismatches, name)[0]
                for name, text in (("holes", test_holes.SOURCE),
                                   ("splice", SOURCE))}
     assert mismatches == []
     assert accepted == CORPUS_ACCEPTED
+    assert past == CORPUS_PAST_THE_FUNCTION
     assert sources == SOURCE_ACCEPTED
 
 
@@ -85,10 +108,10 @@ def tree(ir, i=None):
     """The IR's functions, or node ``i``'s subtree, as nested (kind, a, b,
     children) tuples: everything but where the rows sit."""
     if i is None:
-        return [tree(ir, k) for k in range(len(ir.functions))]
+        return [tree(ir, k) for k, code in enumerate(ir.kind)
+                if code == OP_FUNC]
     f = ir.first[i]
-    a = None if ir.kind[i] == OP_FUNC else ir.a[i]  # a FunctionDecl's body id
-    return (ir.kind[i], a, ir.b[i],
+    return (ir.kind[i], ir.a[i], ir.b[i],
             [tree(ir, c) for c in range(f, f + ir.nch[i])])
 
 
@@ -136,8 +159,7 @@ def spliced_and_built(program, target, donor_id, donor=None):
 
 def assert_same_program(spliced, built):
     assert tree(spliced) == tree(built)
-    assert (spliced.functions, spliced.entry) == (built.functions,
-                                                  built.entry)
+    assert (spliced.entry, spliced.n_slots) == (built.entry, built.n_slots)
     limits = [BOOTSTRAP_LIMIT] * len(SUITE)
     assert run_tests(spliced, SUITE, limits) == run_tests(built, SUITE,
                                                           limits)
@@ -263,11 +285,11 @@ def test_a_loop_donor_gets_a_counter_slot_past_the_frame():
     spliced, built, slots = spliced_and_built(
         p, find(p, "if (!done && n < length) { a[0] = -n; }"), find(p, loop))
     assert_same_runs(spliced, built)
-    # the copy's counter binds a fresh slot, and only `sort` grows
+    # the copy's counter binds a fresh slot, inside the original's frames
     sort = 1
     counter = slots[find(p, loop)]
-    assert p.frames.sizes[sort] <= counter < spliced.functions[sort].n_slots
-    assert spliced.functions[0] == build_ir(p).functions[0]
+    assert p.frames.sizes[sort] <= counter < spliced.n_slots
+    assert spliced.n_slots == build_ir(p).n_slots
 
 
 def test_an_if_donor_whose_body_declares():
@@ -283,8 +305,9 @@ void sort(int[] a, int length) {
                                               find(p, branch))
     assert_same_runs(spliced, built)
     # the copy's `t` binds a fresh slot, past every slot of the original
+    # and inside its frames
     t = slots[find(p, "int t = a[0];")]
-    assert p.frames.sizes[0] <= t < spliced.functions[0].n_slots
+    assert p.frames.sizes[0] <= t < spliced.n_slots == build_ir(p).n_slots
 
 
 def test_a_declaration_donor_or_target_gets_no_verdict():
@@ -345,7 +368,7 @@ def broken_patches(program):
     j = list(loop.kind).index(OP_FOR)
     first, slot = loop.first[:], loop.a[:]
     first[j] = rows
-    slot[j] = loop.n_slots
+    slot[j] = base.n_slots
     k = list(branch.kind).index(OP_IF)
     then = branch.a[:]
     then[k] = branch.nch[k]
@@ -358,6 +381,8 @@ def broken_patches(program):
              loop._replace(parent_first=rows)),
         "a slot past the patched frame":
             ("frame slot", loop._replace(a=slot)),
+        "a slot 2000 cells past the frame":
+            ("frame slot", statement_patch(program, BRANCH, LOOP, 2000)),
         "a then-branch as long as the If":
             ("then-branch length", branch._replace(a=then)),
     }
@@ -367,6 +392,7 @@ def broken_patches(program):
     "a new row's children past the rows",
     "the parent's children past the rows",
     "a slot past the patched frame",
+    "a slot 2000 cells past the frame",
     "a then-branch as long as the If"])
 def test_a_malformed_patch_raises_value_error(engine, name):
     p = parse_program(SOURCE)
@@ -384,39 +410,92 @@ def test_run_tests_refuses_a_malformed_ir(engine):
     ir = build_ir(parse_program(
         "void sort(int[] a, int length) { a[0] = 1; a[1] = 2; }"))
     first, nch = ir.first[:], ir.nch[:]
-    body = ir.functions[0].body
+    body = ir.first[0]
     first[body], nch[body] = -1, 1
     with pytest.raises(ValueError, match="malformed IR: child range outside "
                                          f"the rows at node {body}"):
         engine.run_tests(ir._replace(first=first, nch=nch), SUITE, LIMITS)
 
 
-DEEP = """
-void down(int[] a, int length) {
-  if (length > 0) { down(a, length - 1); }
-  a[0] = a[0] + 1;
-}
+CALLS = """
+int one() { return 1; }
 
-void sort(int[] a, int length) {
-  for (int i = 0; i < length; i++) { a[0] = a[0] + i; }
-  down(a, 200);
-}
+void sort(int[] a, int length) { a[0] = one(); }
 """
 
 
-def test_a_frame_past_every_original_frame_grows_the_stack(engine):
-    # 200 nested calls of `down` with 2,000-cell frames: far past the
-    # stack the original's frames of at most 3 cells need
-    p = parse_program(DEEP)
+def broken_irs():
+    """IRs of CALLS that each break one rule of function rows or of the
+    frame size, by name: (the message it raises, the IR)."""
+    ir = build_ir(parse_program(CALLS))
+    call = list(ir.kind).index(OP_CALL)
+    body = ir.first[0]   # `one`'s body
+    callee, one_child, two_children = ir.a[:], ir.nch[:], ir.nch[:]
+    callee[call] = body
+    one_child[0], two_children[0] = 0, 2
+    return {
+        "a call of a row that is no function":
+            (f"call at node {call}", ir._replace(a=callee)),
+        "an entry that is no function":
+            ("entry", ir._replace(entry=body)),
+        "an entry past the rows":
+            ("entry", ir._replace(entry=len(ir.kind))),
+        "a function row without a child":
+            ("function body at node 0", ir._replace(nch=one_child)),
+        "a function row with two children":
+            ("function body at node 0", ir._replace(nch=two_children)),
+        "a frame of no cells":
+            ("frame size", ir._replace(n_slots=0)),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "a call of a row that is no function",
+    "an entry that is no function",
+    "an entry past the rows",
+    "a function row without a child",
+    "a function row with two children",
+    "a frame of no cells"])
+def test_a_malformed_function_row_or_frame_size_is_refused(engine, name):
+    message, ir = broken_irs()[name]
+    for entry in (engine.run_tests, engine.prepare):
+        with pytest.raises(ValueError, match=f"malformed IR: {message}"):
+            entry(ir, SUITE, LIMITS)
+
+
+WIDEST = """
+void work() {
+  if (true) {
+    int x = 1;
+    int y = x;
+    for (int i = 0; i < 3; i++) { y = y + i; }
+    while (y < 20) { y = y + x; x++; }
+  }
+  return;
+}
+
+void sort(int[] a, int length) { work(); a[0] = length; }
+"""
+
+
+def test_a_donor_with_every_declaration_of_the_widest_function(engine):
+    # `work` has the largest frame, and its `if` holds all of its
+    # declarations: put for `return;`, the copy's take the last cells of
+    # every frame, which holds twice `work`'s slots
+    p = parse_program(WIDEST)
     base = build_ir(p)
-    patch = statement_patch(p, "a[0] = a[0] + 1;",
-                            "for (int i = 0; i < length; i++) "
-                            "{ a[0] = a[0] + i; }", shift=2000)
-    assert patch.n_slots > 2000 > max(f.n_slots for f in base.functions)
+    donor = p.first[p.first[0]]   # `work`'s first statement
+    target = find(p, "return;")
+    patch = statement_patch(p, "return;", render_snippet(p.nodes[donor]))
+    spliced = apply_patch(base, patch)
+    assert p.frames.sizes == [3, 2]
+    assert largest_slot(patch, range(len(patch.kind))) \
+        == spliced.n_slots - 1 == 5
+    built = build_ir(replace_node(p, target, p.nodes[donor]))
     limits = [BOOTSTRAP_LIMIT] * len(SUITE)
+    full = engine.run_tests(built, SUITE, limits)
+    assert engine.run_tests(spliced, SUITE, limits) == full
     handle = engine.prepare(base, SUITE, limits)
-    full = engine.run_tests(apply_patch(base, patch), SUITE, limits)
-    assert full[0][0] == engine_py.STATUS_COMPLETED
     assert engine.run_patch(handle, patch, ALL) \
         == engine_py.summarize(full, SUITE)
 
