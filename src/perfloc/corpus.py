@@ -20,7 +20,9 @@ moves can flag, the aligner takes the one with the fewest nodes, then the
 one holding the lowest node id in which the sets differ. That order is
 total, so the result does not depend on the order the moves are tried.
 Structurally equal subtrees align at once with the empty set, the least
-set of all, without trying any move.
+set of all, without trying any move. The search is exact: a branch and
+bound skips only the moves that provably flag more nodes than the best
+set found so far (see "AST diff" below).
 """
 
 from __future__ import annotations
@@ -164,6 +166,46 @@ def suite_from_json(text: str, program: Program) -> list[TestCase]:
 #
 # A flag set is an int over the original's n nodes, node i at bit n - 1 - i,
 # so union is |, size is bit_count() and a lower id is a higher bit.
+#
+# Contract. The diff returns, of all the flag sets the moves in the module
+# docstring can build, the least under ``_rank``: exactly the set an
+# unpruned search over every move would return. It gets there by branch
+# and bound. ``align(o, m, cap)`` returns the least set aligning o with m
+# when that set has at most ``cap`` nodes, and None otherwise; the
+# sequence walk does the same for the children of o and m from positions
+# (i, j) on. A move is skipped only when a lower bound on the size of
+# every set it can build is strictly above ``limit``, the smaller of the
+# cap and the best size found so far: such a move cannot give the least
+# set. A move that may tie the best is built in full, and ``_rank``
+# decides. The memo keeps every exact result, and for a key whose set was
+# above its cap, the largest cap that failed, so a call with a cap no
+# larger fails at once.
+#
+# Why each bound is admissible:
+# - Every node a set leaves unflagged is matched to an improved node of
+#   the same kind and payload, no two to the same one (by induction over
+#   the moves). So aligning o with m flags at least size(o) - size(m)
+#   nodes, and ``align`` fails at once when that is above its cap.
+# - Siblings' subtrees are disjoint and a deleted child flags its whole
+#   subtree, so with ro original and rm improved children left, at least
+#   ro - rm children are deleted at one bit or more each. When rm > ro,
+#   some insertion flags the parent, whose bit lies in no child's subtree.
+# - A match's own alignment, a deletion's subtree and an unwrapped
+#   original child's wrapper (``whole & ~sub[c]``) are disjoint from
+#   anything the rest of that move can flag. So the rest is called with
+#   the limit less their size, and a match's head with the limit less the
+#   rest's bound.
+# - An insertion, and an unwrapped improved child ``own | align(o, c)``,
+#   flag the parent's own bit, which the rest may already hold. Their
+#   size may equal the rest's, so the rest gets the whole limit, and an
+#   insertion's bound counts the parent's bit once, beside the rest's
+#   deletions. "1 plus the rest's bound" is no bound here: it turned the
+#   ``bubble`` -> ``bubble_loops`` diff from {1} into {2}.
+#
+# Depth. ``align`` recurses once per level of nesting in the two trees.
+# The sequence walk keeps each pending position pair on a list of its own,
+# as a generator, so a block of any length costs no Python stack: a flat
+# program of thousands of statements diffs like a short one.
 
 def _rank(flags: int) -> tuple[int, int]:
     """Fewer nodes first, then the set holding the lowest differing id:
@@ -171,16 +213,30 @@ def _rank(flags: int) -> tuple[int, int]:
     return flags.bit_count(), -flags
 
 
+def _subtree_sizes(program: Program) -> list[int]:
+    """The node count of every node's subtree."""
+    nodes, first = program.nodes, program.first
+    sizes = [1] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        f = first[i]
+        sizes[i] += sum(sizes[f:f + len(nodes[i].children)])
+    return sizes
+
+
 class _Aligner:
     """One diff's tables and memo. Ids index the two programs' tables;
-    ``sub[i]`` is the flag set of original node i's subtree. One memo
-    serves both aligners: ``align`` keys are pairs, ``align_seq`` keys
-    4-tuples. Nothing refers back to the aligner, so its memo is freed as
-    soon as the diff returns rather than at the next cyclic collection."""
+    ``sub[i]`` is the flag set of original node i's subtree, and
+    ``o_size``/``m_size`` hold the two programs' subtree sizes. ``memo``
+    holds exact results and ``failed`` the largest cap each key exceeded;
+    ``align`` keys are pairs, sequence keys 4-tuples. Nothing refers back
+    to the aligner, so its memo is freed as soon as the diff returns
+    rather than at the next cyclic collection."""
 
     def __init__(self, original: Program, improved: Program):
         self.o_nodes, self.o_first = original.nodes, original.first
         self.m_nodes, self.m_first = improved.nodes, improved.first
+        self.o_size = _subtree_sizes(original)
+        self.m_size = _subtree_sizes(improved)
         n = len(self.o_nodes)
         sub = [0] * n
         # breadth-first ids: every child's id is above its parent's
@@ -192,55 +248,127 @@ class _Aligner:
             sub[i] = flags
         self.sub = sub
         self.memo: dict[tuple[int, ...], int] = {}
+        self.failed: dict[tuple[int, ...], int] = {}
 
-    def align(self, oi: int, mi: int) -> int:
+    def align(self, oi: int, mi: int, cap: int) -> Optional[int]:
         """The least flag set aligning original node ``oi`` with improved
-        node ``mi``."""
+        node ``mi``, or None when it has more than ``cap`` nodes."""
         key = (oi, mi)
-        memo = self.memo
-        if key not in memo:
-            o, m = self.o_nodes[oi], self.m_nodes[mi]
-            if o.structural_hash() == m.structural_hash() and \
-                    structurally_equal(o, m):
-                memo[key] = 0  # the empty set ranks below every other
-                return 0
-            sub = self.sub
-            whole = sub[oi]
-            own = 1 << (len(sub) - 1 - oi)
-            candidates = [whole]
-            if o.kind == m.kind and o.payload() == m.payload():
-                candidates.append(self.align_seq(oi, mi, 0, 0))
-            of, mf = self.o_first[oi], self.m_first[mi]
-            candidates.extend(whole & ~sub[c] | self.align(c, mi)
-                              for c in range(of, of + len(o.children)))
-            candidates.extend(own | self.align(oi, c)
-                              for c in range(mf, mf + len(m.children)))
-            memo[key] = min(candidates, key=_rank)
-        return memo[key]
+        flags = self.memo.get(key)
+        if flags is not None:
+            return flags if flags.bit_count() <= cap else None
+        if self.failed.get(key, -1) >= cap \
+                or self.o_size[oi] - self.m_size[mi] > cap:
+            return None
+        o, m = self.o_nodes[oi], self.m_nodes[mi]
+        if o.structural_hash() == m.structural_hash() and \
+                structurally_equal(o, m):
+            self.memo[key] = 0  # the empty set ranks below every other
+            return 0
+        sub = self.sub
+        whole = sub[oi]
+        own = 1 << (len(sub) - 1 - oi)
+        best = whole
+        limit = min(cap, self.o_size[oi])
+        if o.kind == m.kind and o.payload() == m.payload():
+            flags = self.align_seq(oi, mi, limit)
+            if flags is not None and _rank(flags) < _rank(best):
+                best, limit = flags, min(limit, flags.bit_count())
+        of = self.o_first[oi]
+        for c in range(of, of + len(o.children)):
+            fixed = self.o_size[oi] - self.o_size[c]
+            if fixed <= limit:
+                flags = self.align(c, mi, limit - fixed)
+                if flags is not None:
+                    flags |= whole & ~sub[c]
+                    if _rank(flags) < _rank(best):
+                        best, limit = flags, min(limit, flags.bit_count())
+        mf = self.m_first[mi]
+        for c in range(mf, mf + len(m.children)):
+            flags = self.align(oi, c, limit)
+            if flags is not None:
+                flags |= own
+                if _rank(flags) < _rank(best):
+                    best, limit = flags, min(limit, flags.bit_count())
+        if best.bit_count() > cap:
+            self.failed[key] = cap
+            return None
+        self.memo[key] = best
+        return best
 
-    def align_seq(self, oi: int, mi: int, i: int, j: int) -> int:
-        """The least flag set aligning the children of original node ``oi``
-        from position ``i`` on with those of improved node ``mi`` from
-        position ``j`` on."""
-        key = (oi, mi, i, j)
-        memo = self.memo
-        if key not in memo:
-            more_o = i < len(self.o_nodes[oi].children)
-            more_m = j < len(self.m_nodes[mi].children)
-            oc, mc = self.o_first[oi] + i, self.m_first[mi] + j
-            candidates = []
-            if more_o and more_m:
-                candidates.append(self.align(oc, mc)
-                                  | self.align_seq(oi, mi, i + 1, j + 1))
-            if more_o:
-                candidates.append(self.sub[oc]
-                                  | self.align_seq(oi, mi, i + 1, j))
-            if more_m:
-                # an insertion has no original node, so it flags the parent
-                candidates.append(1 << (len(self.sub) - 1 - oi)
-                                  | self.align_seq(oi, mi, i, j + 1))
-            memo[key] = min(candidates, key=_rank) if candidates else 0
-        return memo[key]
+    def align_seq(self, oi: int, mi: int, cap: int) -> Optional[int]:
+        """The least flag set aligning the children of original node
+        ``oi`` with those of improved node ``mi``, or None when it has more
+        than ``cap`` nodes. Each position pair is a generator that yields
+        the position pair and cap it needs next and is sent the answer,
+        so the walk's depth lives in ``stack``, not on Python's."""
+        o_kids = len(self.o_nodes[oi].children)
+        m_kids = len(self.m_nodes[mi].children)
+        of, mf = self.o_first[oi], self.m_first[mi]
+
+        def bound(i: int, j: int) -> int:
+            """A lower bound on the size of any alignment from (i, j) on:
+            the deletions it must make, and the parent's bit if it must
+            insert."""
+            ro, rm = o_kids - i, m_kids - j
+            return max(0, ro - rm) + (rm > ro)
+
+        sub, memo, failed = self.sub, self.memo, self.failed
+        own = 1 << (len(sub) - 1 - oi)
+
+        def cell(i: int, j: int, cap: int):
+            key = (oi, mi, i, j)
+            best = memo.get(key)
+            if best is not None:
+                return best if best.bit_count() <= cap else None
+            if failed.get(key, -1) >= cap or bound(i, j) > cap:
+                return None
+            if i == o_kids and j == m_kids:
+                memo[key] = 0
+                return 0
+            limit = cap
+            if i < o_kids and j < m_kids:               # match
+                rest_bound = bound(i + 1, j + 1)
+                if rest_bound <= limit:
+                    head = self.align(of + i, mf + j, limit - rest_bound)
+                    if head is not None:
+                        rest = yield i + 1, j + 1, limit - head.bit_count()
+                        if rest is not None:
+                            best = head | rest
+                            limit = best.bit_count()
+            if i < o_kids:                              # delete
+                gone = self.o_size[of + i]
+                if gone + bound(i + 1, j) <= limit:
+                    rest = yield i + 1, j, limit - gone
+                    if rest is not None:
+                        flags = sub[of + i] | rest
+                        if best is None or _rank(flags) < _rank(best):
+                            best, limit = flags, flags.bit_count()
+            if j < m_kids:                              # insert
+                if 1 + max(0, (o_kids - i) - (m_kids - j - 1)) <= limit:
+                    rest = yield i, j + 1, limit
+                    if rest is not None:
+                        flags = own | rest
+                        if best is None or _rank(flags) < _rank(best):
+                            best = flags
+            if best is None or best.bit_count() > cap:
+                failed[key] = cap
+                return None
+            memo[key] = best
+            return best
+
+        stack = [cell(0, 0, cap)]
+        answer = None
+        while stack:
+            try:
+                call = stack[-1].send(answer)
+            except StopIteration as done:
+                stack.pop()
+                answer = done.value
+            else:
+                stack.append(cell(*call))
+                answer = None
+        return answer
 
 
 def diff_improvement_nodes(original: Program,
@@ -251,7 +379,7 @@ def diff_improvement_nodes(original: Program,
     flags = 0
     for k in range(len(original.functions)):  # function k is node k
         if k < len(improved.functions):
-            flags |= aligner.align(k, k)
+            flags |= aligner.align(k, k, n)  # giving up always fits
         else:
             flags |= sub[k]
     return frozenset(i for i in range(n) if flags >> (n - 1 - i) & 1)

@@ -605,6 +605,24 @@ def test_deep_nesting_exits_one_with_one_line(tmp_path, capsys):
             == ["error: program nested too deeply"], argv[0]
 
 
+def test_a_flat_1000_statement_problem_validates(tmp_path, capsys):
+    # bubble's loops with 999 more statements in the function's block:
+    # the diff walks a block without recursing once per statement, so a
+    # long block must not exhaust the stack as deep nesting does
+    import shutil
+    corpus = tmp_path / "corpus"
+    shutil.copytree(os.path.join(CORPUS_DIR, "bubble"), corpus / "bubble")
+    for name in ("original.mini", "improved-1.mini"):
+        path = corpus / "bubble" / name
+        text = path.read_text()
+        path.write_text(text[:text.rindex("}")]
+                        + "    length = length;\n" * 999 + "}\n")
+    assert main(["validate", "--corpus", str(corpus)]) == 0
+    captured = capsys.readouterr()
+    assert "nested too deeply" not in captured.err
+    assert captured.out.splitlines() == ["bubble: ok"]
+
+
 def test_the_reference_engine_keeps_the_recursion_limit(tmp_path, capsys):
     # engine_py raises Python's recursion limit for its own runs only, so
     # how deep a program may nest does not depend on what ran before

@@ -2,16 +2,19 @@
 and the validation gate."""
 
 import gc
+import glob
 import json
 import os
 import shutil
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perfloc.corpus import (
     CorpusInvalid, DEFAULT_SEED, SuiteInvalid, diff_improvement_nodes,
-    generate_tests, load_problem, problem_dirs,
+    generate_tests, load_problem, load_program, problem_dirs,
     suite_from_json, suite_to_json, validate_corpus, validate_problem,
 )
 from perfloc.lang.ast import (
@@ -21,6 +24,7 @@ from perfloc.lang.parser import parse_program
 from perfloc.runtime.exec import baseline_limits, compile_program, run_suite
 from perfloc.runtime.ir import HEAP_LIMIT
 
+import diff_oracle
 from conftest import CORPUS_DIR, corpus_source
 from tree_helpers import programs_equal
 
@@ -167,6 +171,21 @@ def test_a_long_block_flags_only_the_changed_literal():
     assert diff_improvement_nodes(b, a) == {181}
 
 
+def test_a_400_statement_block_loads_within_five_seconds(tmp_path):
+    # The unpruned diff took over 20 s here; the bound was fixed from that
+    # before the pruned diff was timed.
+    problem = tmp_path / "block"
+    shutil.copytree(os.path.join(CORPUS_DIR, "bubble"), problem)
+    for name, last in (("original.mini", 1), ("improved-1.mini", 2)):
+        body = " ".join(["a[0] = 1;"] * 399 + [f"a[0] = {last};"])
+        (problem / name).write_text(
+            f"void sort(int[] a, int length) {{ {body} }}\n")
+    start = time.perf_counter()
+    loaded = load_problem(str(problem))
+    assert time.perf_counter() - start < 5
+    assert loaded.annotation == {1201}  # the last statement's literal
+
+
 def test_bubble_loops_annotation_is_the_outer_header_plus_bound():
     prob = load_problem(os.path.join(CORPUS_DIR, "bubble_loops"))
     assert prob.annotation == frozenset({2, 3, 4, 6, 7, 8, 26})
@@ -262,6 +281,81 @@ def test_every_reverse_diff_is_pinned(problems):
     assert {name: set(diff_improvement_nodes(p.improved[p.designated],
                                              p.original))
             for name, p in problems.items()} == REVERSE_ANNOTATIONS
+
+
+# The diff must give the unpruned oracle's set on every pair. Every 7th
+# of the 462 ordered pairs of distinct corpus programs runs here;
+# ``scripts/diff_parity.py`` runs them all.
+CORPUS_PROGRAMS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*", "*.mini")))
+PROGRAM_PAIRS = [(a, b) for a in CORPUS_PROGRAMS for b in CORPUS_PROGRAMS
+                 if a != b]
+
+
+def test_the_corpus_has_462_program_pairs():
+    assert len(PROGRAM_PAIRS) == 462
+
+
+@pytest.mark.parametrize("original, improved", PROGRAM_PAIRS[::7],
+                         ids=lambda p: os.path.relpath(p, CORPUS_DIR))
+def test_the_diff_matches_the_oracle_on_corpus_pairs(original, improved):
+    a, b = load_program(original), load_program(improved)
+    assert diff_improvement_nodes(a, b) \
+        == diff_oracle.diff_improvement_nodes(a, b)
+
+
+def test_an_unwrapped_improved_child_may_already_hold_the_parents_bit():
+    # ``own | align(o, c)`` may add no node to ``align(o, c)``; a bound of
+    # one more than the child's turned this set into {2}
+    a = parse_program(corpus_source("bubble"))
+    b = parse_program(corpus_source("bubble_loops"))
+    assert diff_improvement_nodes(a, b) \
+        == diff_oracle.diff_improvement_nodes(a, b) == {1}
+
+
+_EXPRESSIONS = st.sampled_from(["1", "2", "length", "a[0]", "a[1] + 1"])
+_ASSIGNMENT = st.builds("a[{}] = {};".format, st.integers(0, 2),
+                        _EXPRESSIONS)
+
+
+def _nested(body):
+    block = st.lists(body, max_size=2).map(" ".join)
+    return st.one_of(
+        st.builds("if (length > {}) {{ {} }}".format, st.integers(0, 2),
+                  block),
+        st.builds("if (a[0] < {}) {{ {} }} else {{ {} }}".format,
+                  st.integers(0, 2), block, block),
+        st.builds("for (int i = 0; i < length; i++) {{ {} }}".format,
+                  block))
+
+
+_STATEMENT = st.recursive(_ASSIGNMENT, _nested, max_leaves=4)
+
+
+def _sort(statements):
+    return parse_program(
+        f"void sort(int[] a, int length) {{ {' '.join(statements)} }}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_STATEMENT, max_size=12), st.data())
+def test_the_diff_matches_the_oracle_on_one_edit(body, data):
+    # one statement deleted, inserted or replaced, diffed both ways
+    at = data.draw(st.integers(0, len(body)), label="at")
+    edit = data.draw(st.sampled_from(
+        ["insert", "delete", "replace"] if body else ["insert"]))
+    edited = list(body)
+    if edit == "delete":
+        del edited[min(at, len(body) - 1)]
+    else:
+        statement = data.draw(_STATEMENT, label="statement")
+        if edit == "insert":
+            edited.insert(at, statement)
+        else:
+            edited[min(at, len(body) - 1)] = statement
+    a, b = _sort(body), _sort(edited)
+    for x, y in ((a, b), (b, a)):
+        assert diff_improvement_nodes(x, y) \
+            == diff_oracle.diff_improvement_nodes(x, y)
 
 
 # -- loading and validation ---------------------------------------------
