@@ -12,8 +12,9 @@ original's step limits and with a statement counter per IR row. The two
 must agree on every test's status, steps, error and final array, and on
 the counts. Each engine's ``run_patch`` summary must then equal the
 summary of those full runs: a splice runs as its patch on the prepared
-original, on only the tests that reach its target, as in the exhaustive
-loop; a built variant runs as the empty patch on itself, prepared.
+original, on only the tests that reach its target in the original's
+``mutation.Baseline``, as in the exhaustive loop; a built variant runs as
+the empty patch on itself, prepared.
 
 Prints the variant count, the mismatch count, how many of the splices'
 test runs were left out, and the elapsed time, and one line per mismatch;
@@ -33,9 +34,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from perfloc.corpus import load_problem, problem_dirs
 from perfloc.lang.check import Holes, static_check
 from perfloc.lang.edit import replace_node
-from perfloc.mutation import exhaustive_descriptors, reaching_tests
+from perfloc.mutation import baseline, exhaustive_descriptors
 from perfloc.runtime import engine_py
-from perfloc.runtime.exec import baseline_limits, compile_program
+from perfloc.runtime.exec import compile_program
 from perfloc.runtime.ir import apply_patch, empty_patch, splice_patch
 
 
@@ -76,9 +77,8 @@ def main():
     for directory in problem_dirs(args.corpus):
         problem = load_problem(directory)
         program, suite = problem.original, problem.suite
-        ir = compile_program(program)
-        limits, _ = baseline_limits(ir, suite)
-        reach = reaching_tests(program, ir, suite, limits)
+        base = baseline(program, suite)
+        ir, limits, reach = base.ir, base.limits, base.reach
         prepared = [engine.prepare(ir, suite, limits) for engine in engines]
         every = tuple(range(len(suite)))
         for d, patch, variant in compiled_variants(program, ir):

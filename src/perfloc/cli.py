@@ -29,7 +29,7 @@ from .evaluation import (
 )
 from .lang.printer import render_snippet
 from .mutation import (
-    combined_analysis, deletion_analysis, exhaustive_analysis,
+    baseline, combined_analysis, deletion_analysis, exhaustive_analysis,
 )
 from .profiler import profile, profile_cost, profile_scores
 from .runtime.exec import (
@@ -138,15 +138,13 @@ def cmd_localize(args) -> int:
         scores = profile_scores(program, profile(program, suite))
         cost = profile_cost()
     else:
+        base = baseline(program, suite, args.timeout_factor)
         if technique == "deletion":
-            result = deletion_analysis(program, suite, args.timeout_factor)
+            result = deletion_analysis(base)
         elif technique == "exhaustive":
-            result = exhaustive_analysis(program, suite, args.timeout_factor,
-                                         args.hint_include_correct)
+            result = exhaustive_analysis(base, args.hint_include_correct)
         else:
-            result, _, _ = combined_analysis(program, suite,
-                                             args.timeout_factor,
-                                             args.hint_include_correct)
+            result, _, _ = combined_analysis(base, args.hint_include_correct)
         scores, variants, cost = result.scores, result.variants, result.cost
     write_nodes_csv(args.out, program, scores)
     write_variants_csv(args.out, variants)
@@ -162,7 +160,8 @@ def _technique_runs(problem, args):
     variant logs are freed on return, before the next problem runs."""
     program, suite = problem.original, problem.suite
     combined, exhaustive, deletion = combined_analysis(
-        program, suite, args.timeout_factor, args.hint_include_correct)
+        baseline(program, suite, args.timeout_factor),
+        args.hint_include_correct)
     profiler = profile_scores(program, profile(program, suite))
     return ((profiler, profile_cost()), (deletion.scores, deletion.cost),
             (exhaustive.scores, exhaustive.cost),

@@ -25,6 +25,11 @@ Scoring model:
 - Combined: exhaustive, except nodes with no compilable variant take their
   deletion value (gap_filled).
 
+Each analysis reads one ``Baseline`` of the problem, which ``baseline``
+makes from one lowering of the original and one counted run of each test:
+its IR, the step limits, its ``Summary``, and for each node the tests
+that reach it. A combined analysis shares it between its two parts.
+
 Exhaustive variants come from one flat, node-ordered descriptor list.
 Each donor is tested once in its target's typed hole (``lang.check.Holes``),
 whose verdict is exact where it gives one, and each variant takes one
@@ -36,11 +41,10 @@ path by that verdict:
   is built, checked or lowered. ``runtime.ir.splice_patch`` describes it
   as a patch on the original's IR, with the frame slots the hole check
   resolved, and ``runtime.exec.run_patch`` runs that patch on the
-  original, prepared once per analysis. It runs only the tests on which
-  the original enters the target's nearest enclosing statement: only rows
-  reached through that statement differ, and the variant has the
-  original's frames, so on every other test the variant's outcome is the
-  original's;
+  original, prepared once per analysis. It runs only the tests that reach
+  the target in the ``Baseline``: only rows reached through the target's
+  nearest enclosing statement differ, and the variant has the original's
+  frames, so on every other test the variant's outcome is the original's;
 - no verdict (other statement and VarDecl name edits whose hole check is
   clean): built, fully checked, lowered and run on the whole suite.
 
@@ -51,6 +55,7 @@ order, so every output is byte-identical from run to run.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -70,7 +75,7 @@ from .lang.printer import render_snippet
 from .runtime.ir import ProgramIR, splice_patch
 from .runtime.exec import (
     Summary, TestCase, baseline_limits, run_suite, compile_program,
-    entering_tests, prepare, run_patch, DEFAULT_TIMEOUT_FACTOR,
+    prepare, run_patch, DEFAULT_TIMEOUT_FACTOR,
 )
 from .scores import (
     NodeScore, AnalysisCost, SOURCE_DELETION, SOURCE_EXHAUSTIVE,
@@ -120,6 +125,36 @@ class AnalysisResult:
     variants: tuple[VariantRecord, ...]
     cost: AnalysisCost
     original: Summary
+
+
+@dataclass(frozen=True)
+class Baseline:
+    """One problem's original and its runs on its suite."""
+    program: Program
+    suite: Sequence[TestCase]
+    ir: ProgramIR
+    limits: list[int]                   # per test: the variants' step limit
+    original: Summary
+    counts: tuple[array, ...]           # per test: entries of each IR row
+    reach: list[tuple[int, ...]]        # per node: the tests that reach it
+
+
+def baseline(program: Program, suite: Sequence[TestCase],
+             factor: float = DEFAULT_TIMEOUT_FACTOR) -> Baseline:
+    """Lower ``program`` once and run each test once, counted. Raises
+    BaselineDiverged unless it completes and passes every test."""
+    ir = compile_program(program)
+    counts = tuple(array("q", [0]) * len(ir.kind) for _ in suite)
+    limits, original = baseline_limits(ir, suite, factor, counts)
+    # The counts come from runs under BOOTSTRAP_LIMIT, not under ``limits``.
+    # They are the counts under ``limits`` only because the original
+    # completes under both: with a factor >= 1, each limit is at least its
+    # test's steps. A node outside any statement is reached by every test.
+    every = tuple(range(len(suite)))
+    reach = [tuple(k for k in every if counts[k][s]) if s >= 0 else every
+             for s in map(program.enclosing_statement,
+                          range(len(program.nodes)))]
+    return Baseline(program, suite, ir, limits, original, counts, reach)
 
 
 def classify_variant(original: Summary, outcome: Optional[Summary]) -> str:
@@ -207,22 +242,18 @@ def exhaustive_descriptors(program: Program) -> list[MutationDescriptor]:
 
 # variant evaluation -------------------------------------------------------
 
-def _evaluate_variant(mutated: Program, suite: Sequence[TestCase],
-                      limits: Sequence[int]) -> Optional[Summary]:
+def _evaluate_variant(mutated: Program, base: Baseline) -> Optional[Summary]:
     """Check, lower and run one variant on the whole suite; None when the
     variant does not compile."""
     if static_check(mutated):
         return None
-    return run_suite(compile_program(mutated), suite, limits)
+    return run_suite(compile_program(mutated), base.suite, base.limits)
 
 
 # deletion -----------------------------------------------------------------
 
-def deletion_analysis(program: Program, suite: Sequence[TestCase],
-                      factor: float = DEFAULT_TIMEOUT_FACTOR
-                      ) -> AnalysisResult:
-    ir = compile_program(program)
-    limits, original = baseline_limits(ir, suite, factor)
+def deletion_analysis(base: Baseline) -> AnalysisResult:
+    program, original = base.program, base.original
     total = original.total_cost
 
     variants: list[VariantRecord] = []
@@ -235,7 +266,7 @@ def deletion_analysis(program: Program, suite: Sequence[TestCase],
             mutated = empty_function_body(program, sid)
         else:
             mutated = delete_statement(program, sid)
-        outcome = _evaluate_variant(mutated, suite, limits)
+        outcome = _evaluate_variant(mutated, base)
         klass = classify_variant(original, outcome)
         if outcome is None:
             variants.append(VariantRecord(sid, DELETE_LABEL, klass, None,
@@ -279,27 +310,10 @@ def deletion_analysis(program: Program, suite: Sequence[TestCase],
 
 # exhaustive ---------------------------------------------------------------
 
-def reaching_tests(program: Program, ir: ProgramIR,
-                   suite: Sequence[TestCase], limits: Sequence[int]
-                   ) -> list[tuple[int, ...]]:
-    """For each node, the numbers of the tests on which the original
-    enters the node's nearest enclosing statement, or every test for a
-    node outside any statement. A splice at the node runs exactly like
-    the original on every other test."""
-    entered = entering_tests(ir, suite, limits)
-    every = tuple(range(len(suite)))
-    return [entered[s] if s >= 0 else every
-            for s in map(program.enclosing_statement,
-                         range(len(program.nodes)))]
-
-
-def exhaustive_analysis(program: Program, suite: Sequence[TestCase],
-                        factor: float = DEFAULT_TIMEOUT_FACTOR,
-                        include_correct: bool = False) -> AnalysisResult:
-    ir = compile_program(program)
-    limits, original = baseline_limits(ir, suite, factor)
-    reach = reaching_tests(program, ir, suite, limits)
-    prepared = prepare(ir, suite, limits)
+def exhaustive_analysis(base: Baseline, include_correct: bool = False
+                        ) -> AnalysisResult:
+    program, ir, original = base.program, base.ir, base.original
+    prepared = prepare(ir, base.suite, base.limits)
 
     descriptors = exhaustive_descriptors(program)
     holes = Holes(program)
@@ -314,10 +328,10 @@ def exhaustive_analysis(program: Program, suite: Sequence[TestCase],
             outcome = run_patch(prepared, splice_patch(ir, program, d.target,
                                                        d.donor, d.donor_id,
                                                        slots),
-                                reach[d.target])
+                                base.reach[d.target])
         else:
             outcome = _evaluate_variant(
-                replace_node(program, d.target, d.donor), suite, limits)
+                replace_node(program, d.target, d.donor), base)
         klass = classify_variant(original, outcome)
         cost = correctness = None
         reduced = direct = False
@@ -345,15 +359,13 @@ def exhaustive_analysis(program: Program, suite: Sequence[TestCase],
 
 # combined -----------------------------------------------------------------
 
-def combined_analysis(program: Program, suite: Sequence[TestCase],
-                      factor: float = DEFAULT_TIMEOUT_FACTOR,
-                      include_correct: bool = False
+def combined_analysis(base: Baseline, include_correct: bool = False
                       ) -> tuple[AnalysisResult, AnalysisResult,
                                  AnalysisResult]:
     """Returns (combined, exhaustive, deletion); the latter two are the
     ingredient runs, exposed so reports need not recompute them."""
-    exhaustive = exhaustive_analysis(program, suite, factor, include_correct)
-    deletion = deletion_analysis(program, suite, factor)
+    exhaustive = exhaustive_analysis(base, include_correct)
+    deletion = deletion_analysis(base)
     scores: dict[int, NodeScore] = {}
     for nid, score in exhaustive.scores.items():
         if score.n_compiled == 0:

@@ -35,7 +35,7 @@ def profile(program: Program, suite: Sequence[TestCase]) -> ProfileReport:
     if violations:
         raise ValueError(f"program does not compile: {violations[0]}")
     tally = array("q", [0]) * len(program.nodes)
-    baseline_limits(build_ir(program), suite, counts=tally)
+    baseline_limits(build_ir(program), suite, counts=[tally] * len(suite))
     # Ids are breadth-first, so a parent's count precedes its children's.
     counts, total = [], 0
     for i, node in enumerate(program.nodes):

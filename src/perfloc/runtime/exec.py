@@ -5,8 +5,9 @@ the pure-Python one otherwise; set PERFLOC_ENGINE=py or PERFLOC_ENGINE=c to
 force a choice. Every engine runs a suite in one of two ways:
 
 - ``run_tests`` takes a whole ``ProgramIR`` and returns every test's
-  status, steps, error and final array. ``baseline_limits`` reads these
-  rows of the original, the profile's counts included; ``run_suite``
+  status, steps, error and final array. ``baseline_limits`` runs the
+  original this way, one test at a time, and reads its limits, its
+  divergence and any statement counts from these rows; ``run_suite``
   summarizes them, for deletions and variants built whole.
 - ``prepare`` validates an original and packs its suite once, and runs it
   once; ``run_patch`` then runs one ``runtime.ir.Patch`` of it on only
@@ -23,11 +24,9 @@ from __future__ import annotations
 
 import math
 import os
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .ir import Patch, ProgramIR, build_ir
@@ -127,28 +126,17 @@ def run_patch(prepared: Prepared, patch: Patch,
     return Summary(steps, prepared.correctness[passed], timeout, error)
 
 
-def entering_tests(ir: ProgramIR, suite: Sequence[TestCase],
-                   limits: Sequence[int]) -> list[tuple[int, ...]]:
-    """For each IR row, the numbers of the tests whose run enters it at
-    least once (only statements are entered): one counted run per test."""
-    entered: list[list[int]] = [[] for _ in ir.kind]
-    for k, (test, limit) in enumerate(zip(suite, limits, strict=True)):
-        counts = array("q", [0]) * len(ir.kind)
-        _ENGINE.run_tests(ir, (test,), (limit,), counts)
-        for i in compress(range(len(counts)), counts):
-            entered[i].append(k)
-    return [tuple(tests) for tests in entered]
-
-
 def baseline_limits(ir: ProgramIR, suite: Sequence[TestCase],
                     factor: float = DEFAULT_TIMEOUT_FACTOR, counts=None
                     ) -> tuple[list[int], Summary]:
     """Per-test limits of max(100, ceil(factor x original steps)). The
-    original must complete and pass every test under a generous cap.
-    ``counts``, when given, is an ``array('q')`` with a cell per node that
-    gains one at every statement entry; every engine counts."""
-    runs = _ENGINE.run_tests(ir, suite, [BOOTSTRAP_LIMIT] * len(suite),
-                             counts)
+    original must complete and pass every test under a generous cap; each
+    test runs on its own. ``counts``, when given, holds per test an
+    ``array('q')``, which tests may share, with a cell per node that gains
+    one at every statement entry of the test's run; every engine counts."""
+    runs = [_ENGINE.run_tests(ir, (test,), (BOOTSTRAP_LIMIT,), tally)[0]
+            for test, tally in zip(suite, counts or [None] * len(suite),
+                                   strict=True)]
     for k, (test, (status, _, _, final)) in enumerate(zip(suite, runs)):
         if status != engine_py.STATUS_COMPLETED:
             raise BaselineDiverged(f"original program ends in "

@@ -9,6 +9,7 @@ import os
 import shlex
 import shutil
 import sysconfig
+from array import array
 
 import pytest
 from hypothesis import settings
@@ -80,6 +81,22 @@ def run_tests(ir, suite, limits, engine=None, counts=None):
     """The (status, steps, error, final array) row of each test, run on
     ``engine``, by default the active one."""
     return (engine or execution._ENGINE).run_tests(ir, suite, limits, counts)
+
+
+def reached_tests(program, ir, suite, limits, engine=None):
+    """For each node of ``program``, the tests on which ``ir``, lowered
+    from it, enters the node's nearest enclosing statement, or every test
+    for a node outside any statement: one counted run per test, each
+    under its own limit."""
+    entered = []
+    for test, limit in zip(suite, limits, strict=True):
+        counts = array("q", [0]) * len(ir.kind)
+        run_tests(ir, (test,), (limit,), engine, counts)
+        entered.append(counts)
+    every = tuple(range(len(suite)))
+    return [tuple(k for k in every if entered[k][s]) if s >= 0 else every
+            for s in map(program.enclosing_statement,
+                         range(len(program.nodes)))]
 
 
 def corpus_source(name: str) -> str:

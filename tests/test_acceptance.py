@@ -13,6 +13,9 @@ The clause is asserted as stated rather than weakened; see the failure
 message for the measured ranks.
 """
 
+import hashlib
+import json
+import os
 import time
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +25,7 @@ import pytest
 
 from perfloc.cli import main as cli_main
 from perfloc.cli import write_nodes_csv, write_variants_csv
+from perfloc.corpus import problem_dirs
 from perfloc.evaluation import (
     ACCURACY_BANDS, SUMMARY_ROWS, bootstrap_diff, fractional_rank,
     ideal_rank, percent_rank_error,
@@ -32,7 +36,7 @@ from perfloc.lang.ast import (
 from perfloc.lang.edit import replace_node, statement_ids
 from perfloc.mutation import (
     CLASS_IDENTICAL, CLASS_NOT_COMPILABLE, classify_variant,
-    combined_analysis, deletion_analysis, exhaustive_descriptors,
+    baseline, combined_analysis, deletion_analysis, exhaustive_descriptors,
 )
 from perfloc.profiler import profile, profile_cost, profile_scores
 from perfloc.runtime.exec import baseline_limits, compile_program, run_suite
@@ -47,6 +51,14 @@ from tree_helpers import programs_equal, subtree
 TECHNIQUES = (SOURCE_PROFILER, SOURCE_DELETION, SOURCE_EXHAUSTIVE,
               SOURCE_COMBINED)
 
+# Every report's bytes: the five evaluate reports, and for each corpus
+# problem localize's combined nodes.csv and variants.csv and profile's
+# profile.csv. A digest changes only on purpose, named in CHANGES.md.
+REPORT_DIGESTS = os.path.join(os.path.dirname(__file__),
+                              "report_digests.json")
+EVALUATE_REPORTS = ("rank_errors.csv", "accuracy.csv", "summary.csv",
+                    "bootstrap.csv", "cost.csv")
+
 
 @pytest.fixture(scope="module")
 def runs(problems):
@@ -59,13 +71,16 @@ def runs(problems):
         t_profile = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        deletion = deletion_analysis(prob.original, prob.suite)
-        t_deletion = time.perf_counter() - t0
+        base = baseline(prob.original, prob.suite)
+        t_baseline = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        combined, exhaustive, _ = combined_analysis(prob.original,
-                                                    prob.suite)
-        t_combined = time.perf_counter() - t0
+        deletion = deletion_analysis(base)
+        t_deletion = time.perf_counter() - t0 + t_baseline
+
+        t0 = time.perf_counter()
+        combined, exhaustive, _ = combined_analysis(base)
+        t_combined = time.perf_counter() - t0 + t_baseline
 
         data[name] = SimpleNamespace(
             problem=prob, profiler=profiler, deletion=deletion,
@@ -302,14 +317,14 @@ def test_criterion_6_bootstrap_reproducibility(runs, evaluate_outputs):
     self_cmp = bootstrap_diff(sample, sample, seed=11)
     again = bootstrap_diff(sample, sample, seed=11)
 
-    names = ("rank_errors.csv", "accuracy.csv", "summary.csv",
-             "bootstrap.csv", "cost.csv")
     identical_rerun = all(
         (evaluate_outputs["first"] / n).read_bytes()
-        == (evaluate_outputs["rerun"] / n).read_bytes() for n in names)
+        == (evaluate_outputs["rerun"] / n).read_bytes()
+        for n in EVALUATE_REPORTS)
     identical_jobs = all(
         (evaluate_outputs["first"] / n).read_bytes()
-        == (evaluate_outputs["serial"] / n).read_bytes() for n in names)
+        == (evaluate_outputs["serial"] / n).read_bytes()
+        for n in EVALUATE_REPORTS)
 
     ok = (self_cmp.mean_diff == 0 and self_cmp.ci_low == 0
           and self_cmp.ci_high == 0 and self_cmp == again
@@ -318,6 +333,45 @@ def test_criterion_6_bootstrap_reproducibility(runs, evaluate_outputs):
               f"byte-identical on rerun ({identical_rerun}) and across "
               f"--jobs 4 vs 1 ({identical_jobs})")
     assert check("criterion-6", ok, detail)
+
+
+# -- every report's bytes -----------------------------------------------
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def problem_report_digests(out) -> dict[str, str]:
+    """Run localize --technique combined and profile on every corpus
+    problem into ``out``; the digest of each report, by its table key."""
+    found = {}
+    for directory in problem_dirs(CORPUS_DIR):
+        name = os.path.basename(directory)
+        source = os.path.join(directory, "original.mini")
+        suite = os.path.join(directory, "suite.json")
+        runs = (("localize", ("nodes.csv", "variants.csv"),
+                 ["--technique", "combined"]),
+                ("profile", ("profile.csv",), []))
+        for command, files, flags in runs:
+            where = out / command / name
+            assert cli_main([command, source, "--tests", suite, *flags,
+                             "--out", str(where)]) == 0
+            found.update({f"{command}/{name}/{f}": sha256(where / f)
+                          for f in files})
+    return found
+
+
+def test_every_report_keeps_its_pinned_bytes(evaluate_outputs, tmp_path):
+    with open(REPORT_DIGESTS, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    found = problem_report_digests(tmp_path)
+    moved = sorted(key for key, digest in found.items()
+                   if pinned.get(key) != digest)
+    for label, out in evaluate_outputs.items():
+        moved += [f"evaluate/{name} ({label})" for name in EVALUATE_REPORTS
+                  if pinned.get(f"evaluate/{name}") != sha256(out / name)]
+    assert len(pinned) == len(found) + len(EVALUATE_REPORTS)
+    assert moved == [], f"reports whose bytes moved: {', '.join(moved)}"
 
 
 # -- criterion 7: corpus validity ---------------------------------------

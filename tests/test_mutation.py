@@ -9,22 +9,25 @@ from fractions import Fraction
 
 import pytest
 
-from perfloc.lang.ast import CATEGORY, CAT_STATEMENT, structurally_equal
+from perfloc.lang.ast import (
+    CATEGORY, CAT_STATEMENT, STATEMENT_KINDS, structurally_equal,
+)
 from perfloc.lang.edit import replace_node
 from perfloc.lang.parser import parse_program
 from perfloc.mutation import (
     ALL_CLASSES, CLASS_DEGRADED, CLASS_IDENTICAL, CLASS_INFINITE_LOOP,
     CLASS_LESS_EXPENSIVE, CLASS_MORE_EXPENSIVE, CLASS_NOT_COMPILABLE,
-    CLASS_RUNTIME_ERROR, DELETE_LABEL, classify_variant, combined_analysis,
-    deletion_analysis, exhaustive_analysis,
+    CLASS_RUNTIME_ERROR, DELETE_LABEL, baseline, classify_variant,
+    combined_analysis, deletion_analysis, exhaustive_analysis,
     exhaustive_descriptors,
 )
+from perfloc.profiler import profile
 from perfloc.runtime.exec import TestCase as Case
 from perfloc.runtime.exec import (
     Summary, baseline_limits, compile_program, run_suite,
 )
 
-from conftest import corpus_source
+from conftest import corpus_source, reached_tests
 from tree_helpers import subtree
 
 ORIGINAL_COST = 38560
@@ -36,13 +39,39 @@ def bl(bubble_loops):
 
 
 @pytest.fixture(scope="module")
-def bl_deletion(bl):
-    return deletion_analysis(bl.original, bl.suite)
+def bl_baseline(bl):
+    return baseline(bl.original, bl.suite)
 
 
 @pytest.fixture(scope="module")
-def bl_exhaustive(bl):
-    return exhaustive_analysis(bl.original, bl.suite)
+def bl_deletion(bl_baseline):
+    return deletion_analysis(bl_baseline)
+
+
+@pytest.fixture(scope="module")
+def bl_exhaustive(bl_baseline):
+    return exhaustive_analysis(bl_baseline)
+
+
+# -- the baseline -------------------------------------------------------
+
+def test_the_baseline_is_one_counted_run_per_test(problems):
+    for name, problem in sorted(problems.items()):
+        program, suite = problem.original, problem.suite
+        base = baseline(program, suite)
+        # counted under the bootstrap limit, the runs match those under the
+        # derived limits: the summary, and the tests that reach each node
+        assert run_suite(base.ir, suite, base.limits) == base.original
+        assert base.reach \
+            == reached_tests(program, base.ir, suite, base.limits), name
+        # and summed over the tests, the counts are the profile's
+        report = profile(program, suite)
+        assert sum(map(sum, base.counts)) == report.total, name
+        assert [sum(tally[i] for tally in base.counts)
+                for i, node in enumerate(program.nodes)
+                if node.kind in STATEMENT_KINDS] \
+            == [count for count, node in zip(report.counts, program.nodes)
+                if node.kind in STATEMENT_KINDS], name
 
 
 # -- variant generation -------------------------------------------------
@@ -177,7 +206,7 @@ def test_deletion_values_never_negative():
             " while (go == 1) { a[0] = 7; go = 0; } }")
     program = parse_program(text)
     suite = [Case((1,), (1,), (7,))]
-    result = deletion_analysis(program, suite)
+    result = deletion_analysis(baseline(program, suite))
     assign = next(i for i, n in enumerate(program.nodes)
                   if n.kind == "Assign" and "go = 0"
                   in __import__("perfloc.lang.printer",
@@ -246,9 +275,8 @@ def test_direct_improvements_are_logged_not_counted(bl_exhaustive):
         assert not v.reduced
 
 
-def test_hint_include_correct_flips_the_numerator(bl):
-    with_hint = exhaustive_analysis(bl.original, bl.suite,
-                                    include_correct=True)
+def test_hint_include_correct_flips_the_numerator(bl_baseline):
+    with_hint = exhaustive_analysis(bl_baseline, include_correct=True)
     assert with_hint.scores[3].value == 1          # 4 of 4 now count
     assert with_hint.scores[8].value == Fraction(3, 5)
     for v in direct_improvements(with_hint):
@@ -275,8 +303,8 @@ def test_class_counts_partition_the_variants(bl_exhaustive):
 
 # -- combined analysis --------------------------------------------------
 
-def test_combined_gap_fills_with_deletion(bl):
-    combined, exhaustive, deletion = combined_analysis(bl.original, bl.suite)
+def test_combined_gap_fills_with_deletion(bl_baseline):
+    combined, exhaustive, deletion = combined_analysis(bl_baseline)
     for node_id, score in combined.scores.items():
         if exhaustive.scores[node_id].n_compiled == 0:
             assert score.gap_filled
@@ -292,8 +320,8 @@ def test_combined_gap_fills_with_deletion(bl):
     assert combined.cost.executed == 318 + 7
 
 
-def test_combined_variant_log_holds_both_kinds(bl):
-    combined, _, _ = combined_analysis(bl.original, bl.suite)
+def test_combined_variant_log_holds_both_kinds(bl_baseline):
+    combined, _, _ = combined_analysis(bl_baseline)
     labels = {v.donor_label for v in combined.variants}
     assert DELETE_LABEL in labels
     assert len(combined.variants) == 802

@@ -83,7 +83,8 @@ def test_the_probes_see_every_step_of_the_exhaustive_loop(bubble_loops,
     verdicts = Counter(holes.fit(d.target, d.donor, d.donor_id)[0]
                        for d in mutation.exhaustive_descriptors(program))
     proven, accepted = verdicts[False], verdicts[True]
-    result = mutation.exhaustive_analysis(program, bubble_loops.suite)
+    result = mutation.exhaustive_analysis(
+        mutation.baseline(program, bubble_loops.suite))
     generated, compiled = (result.cost.variants_generated,
                            result.cost.compiled)
     assert 0 < compiled < generated
@@ -105,11 +106,31 @@ def test_the_probes_see_every_step_of_the_exhaustive_loop(bubble_loops,
     }
 
 
+def test_a_combined_analysis_has_one_baseline(bubble_loops, monkeypatch):
+    calls = Counter()
+    for name in ("baseline_limits", "prepare"):
+        monkeypatch.setattr(mutation, name,
+                            counting(calls, name, getattr(mutation, name)))
+    program = bubble_loops.original
+    compile_program = mutation.compile_program
+
+    def lowering(variant):
+        calls["lowers the original"] += variant is program
+        return compile_program(variant)
+
+    monkeypatch.setattr(mutation, "compile_program", lowering)
+    mutation.combined_analysis(mutation.baseline(program, bubble_loops.suite))
+    # deletion and exhaustive read one lowering and one bootstrap run of
+    # the original; only the exhaustive loop prepares it for its patches
+    assert calls == {"baseline_limits": 1, "prepare": 1,
+                     "lowers the original": 1}
+
+
 def test_the_exhaustive_loop_never_reparses(bubble_loops, monkeypatch):
     def refuse(self):
         raise AssertionError("the exhaustive loop parsed program text")
 
     monkeypatch.setattr(Parser, "parse_program", refuse)
-    result = mutation.exhaustive_analysis(bubble_loops.original,
-                                          bubble_loops.suite)
+    result = mutation.exhaustive_analysis(
+        mutation.baseline(bubble_loops.original, bubble_loops.suite))
     assert result.cost.variants_generated == len(result.variants) > 0

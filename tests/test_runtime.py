@@ -26,7 +26,7 @@ from perfloc.lang.ast import KIND_INCDEC, KIND_VARDECL
 from perfloc.lang.check import Holes, static_check
 from perfloc.lang.edit import replace_node
 from perfloc.lang.parser import parse_program
-from perfloc.mutation import exhaustive_descriptors, reaching_tests
+from perfloc.mutation import baseline, exhaustive_descriptors
 from perfloc.runtime import engine_py
 from perfloc.runtime.exec import (
     BOOTSTRAP_LIMIT, BaselineDiverged, MIN_STEP_LIMIT, Summary,
@@ -491,10 +491,9 @@ def test_engines_agree_on_a_slice_of_the_corpus_variants(problems, c_engine):
     compared = spliced = 0
     for name, problem in sorted(problems.items()):
         program, suite = problem.original, problem.suite
-        base = compile_program(program)
-        limits, _ = baseline_limits(base, suite)
+        original = baseline(program, suite)
+        base, limits = original.ir, original.limits
         prepared = c_engine.prepare(base, suite, limits)
-        reach = reaching_tests(program, base, suite, limits)
         holes = Holes(program)
         descriptors = exhaustive_descriptors(program)
         for d in descriptors[::PARITY_STRIDE]:
@@ -513,7 +512,8 @@ def test_engines_agree_on_a_slice_of_the_corpus_variants(problems, c_engine):
                 found = c_engine.run_tests(ir, suite, limits)
                 assert found == expected, (name, d.target, d.donor_label)
             if accepted:   # ``expected`` holds the splice's runs
-                assert c_engine.run_patch(prepared, patch, reach[d.target]) \
+                assert c_engine.run_patch(prepared, patch,
+                                          original.reach[d.target]) \
                     == engine_py.summarize(expected, suite), \
                     (name, d.target, d.donor_label)
             compared += bool(irs)

@@ -20,7 +20,7 @@ from perfloc.lang.check import Holes, static_check
 from perfloc.lang.edit import replace_node
 from perfloc.lang.parser import parse_program
 from perfloc.lang.printer import render_snippet
-from perfloc.mutation import exhaustive_descriptors, reaching_tests
+from perfloc.mutation import exhaustive_descriptors
 from perfloc.runtime import engine_py
 from perfloc.runtime.exec import (
     BOOTSTRAP_LIMIT, baseline_limits, compile_program,
@@ -32,7 +32,7 @@ from perfloc.runtime.ir import (
 )
 
 import test_holes
-from conftest import run_tests
+from conftest import reached_tests, run_tests
 
 # Every hole-accepted exhaustive descriptor of the 11 corpus originals.
 # Fixed before the statement splices were timed.
@@ -548,7 +548,8 @@ def test_a_target_no_test_reaches_is_left_out_on_every_test(engine):
     p = parse_program(GUARDED)
     base = build_ir(p)
     target = find(p, "a[0] = n;")
-    reach = reaching_tests(p, base, SUITE, LIMITS)
+    # GUARDED fails SUITE, so it has no Baseline: its own counted runs
+    reach = reached_tests(p, base, SUITE, LIMITS)
     assert reach[target] == reach[p.first[target] + 1] == ()
     assert reach[find(p, "n = n + 1;")] == ALL
     patch = statement_patch(p, "a[0] = n;", "n = n + 1;")
