@@ -8,13 +8,13 @@ A variant its typed hole accepts is a splice patch on the original's IR,
 and one the hole gives no verdict on is built, checked and lowered, as in
 the exhaustive loop. Each variant's whole IR runs on ``engine_py`` and on
 the compiled engine with its problem's committed suite, under the
-original's step limits and with a statement counter per IR row. The two
-must agree on every test's status, steps, error and final array, and on
-the counts. Each engine's ``run_patch`` summary must then equal the
-summary of those full runs: a splice runs as its patch on the prepared
-original, on only the tests that reach its target in the original's
-``mutation.Baseline``, as in the exhaustive loop; a built variant runs as
-the empty patch on itself, prepared.
+original's step limits and with a statement counter per IR row and
+test. The two must agree on every test's status, steps, error and final
+array, and on every test's counts. Each engine's ``run_patch`` summary
+must then equal the summary of those full runs: a splice runs as its
+patch on the prepared original, on only the tests that reach its target
+in the original's ``mutation.Baseline``, as in the exhaustive loop; a
+built variant runs as the empty patch on itself, prepared.
 
 Prints the variant count, the mismatch count, how many of the splices'
 test runs were left out, and the elapsed time, and one line per mismatch;
@@ -57,7 +57,7 @@ def compiled_variants(program, ir):
 
 
 def run(engine, ir, suite, limits):
-    counts = array("q", [0]) * len(ir.kind)
+    counts = [array("q", [0]) * len(ir.kind) for _ in suite]
     return engine.run_tests(ir, suite, limits, counts), counts
 
 

@@ -272,8 +272,9 @@ def run_tests(ir: ProgramIR, tests, limits, counts=None):
     """Run the entry function on every test, each under its own step limit.
     Returns one (status, steps, error, final array) tuple per test; the final
     array is the input array's cells after a completed run, None otherwise.
-    ``counts`` is passed to every ``run``. ``ir`` is validated as
-    ``engine.c`` validates it (ValueError if malformed)."""
+    ``counts``, when given, holds one counts array per test, which tests
+    may share, and each test's ``run`` bumps its own. ``ir`` is validated
+    as ``engine.c`` validates it (ValueError if malformed)."""
     if ir.n_slots not in range(1, 1 << 31):
         raise ValueError("malformed IR: frame size")
     if not (0 <= ir.entry < len(ir.kind) and ir.kind[ir.entry] == OP_FUNC):
@@ -284,10 +285,11 @@ def run_tests(ir: ProgramIR, tests, limits, counts=None):
 
 def _run_tests(ir, tests, limits, counts=None):
     results = []
-    for test, limit in zip(tests, limits, strict=True):
+    tallies = [None] * len(tests) if counts is None else counts
+    for test, limit, tally in zip(tests, limits, tallies, strict=True):
         heap = list(test.input_array)
         args = [pack_array(0, len(heap))] + list(test.extra_args)
-        status, steps, err = run(ir, ir.entry, args, heap, limit, counts)
+        status, steps, err = run(ir, ir.entry, args, heap, limit, tally)
         final = tuple(heap[:len(test.input_array)]) \
             if status == STATUS_COMPLETED else None
         results.append((status, steps, err, final))

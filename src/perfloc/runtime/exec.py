@@ -5,16 +5,19 @@ the pure-Python one otherwise; set PERFLOC_ENGINE=py or PERFLOC_ENGINE=c to
 force a choice. Every engine runs a suite in one of two ways:
 
 - ``run_tests`` takes a whole ``ProgramIR`` and returns every test's
-  status, steps, error and final array. ``baseline_limits`` runs the
-  original this way, one test at a time, and reads its limits, its
-  divergence and any statement counts from these rows; ``run_suite``
-  summarizes them, for deletions and variants built whole.
-- ``prepare`` validates an original and packs its suite once, and runs it
-  once; ``run_patch`` then runs one ``runtime.ir.Patch`` of it on only
-  the tests it is given, counts the original's outcome on every test left
+  status, steps, error and final array, counting each test's statement
+  entries into its own array when asked. ``baseline_limits`` runs the
+  original this way, in one call, and reads its limits, its divergence
+  and any statement counts from these rows; ``run_suite`` summarizes
+  them, for deletions and variants built whole.
+- ``prepare`` validates an original, packs its suite and runs it once
+  (the compiled engine also lowers it once, to linear code);
+  ``run_patch`` then runs one ``runtime.ir.Patch`` of it on only the
+  tests it is given, counts the original's outcome on every test left
   out, and returns four numbers: total steps, tests passed, and whether
-  any test timed out or failed. The exhaustive loop runs its splices this
-  way.
+  any test timed out or failed. The compiled engine lowers only the
+  code the patch changes and links it in with one jump. The exhaustive
+  loop runs its splices this way.
 
 Every suite run comes back as a ``Summary`` of those four numbers, its
 correctness taken from one ``Fraction(k, n)`` table.
@@ -130,13 +133,12 @@ def baseline_limits(ir: ProgramIR, suite: Sequence[TestCase],
                     factor: float = DEFAULT_TIMEOUT_FACTOR, counts=None
                     ) -> tuple[list[int], Summary]:
     """Per-test limits of max(100, ceil(factor x original steps)). The
-    original must complete and pass every test under a generous cap; each
-    test runs on its own. ``counts``, when given, holds per test an
+    original must complete and pass every test under a generous cap, in
+    one engine call. ``counts``, when given, holds per test an
     ``array('q')``, which tests may share, with a cell per node that gains
     one at every statement entry of the test's run; every engine counts."""
-    runs = [_ENGINE.run_tests(ir, (test,), (BOOTSTRAP_LIMIT,), tally)[0]
-            for test, tally in zip(suite, counts or [None] * len(suite),
-                                   strict=True)]
+    runs = _ENGINE.run_tests(ir, suite, [BOOTSTRAP_LIMIT] * len(suite),
+                             counts)
     for k, (test, (status, _, _, final)) in enumerate(zip(suite, runs)):
         if status != engine_py.STATUS_COMPLETED:
             raise BaselineDiverged(f"original program ends in "

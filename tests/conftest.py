@@ -23,6 +23,12 @@ settings.load_profile("derandomized")
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
+# Every report's bytes: the five evaluate reports, and for each corpus
+# problem localize's combined nodes.csv and variants.csv and profile's
+# profile.csv. A digest changes only on purpose, named in CHANGES.md.
+REPORT_DIGESTS = os.path.join(os.path.dirname(__file__),
+                              "report_digests.json")
+
 _CRITERIA_LINES: list[str] = []
 
 
@@ -79,20 +85,18 @@ def engine(request):
 
 def run_tests(ir, suite, limits, engine=None, counts=None):
     """The (status, steps, error, final array) row of each test, run on
-    ``engine``, by default the active one."""
+    ``engine``, by default the active one; ``counts`` holds an array per
+    test."""
     return (engine or execution._ENGINE).run_tests(ir, suite, limits, counts)
 
 
 def reached_tests(program, ir, suite, limits, engine=None):
     """For each node of ``program``, the tests on which ``ir``, lowered
     from it, enters the node's nearest enclosing statement, or every test
-    for a node outside any statement: one counted run per test, each
-    under its own limit."""
-    entered = []
-    for test, limit in zip(suite, limits, strict=True):
-        counts = array("q", [0]) * len(ir.kind)
-        run_tests(ir, (test,), (limit,), engine, counts)
-        entered.append(counts)
+    for a node outside any statement: one counted run of the suite, each
+    test under its own limit and with its own counts."""
+    entered = [array("q", [0]) * len(ir.kind) for _ in suite]
+    run_tests(ir, suite, limits, engine, entered)
     every = tuple(range(len(suite)))
     return [tuple(k for k in every if entered[k][s]) if s >= 0 else every
             for s in map(program.enclosing_statement,

@@ -45,17 +45,12 @@ from perfloc.scores import (
     NodeScore,
 )
 
-from conftest import CORPUS_DIR, check
+from conftest import CORPUS_DIR, REPORT_DIGESTS, check
 from tree_helpers import programs_equal, subtree
 
 TECHNIQUES = (SOURCE_PROFILER, SOURCE_DELETION, SOURCE_EXHAUSTIVE,
               SOURCE_COMBINED)
 
-# Every report's bytes: the five evaluate reports, and for each corpus
-# problem localize's combined nodes.csv and variants.csv and profile's
-# profile.csv. A digest changes only on purpose, named in CHANGES.md.
-REPORT_DIGESTS = os.path.join(os.path.dirname(__file__),
-                              "report_digests.json")
 EVALUATE_REPORTS = ("rank_errors.csv", "accuracy.csv", "summary.csv",
                     "bootstrap.csv", "cost.csv")
 

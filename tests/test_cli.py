@@ -14,7 +14,7 @@ from perfloc.cli import main
 from perfloc.corpus import CORPUS_VERSION
 from perfloc.runtime import ENGINE_NAME
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, REPORT_DIGESTS
 
 BUBBLE = os.path.join(CORPUS_DIR, "bubble_loops", "original.mini")
 SUITE = os.path.join(CORPUS_DIR, "bubble_loops", "suite.json")
@@ -158,14 +158,13 @@ def test_localize_reruns_are_byte_identical(tmp_path):
                      "--technique", "combined", "--out", str(out)]) == 0
     for name in ("nodes.csv", "variants.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
-    # Pinned digests: any change to a report byte must be deliberate.
-    assert {name: hashlib.sha256((a / name).read_bytes()).hexdigest()
-            for name in ("nodes.csv", "variants.csv")} == {
-        "nodes.csv":
-            "5d58d43dde22dffcdc90fa238f979ca30e0d1fd5d23bf0d9acb52542543f4636",
-        "variants.csv":
-            "0fa526af057221eb18d9d022e4be611f035bbfbbe3d6ffa809db9411062ebc42",
-    }
+    # The digests every report is pinned to: any change to a report byte
+    # must be deliberate.
+    with open(REPORT_DIGESTS, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    for name in ("nodes.csv", "variants.csv"):
+        assert hashlib.sha256((a / name).read_bytes()).hexdigest() \
+            == pinned[f"localize/bubble_loops/{name}"], name
 
 
 def test_localize_unknown_technique_is_a_usage_error(tmp_path, capsys):

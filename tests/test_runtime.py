@@ -55,9 +55,10 @@ class Run(NamedTuple):
 
 def execute(ir, test, step_limit, engine=None, counts=None):
     """Run the entry function on one test, on ``engine``, by default the
-    active one."""
-    (status, steps, err, final), = run_tests(ir, (test,), (step_limit,),
-                                             engine, counts)
+    active one, counting into ``counts`` when given."""
+    (status, steps, err, final), = run_tests(
+        ir, (test,), (step_limit,), engine,
+        None if counts is None else [counts])
     return Run(STATUS[status], steps, ERROR[err], final)
 
 
@@ -310,11 +311,11 @@ def test_engines_agree_on_bubble_sort_runs(c_engine, values):
 
 def _counted_suites(problems, engine):
     """Per corpus original: the rows of its suite run with counts, run
-    without, and the counts."""
+    without, and each test's counts."""
     for name, problem in sorted(problems.items()):
         ir = compile_program(problem.original)
         limits = [BOOTSTRAP_LIMIT] * len(problem.suite)
-        counts = array("q", [0]) * len(ir.kind)
+        counts = [array("q", [0]) * len(ir.kind) for _ in problem.suite]
         counted = run_tests(ir, problem.suite, limits, engine, counts)
         plain = run_tests(ir, problem.suite, limits, engine)
         yield name, counted, plain, counts
@@ -327,7 +328,7 @@ def test_counting_runs_match_plain_runs(problems):
         assert counted == plain, name
         program = problems[name].original
         body = program.first[program.entry_index()]
-        assert counts[body] == len(plain), name
+        assert [tally[body] for tally in counts] == [1] * len(plain), name
 
 
 def test_counting_runs_match_compiled_runs(problems, c_engine):
@@ -335,7 +336,7 @@ def test_counting_runs_match_compiled_runs(problems, c_engine):
     for engine in (engine_py, c_engine):
         for name, counted, plain, counts in _counted_suites(problems, engine):
             assert counted == plain, name
-            tallies.setdefault(name, []).append(list(counts))
+            tallies.setdefault(name, []).append(list(map(list, counts)))
     assert len(tallies) == 11
     for name, (py_counts, c_counts) in tallies.items():
         assert py_counts == c_counts, name
@@ -356,10 +357,160 @@ def test_counting_stops_at_the_timeout(c_engine):
         assert counts["py"] == counts["c"], limit
 
 
+# Every opcode of the IR, both kinds of call, a void function that falls
+# off its end, a For of each direction, and an If with an empty then-branch
+# and one with no else: the compiled engine lowers each to different code.
+EVERY_OPCODE = """
+int pick(int x, bool up) {
+  if (up && x > 0 || !up) { return x * 2; }
+  return -x;
+}
+
+void idle() { }
+
+void nothing() {
+  return;
+}
+
+void sort(int[] a, int length) {
+  int t;
+  int[] b = newArray(length);
+  for (int i = 0; i < length; i++) { b[i] = a[i] % 7 + i / 2 - 1; }
+  for (int j = length - 1; j >= 0; j--) { t = t + b[j]; }
+  int k = 0;
+  while (k < length && k <= 5) {
+    if (b[k] != t || false) { a[k] = pick(a[k], k >= 1); } else { nothing(); }
+    if (b[k] == 0) { } else { k++; }
+    if (!(k > 100)) { }
+    k--;
+    k++;
+  }
+  idle();
+}
+"""
+
+
+def test_every_step_limit_stops_both_engines_alike(c_engine):
+    """Both engines give the same run, and the same counts, at every step
+    limit from 1 to one past the whole run: every step of every opcode
+    lands at the same point. Runs with counts and runs without are
+    lowered apart, so both are swept."""
+    ir = ir_for(EVERY_OPCODE)
+    assert set(ir.kind) == set(range(max(ir.kind) + 1))
+    test = Case((5, 3, 9, 1), (4,), (1, 3, 5, 9))
+    whole = execute(ir, test, BOOTSTRAP_LIMIT, engine_py)
+    assert whole.status == "Completed" and whole.steps == 350
+    for limit in range(1, whole.steps + 2):
+        runs, tallies = [], []
+        for engine in (engine_py, c_engine):
+            tally = array("q", [0]) * len(ir.kind)
+            runs.append(execute(ir, test, limit, engine, tally))
+            tallies.append(tally)
+            assert execute(ir, test, limit, engine) == runs[-1], limit
+        assert runs[0] == runs[1], limit
+        assert tallies[0] == tallies[1], limit
+        assert runs[0].status == ("Timeout" if limit <= whole.steps
+                                  else "Completed")
+
+
+FAULTS = [
+    # each fault sits inside an expression, after steps of its own
+    ("a[0] = a[1 + length * 2] + 1;", "IndexOutOfBounds"),
+    ("a[length - 1 + length] = 3 * a[0];", "IndexOutOfBounds"),
+    ("a[0] = 1 + a[0] / (length - length);", "DivideByZero"),
+    ("a[0] = (a[0] + 1) % (a[0] - a[0]);", "DivideByZero"),
+    ("int[] b = newArray(a[0] - 10);", "IndexOutOfBounds"),
+    ("int[] b = newArray(1048576 - length + 1);", "IndexOutOfBounds"),
+]
+
+
+@pytest.mark.parametrize("statement,error", FAULTS)
+def test_a_fault_lands_on_the_same_step_in_both_engines(statement, error,
+                                                       c_engine):
+    """At every limit up to the faulting step, and past it, both engines
+    stop alike: a step taken after the fault's operation instead of
+    before would turn the Timeout at the faulting step into the fault."""
+    ir = ir_for("void sort(int[] a, int length) "
+                f"{{ int x = length + 1; if (x > 0) {{ {statement} }} }}")
+    test = Case((2, 1), (2,), (1, 2))
+    fault = execute(ir, test, BOOTSTRAP_LIMIT, engine_py)
+    assert (fault.status, fault.error_kind) == ("RuntimeError", error)
+    for limit in range(1, fault.steps + 2):
+        runs = [execute(ir, test, limit, engine)
+                for engine in (engine_py, c_engine)]
+        assert runs[0] == runs[1], limit
+        assert runs[0].status == ("Timeout" if limit <= fault.steps
+                                  else "RuntimeError")
+
+
+DEPTH = """
+int down(int n) {
+  if (n == 0) { return 0; }
+  return down(n - 1) + 1;
+}
+
+void sort(int[] a, int length) { a[0] = down(length); }
+"""
+
+
+def test_recursion_to_the_stack_limit_faults_alike(c_engine):
+    # sort runs at depth 0, so down(510) reaches depth 511, the deepest
+    # frame there is, and down(511) one more
+    ir = ir_for(DEPTH)
+    runs = {}
+    for n in (510, 511):
+        test = Case((7,), (n,), (n,))
+        runs[n] = [execute(ir, test, BOOTSTRAP_LIMIT, engine)
+                   for engine in (engine_py, c_engine)]
+        assert runs[n][0] == runs[n][1], n
+    assert runs[510][0].status == "Completed"
+    assert runs[510][0].final_array == (510,)
+    assert runs[511][0].error_kind == "StackOverflow"
+    # the fault comes after the deepest call's argument: 7 steps of sort's
+    # before down(511), then 11 in each of down(511) .. down(1)
+    assert runs[511][0].steps == 7 + 511 * 11
+
+
+def test_deep_expressions_in_deep_recursion_keep_off_the_c_stack(c_engine):
+    """A call 500 deep, each frame inside an expression 40 levels deep,
+    runs in a thread with a 256 KiB C stack: neither the program's calls
+    nor its expressions take C stack."""
+    nested = "n" + " + (n" * 40 + ")" * 40
+    text = ("int deep(int n) { if (n == 0) { return 0; } "
+            f"return deep(n - 1) + ({nested}) % 2; }}\n"
+            "void sort(int[] a, int length) { a[0] = deep(length); }")
+    ir = ir_for(text)
+    test = Case((0,), (500,), (0,))
+    expected = execute(ir, test, BOOTSTRAP_LIMIT, engine_py)
+    assert expected.status == "Completed"
+    script = (
+        "import sys, threading\n"
+        "from perfloc.lang.parser import parse_program\n"
+        "from perfloc.runtime import _engine\n"
+        "from perfloc.runtime.exec import TestCase, compile_program\n"
+        "ir = compile_program(parse_program(sys.stdin.read()))\n"
+        "test = TestCase((0,), (500,), (0,))\n"
+        "out = []\n"
+        "threading.stack_size(256 * 1024)\n"
+        "worker = threading.Thread(target=lambda: out.append(\n"
+        "    _engine.run_tests(ir, [test], [10 ** 7])))\n"
+        "worker.start()\n"
+        "worker.join()\n"
+        "print(out[0][0][:2])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(perfloc.__file__))]
+        + sys.path))
+    run = subprocess.run([sys.executable, "-c", script], input=text,
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-500:]
+    assert run.stdout == f"(0, {expected.steps})\n"
+
+
 @pytest.mark.parametrize("bad", [
     "list", "short", "long", "wrong format", "read-only",
 ])
 def test_the_compiled_engine_refuses_bad_counts(bad, c_engine):
+    # each test's array is checked: here the second test's is bad
     from conftest import corpus_source
     ir = ir_for(corpus_source("bubble_loops"))
     n = len(ir.kind)
@@ -368,8 +519,13 @@ def test_the_compiled_engine_refuses_bad_counts(bad, c_engine):
               "wrong format": array("i", [0]) * (2 * n),
               "read-only": bytes(8 * n)}[bad]
     test = Case((3, 1, 2), (3,), (1, 2, 3))
+    good = array("q", [0]) * n
     with pytest.raises(TypeError, match="counts"):
-        c_engine.run_tests(ir, [test], [BOOTSTRAP_LIMIT], counts)
+        c_engine.run_tests(ir, [test, test], [BOOTSTRAP_LIMIT] * 2,
+                           [good, counts])
+    # and there must be one per test
+    with pytest.raises(TypeError, match="counts"):
+        c_engine.run_tests(ir, [test, test], [BOOTSTRAP_LIMIT] * 2, [good])
 
 
 BIG = (0,) * (HEAP_LIMIT + 1)
