@@ -37,18 +37,18 @@ from perfloc.lang.edit import replace_node
 from perfloc.mutation import baseline, exhaustive_descriptors
 from perfloc.runtime import engine_py
 from perfloc.runtime.exec import compile_program
-from perfloc.runtime.ir import apply_patch, empty_patch, splice_patch
+from perfloc.runtime.ir import Splices, apply_patch, empty_patch
 
 
 def compiled_variants(program, ir):
     """(descriptor, patch on ``ir`` or None, whole IR) of every exhaustive
     variant of ``program`` that compiles; ``ir`` is the original's."""
     holes = Holes(program)
+    splices = Splices(ir, holes)
     for d in exhaustive_descriptors(program):
         accepted, slots = holes.fit(d.target, d.donor, d.donor_id)
         if accepted:
-            patch = splice_patch(ir, program, d.target, d.donor,
-                                 d.donor_id, slots)
+            patch = splices.patch(d.target, d.donor, d.donor_id, slots)
             yield d, patch, apply_patch(ir, patch)
         elif accepted is None:
             variant = replace_node(program, d.target, d.donor)

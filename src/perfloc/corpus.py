@@ -30,8 +30,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .lang.ast import (
     Program, TYPE_ARRAY, TYPE_BOOL, TYPE_INT, structurally_equal,
@@ -56,8 +55,7 @@ class CorpusInvalid(Exception):
         super().__init__("; ".join(failures))
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     name: str
     original: Program
     improved: tuple[Program, ...]

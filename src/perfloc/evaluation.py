@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .scores import NodeScore
 
@@ -34,14 +33,12 @@ class UnknownNode(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(NamedTuple):
     entries: dict[int, Fraction]      # node id -> rank, 1 = best
     n_total: int
 
 
-@dataclass(frozen=True)
-class RankError:
+class RankError(NamedTuple):
     node: int
     r_actual: Fraction
     r_ideal: Fraction
@@ -50,15 +47,13 @@ class RankError:
     upper_half: bool
 
 
-@dataclass(frozen=True)
-class RankErrorReport:
+class RankErrorReport(NamedTuple):
     technique: str
     n_total: int
     per_node: tuple[RankError, ...]
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
+class BootstrapResult(NamedTuple):
     mean_diff: Fraction
     ci_low: Fraction
     ci_high: Fraction

@@ -40,9 +40,13 @@ first rule call that reaches it (``check_typed``, ``type_of``,
 ``check_assign``, ``check_step``, ``check_comparable`` or
 ``check_statement``) and the variables visible there; a donor is checked
 by replaying that call with the donor in the position's place, which
-resolves its names in the hole's scope. An operator and a VarDecl's name,
-which no rule call reaches, are tested as their parent rebuilt with the
-donor. There are three verdicts:
+resolves its names in the hole's scope. ``check_assign`` notes only its
+target: the value's first call is the ``check_typed`` inside it, which
+does not resolve the target again. Positions whose recorded calls are
+equal share a hole class, and each donor is replayed once per class. An
+operator and a VarDecl's name, which no rule call reaches, are tested as
+their parent rebuilt with the donor, on every fit. There are three
+verdicts:
 
 - False: the replay reports a violation, which the full check reports too;
 - True: no violation, and the edit leaves every later scope as it was, so
@@ -53,7 +57,7 @@ donor. There are three verdicts:
   whether a non-void function returns.
 
 The exhaustive loop never builds a variant a hole rejects, and runs one it
-accepts as a patch on the original's IR (``runtime.ir.splice_patch``)
+accepts as a patch on the original's IR (``runtime.ir.Splices``)
 with the slots that replay resolved, so ``static_check`` decides only
 the variants the holes give no verdict on.
 """
@@ -437,7 +441,7 @@ class _Recorder(Checker):
 
     check_typed = _hole(Checker.check_typed, 0)
     type_of = _hole(Checker.type_of, 0)
-    check_assign = _hole(Checker.check_assign, 0, 2)
+    check_assign = _hole(Checker.check_assign, 0)
     check_step = _hole(Checker.check_step, 1)
     check_comparable = _hole(Checker.check_comparable, 0, 2)
     check_statement = _hole(Checker.check_statement, 0)
@@ -451,6 +455,13 @@ class Holes:
     on a plain checker with a donor in the hole, so no variant is built
     and the checker alone decides which rule governs a position; the slots
     the replay resolves are the donor's frame slots in the variant.
+
+    Positions whose recorded calls are equal share a hole class
+    (``classes``, -1 where no call is recorded): the same rule, the same
+    arguments besides the position's own (node, id) pair, nodes compared
+    by identity, and equal visible variables, slots included. A replay
+    reads nothing else, so its violations and slots are one per (class,
+    donor), and ``fit`` replays each pair once.
 
     An expression edit declares nothing and leaves its parent's type as it
     was (a parent's type depends only on its operator or callee), so the
@@ -475,6 +486,18 @@ class Holes:
         self.sizes = dict(zip(program.functions, recorder.sizes))
         self.checker = Checker(program)
         self.checker.signatures = recorder.signatures
+        # a call's rule, its other arguments and its visible variables;
+        # AstNode keeps object's ==, so a node argument compares by
+        # identity
+        ids: dict[tuple, int] = {}
+        self.classes = [
+            -1 if call is None
+            else ids.setdefault((*call[:3], frozenset(call[3].items())),
+                                len(ids))
+            for call in self.calls]
+        # (class, donor id): (whether the replay reports a violation, the
+        # slots it resolved)
+        self.replays: dict[tuple[int, int], tuple[bool, dict[int, int]]] = {}
 
     def fit(self, target: int, donor: AstNode,
             donor_id: int) -> tuple[Optional[bool], dict[int, int]]:
@@ -482,37 +505,55 @@ class Holes:
         ``donor_id`` of this program (-1 for an operator), in place of node
         ``target`` (None where the hole gives no verdict), and the frame
         slots this check resolved, keyed by node id: those of the donor's
-        identifiers, VarDecls and For loops among them. The slots are a new
-        dict on every call. A position no rule call reaches (an operator,
+        identifiers, VarDecls and For loops among them. The slots are
+        shared by every fit of the donor in the target's hole class, and
+        must not be changed. A position no rule call reaches (an operator,
         a VarDecl's name) is tested as its parent, rebuilt with the donor
-        in its place, in the parent's hole."""
-        call = self.calls[target]
-        if call is None:
+        in its place, in the parent's hole; that replay is not kept."""
+        cls = self.classes[target]
+        if cls >= 0:
+            call = self.calls[target]
+            replay = self.replays.get((cls, donor_id))
+            if replay is None:
+                replay = self.replays[cls, donor_id] = \
+                    self._replay(call, donor, donor_id)
+        else:
             program = self.program
             parent = program.parent[target]
             old = program.nodes[parent]
             children = list(old.children)
             children[target - program.first[parent]] = donor
-            target = donor_id = parent
+            target = parent
             donor = old.copy_with(children)
             call = self.calls[target]
             if call is None:
                 return None, {}
+            replay = self._replay(call, donor, target)
+        violated, slots = replay
+        if violated:
+            return False, slots
+        rule, _, after, _ = call
+        if rule is Checker.check_statement \
+                and (after[0].ret_type != TYPE_VOID
+                     or donor.kind == KIND_VARDECL
+                     or self.program.nodes[target].kind == KIND_VARDECL):
+            return None, slots
+        return True, slots
+
+    def _replay(self, call: tuple, donor: AstNode,
+                donor_id: int) -> tuple[bool, dict[int, int]]:
+        """Replay the recorded ``call`` with ``donor``, node ``donor_id``,
+        in its hole: whether it reports a violation, and the slots it
+        resolved."""
         rule, before, after, variables = call
-        statement = rule is Checker.check_statement
         checker = self.checker
         checker.violations = []
         checker.slots = {}
         checker.variables = variables
-        if statement:
+        if rule is Checker.check_statement:
             checker.n_slots = self.sizes[after[0]]
         checker.open_scope()
         rule(checker, *before, donor, donor_id, *after)
         checker.close_scope()
-        if checker.violations:
-            return False, checker.slots
-        if statement and (after[0].ret_type != TYPE_VOID
-                          or donor.kind == KIND_VARDECL
-                          or self.program.nodes[target].kind == KIND_VARDECL):
-            return None, checker.slots
-        return True, checker.slots
+        return bool(checker.violations), checker.slots
+

@@ -31,16 +31,22 @@ its IR, the step limits, its ``Summary``, and for each node the tests
 that reach it. A combined analysis shares it between its two parts.
 
 Exhaustive variants come from one flat, node-ordered descriptor list.
-Each donor is tested once in its target's typed hole (``lang.check.Holes``),
-whose verdict is exact where it gives one, and each variant takes one
-path by that verdict:
+Every expression and statement node gets a structure id once, the id of
+the first node equal to it, so a donor equals its target exactly when it
+is the target's structure id. Each donor is tested in its target's typed
+hole (``lang.check.Holes``), whose verdict is exact where it gives one.
+Targets whose holes record equal calls share a hole class, and the holes
+replay each (class, donor) pair once. Each variant takes one path by its
+verdict:
 
 - rejected: never built; its row is ``classify_variant(original, None)``;
 - accepted (expressions, operators, and statements of a ``void``
   function where neither statement is a VarDecl): no variant ``Program``
-  is built, checked or lowered. ``runtime.ir.splice_patch`` describes it
-  as a patch on the original's IR, with the frame slots the hole check
-  resolved, and ``runtime.exec.run_patch`` runs that patch on the
+  is built, checked or lowered. ``runtime.ir.Splices`` describes it as a
+  patch on the original's IR, with the frame slots the hole check
+  resolved; it lowers a donor's own rows once per (hole class, donor)
+  pair, so a splice then copies only the parent's child row.
+  ``runtime.exec.run_patch`` runs that patch on the
   original, prepared once per analysis. It runs only the tests that reach
   the target in the ``Baseline``: only rows reached through the target's
   nearest enclosing statement differ, and the variant has the original's
@@ -56,9 +62,8 @@ order, so every output is byte-identical from run to run.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .lang.ast import (
     AstNode, Program, CATEGORY,
@@ -72,7 +77,7 @@ from .lang.edit import (
     statement_ids, delete_statement, empty_function_body, replace_node,
 )
 from .lang.printer import render_snippet
-from .runtime.ir import ProgramIR, splice_patch
+from .runtime.ir import ProgramIR, Splices
 from .runtime.exec import (
     Summary, TestCase, baseline_limits, run_suite, compile_program,
     prepare, run_patch, DEFAULT_TIMEOUT_FACTOR,
@@ -97,8 +102,7 @@ ALL_CLASSES = (CLASS_NOT_COMPILABLE, CLASS_INFINITE_LOOP, CLASS_RUNTIME_ERROR,
 DELETE_LABEL = "<delete>"
 
 
-@dataclass(frozen=True)
-class MutationDescriptor:
+class MutationDescriptor(NamedTuple):
     """One replacement: put ``donor``, node ``donor_id`` of the program (-1
     for an operator), where node ``target`` stood."""
     target: int
@@ -107,8 +111,7 @@ class MutationDescriptor:
     donor_label: str
 
 
-@dataclass(frozen=True)
-class VariantRecord:
+class VariantRecord(NamedTuple):
     """One row of the variant log."""
     target: int
     donor_label: str
@@ -119,16 +122,14 @@ class VariantRecord:
     direct_improvement: bool
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     scores: dict[int, NodeScore]
     variants: tuple[VariantRecord, ...]
     cost: AnalysisCost
     original: Summary
 
 
-@dataclass(frozen=True)
-class Baseline:
+class Baseline(NamedTuple):
     """One problem's original and its runs on its suite."""
     program: Program
     suite: Sequence[TestCase]
@@ -178,25 +179,31 @@ def classify_variant(original: Summary, outcome: Optional[Summary]) -> str:
 
 # donor inventory ----------------------------------------------------------
 
-def _distinct_structures(program: Program, category: str) -> list[int]:
-    """Ids of the first occurrence, in id order, of each distinct structure
-    of ``category``; Blocks are never donors."""
-    seen: list[int] = []
-    by_hash: dict[int, list[AstNode]] = {}
-    for i, n in enumerate(program.nodes):
-        if CATEGORY[n.kind] != category or n.kind == KIND_BLOCK:
+def _structures(program: Program) -> list[int]:
+    """For each expression and each statement but a Block, the id of the
+    first node, in id order, with an equal structure; -1 for every other
+    node. Blocks are never donors."""
+    nodes = program.nodes
+    structure = [-1] * len(nodes)
+    by_hash: dict[int, list[int]] = {}
+    for i, n in enumerate(nodes):
+        if CATEGORY[n.kind] not in (CAT_EXPRESSION, CAT_STATEMENT) \
+                or n.kind == KIND_BLOCK:
             continue
         bucket = by_hash.setdefault(n.structural_hash(), [])
-        if not any(structurally_equal(n, other) for other in bucket):
-            bucket.append(n)
-            seen.append(i)
-    return seen
+        for j in bucket:
+            if structurally_equal(n, nodes[j]):
+                structure[i] = j
+                break
+        else:
+            bucket.append(i)
+            structure[i] = i
+    return structure
 
 
-def _replacements(program, target_id, exprs, stmts, labels):
+def _replacements(program, target_id, exprs, stmts, labels, structure):
     target = program.nodes[target_id]
     category = CATEGORY[target.kind]
-    out: list[MutationDescriptor] = []
     if category == CAT_OPERATOR:
         parent = program.nodes[program.parent[target_id]]
         if parent.kind == KIND_BINARY:
@@ -207,11 +214,9 @@ def _replacements(program, target_id, exprs, stmts, labels):
             symbols = INCDEC_OPS
         else:
             symbols = ()
-        for sym in symbols:
-            if sym != target.op:
-                donor = AstNode(KIND_OPERATOR, op=sym)
-                out.append(MutationDescriptor(target_id, donor, -1, sym))
-        return out
+        return [MutationDescriptor(target_id, AstNode(KIND_OPERATOR, op=sym),
+                                   -1, sym)
+                for sym in symbols if sym != target.op]
     if category == CAT_EXPRESSION:
         pool = exprs
     elif category == CAT_STATEMENT and target.kind != KIND_BLOCK:
@@ -220,24 +225,27 @@ def _replacements(program, target_id, exprs, stmts, labels):
         # Function bodies and declarations have no donor pool; their value
         # comes from gap filling.
         return []
-    target_hash = target.structural_hash()
-    for donor_id in pool:
-        donor = program.nodes[donor_id]
-        # unequal hashes (cached on each node) mean unequal structures
-        if donor.structural_hash() != target_hash \
-                or not structurally_equal(donor, target):
-            out.append(MutationDescriptor(target_id, donor, donor_id,
-                                          labels[donor_id]))
-    return out
+    # every donor is the first of its structure, so it equals the target
+    # only when it is the target's first
+    same = structure[target_id]
+    nodes = program.nodes
+    return [MutationDescriptor(target_id, nodes[d], d, labels[d])
+            for d in pool if d != same]
 
 
 def exhaustive_descriptors(program: Program) -> list[MutationDescriptor]:
-    """Every replacement of every node, in node order."""
-    exprs = _distinct_structures(program, CAT_EXPRESSION)
-    stmts = _distinct_structures(program, CAT_STATEMENT)
-    labels = {i: render_snippet(program.nodes[i]) for i in exprs + stmts}
+    """Every replacement of every node, in node order. The donors are the
+    first occurrence, in id order, of each distinct structure."""
+    structure = _structures(program)
+    firsts = [i for i, s in enumerate(structure) if s == i]
+    exprs = [i for i in firsts
+             if CATEGORY[program.nodes[i].kind] == CAT_EXPRESSION]
+    stmts = [i for i in firsts
+             if CATEGORY[program.nodes[i].kind] == CAT_STATEMENT]
+    labels = {i: render_snippet(program.nodes[i]) for i in firsts}
     return [d for i in range(len(program.nodes))
-            for d in _replacements(program, i, exprs, stmts, labels)]
+            for d in _replacements(program, i, exprs, stmts, labels,
+                                   structure)]
 
 
 # variant evaluation -------------------------------------------------------
@@ -317,21 +325,21 @@ def exhaustive_analysis(base: Baseline, include_correct: bool = False
 
     descriptors = exhaustive_descriptors(program)
     holes = Holes(program)
+    splices = Splices(ir, holes)
     n_compiled = [0] * len(program.nodes)
     n_reduced = [0] * len(program.nodes)
     variants: list[VariantRecord] = []
-    for d in descriptors:
-        accepted, slots = holes.fit(d.target, d.donor, d.donor_id)
+    for target, donor, donor_id, label in descriptors:
+        accepted, slots = holes.fit(target, donor, donor_id)
         if accepted is False:
             outcome = None
         elif accepted:
-            outcome = run_patch(prepared, splice_patch(ir, program, d.target,
-                                                       d.donor, d.donor_id,
-                                                       slots),
-                                base.reach[d.target])
+            outcome = run_patch(prepared, splices.patch(target, donor,
+                                                        donor_id, slots),
+                                base.reach[target])
         else:
-            outcome = _evaluate_variant(
-                replace_node(program, d.target, d.donor), base)
+            outcome = _evaluate_variant(replace_node(program, target, donor),
+                                        base)
         klass = classify_variant(original, outcome)
         cost = correctness = None
         reduced = direct = False
@@ -340,9 +348,9 @@ def exhaustive_analysis(base: Baseline, include_correct: bool = False
             cheaper = cost < original.total_cost
             direct = cheaper and correctness == original.correctness
             reduced = cheaper and (include_correct or not direct)
-            n_compiled[d.target] += 1
-            n_reduced[d.target] += reduced
-        variants.append(VariantRecord(d.target, d.donor_label, klass, cost,
+            n_compiled[target] += 1
+            n_reduced[target] += reduced
+        variants.append(VariantRecord(target, label, klass, cost,
                                       correctness, reduced, direct))
 
     scores: dict[int, NodeScore] = {}

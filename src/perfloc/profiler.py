@@ -12,9 +12,8 @@ Profiling costs one evaluation of the suite, regardless of program size.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lang.ast import Program, STATEMENT_KINDS, KIND_FUNCTION
 from .lang.check import static_check
@@ -23,8 +22,7 @@ from .runtime.ir import build_ir
 from .scores import NodeScore, AnalysisCost, SOURCE_PROFILER
 
 
-@dataclass(frozen=True)
-class ProfileReport:
+class ProfileReport(NamedTuple):
     counts: list[int]   # node id -> the count it has or inherits
     total: int          # summed over statements
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -63,8 +62,7 @@ class BaselineDiverged(Exception):
     """The unmutated program itself failed its suite."""
 
 
-@dataclass(frozen=True)
-class TestCase:
+class TestCase(NamedTuple):
     input_array: tuple[int, ...]
     extra_args: tuple[int, ...]
     expected_output: tuple[int, ...]

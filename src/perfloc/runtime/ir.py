@@ -10,11 +10,13 @@ the engines never see names.
 
 A variant that differs from an accepted program in one expression,
 operator or statement, and that ``lang.check.Holes`` accepts, is not
-lowered afresh: ``splice_patch`` describes it as a ``Patch`` on the
+lowered afresh: ``Splices`` describes it as a ``Patch`` on the
 original's IR, with no new opcode and no new step event. The patch holds
 only what changes: rows appended after the original's last row, and the
 one row of the original it rewrites, the target's parent (whose ``first``
-points at the new rows, or whose payload holds the new operator). Every
+points at the new rows, or whose payload holds the new operator). One
+analysis lowers each donor's own rows once per hole class, and each
+splice copies only its parent's child row. Every
 frame of a program has the same ``n_slots`` cells, which every splice's
 fresh slots fit (see ``build_ir``), so a patch never changes a frame. The
 engines' ``run_patch`` apply a patch to a prepared original in place and
@@ -221,46 +223,80 @@ def empty_patch() -> Patch:
                  -1, 0, 0, 0)
 
 
-def splice_patch(ir: ProgramIR, program: Program, target: int,
-                 donor: AstNode, donor_id: int, slots) -> Patch:
-    """The patch on ``ir``, lowered from ``program``, that puts ``donor``
-    (node ``donor_id`` of ``program``, -1 for an operator) in place of node
-    ``target``. Only for a donor that ``lang.check.Holes`` accepted there:
-    the variant then checks, and every variable it shares with the
-    original keeps its slot. ``slots`` are the slots that hole check
-    resolved, keyed by ``program``'s node ids.
+class Splices:
+    """The splice patches of one analysis: variants of the program of
+    ``holes``, a ``lang.check.Holes``, as patches on ``ir``, its lowered
+    form. A donor's own rows depend only on the donor and on the slots its
+    hole check resolved, which are one per (hole class, donor), so they
+    are lowered once per pair. After that, a splice only copies its
+    parent's child row out of ``ir``."""
 
-    An operator only rewrites its parent's payload. Any other donor gets
-    new rows: a copy of the parent's child row with the donor in the
-    target's place, then the donor's descendants breadth-first, whose
-    ``first`` is remapped; the parent's ``first`` is rewritten to point
-    at the new row. A statement donor's VarDecls and For loops bind the
-    fresh slots the hole check gave them, past the slots of the target's
-    function and inside ``ir.n_slots``. Only the new rows are built;
-    ``ir`` is not copied."""
-    kind, a, b, first, nch = ir.kind, ir.a, ir.b, ir.first, ir.nch
-    parent = program.parent[target]
-    code = kind[parent]
-    if donor.kind == KIND_OPERATOR:
-        new_row = [a[parent], b[parent], first[parent]]
-        new_row[code == OP_INCDEC] = operator_code(code, donor.op)
-        return Patch(*empty_patch()[:5], parent, *new_row)
+    def __init__(self, ir: ProgramIR, holes):
+        self.ir = ir
+        self.program = holes.program
+        self.classes = holes.classes
+        self.rows: dict[tuple[int, int], tuple] = {}
 
-    row, width = first[parent], nch[parent]
-    at = target - row   # the target's place in its parent's child row
-    # the donor's subtree, breadth-first: the loop visits what it appends
+    def patch(self, target: int, donor: AstNode, donor_id: int,
+              slots) -> Patch:
+        """The patch that puts ``donor`` in place of node ``target``. Only
+        for a donor that ``lang.check.Holes`` accepted there: the variant
+        then checks, and every variable it shares with the original keeps
+        its slot. ``slots`` are the slots that hole check resolved, keyed
+        by the program's node ids.
+
+        An operator only rewrites its parent's payload. Any other donor
+        gets new rows: the donor's descendants breadth-first, then a copy
+        of the parent's child row with the donor in the target's place;
+        the parent's ``first`` is rewritten to point at that copy. A
+        statement donor's VarDecls and For loops bind the fresh slots the
+        hole check gave them, past the slots of the target's function and
+        inside ``ir.n_slots``. Only the new rows are built; ``ir`` is not
+        copied."""
+        ir = self.ir
+        parent = self.program.parent[target]
+        code = ir.kind[parent]
+        if donor.kind == KIND_OPERATOR:
+            new_row = [ir.a[parent], ir.b[parent], ir.first[parent]]
+            new_row[code == OP_INCDEC] = operator_code(code, donor.op)
+            return Patch(*empty_patch()[:5], parent, *new_row)
+        key = (self.classes[target], donor_id)
+        rows = self.rows.get(key)
+        if rows is None:
+            rows = self.rows[key] = _donor_rows(ir, donor_id, slots)
+        own, descendants = rows
+        row = ir.first[parent]
+        end = row + ir.nch[parent]
+        at = len(descendants[0]) + target - row   # the donor's new row
+        columns = []
+        for below, column, cell in zip(descendants, ir[:5], own):
+            new = below + column[row:end]
+            new[at] = cell
+            columns.append(new)
+        # the donor of an IncDec is its operand, whose slot the IncDec
+        # carries
+        return Patch(*columns, parent,
+                     own[1] if code == OP_INCDEC else ir.a[parent],
+                     ir.b[parent], len(ir.kind) + len(descendants[0]))
+
+
+def _donor_rows(ir: ProgramIR, donor_id: int, slots) -> tuple:
+    """Node ``donor_id``'s subtree as a splice appends it after ``ir``'s
+    rows: the donor's own row, as its (kind, a, b, first, nch) cells, and
+    its descendants' rows breadth-first, as five arrays numbered from
+    ``len(ir.kind)`` on, whose ``first`` is remapped. VarDecls and For
+    loops bind their ``slots``, and identifiers take theirs; an
+    identifier the check gave no slot is a VarDecl's name, and keeps the
+    -1 it has in ``ir``."""
+    kind, a, b, first, nch = ir[:5]
+    # the loop visits what it appends
     order = [donor_id]
     for i in order:
         order.extend(range(first[i], first[i] + nch[i]))
-    src = list(range(row, row + width))
-    src[at] = donor_id
-    src += order[1:]
-    new_a = [a[i] for i in src]
-    new_first = [first[i] for i in src]
-    n = len(kind)
-    child = n + width   # new id of the next donor row's first child
-    for p, i in enumerate(order):
-        j = width - 1 + p if p else at
+    new_a = [a[i] for i in order]
+    new_first = [first[i] for i in order]
+    child = len(kind)   # new id of the next row's first child
+    for j, i in enumerate(order):
         if nch[i]:
             new_first[j] = child
             child += nch[i]
@@ -268,15 +304,13 @@ def splice_patch(ir: ProgramIR, program: Program, target: int,
         if k == OP_VARDECL or k == OP_FOR:
             new_a[j] = slots[i]
         elif k == OP_INCDEC or (k == OP_IDENT and i in slots):
-            # an identifier the check gave no slot is a VarDecl's name,
-            # and keeps the -1 it has in ``ir``
             new_a[j] = frame_slot(k, i, first, slots)
-    # the donor of an IncDec is its operand, whose slot the IncDec carries
-    parent_a = new_a[at] if code == OP_INCDEC else a[parent]
-    return Patch(array("i", [kind[i] for i in src]), array("q", new_a),
-                 array("i", [b[i] for i in src]), array("i", new_first),
-                 array("i", [nch[i] for i in src]), parent, parent_a,
-                 b[parent], n)
+    below = order[1:]
+    return ((kind[donor_id], new_a[0], b[donor_id], new_first[0],
+             nch[donor_id]),
+            (array("i", [kind[i] for i in below]), array("q", new_a[1:]),
+             array("i", [b[i] for i in below]), array("i", new_first[1:]),
+             array("i", [nch[i] for i in below])))
 
 
 def apply_patch(ir: ProgramIR, patch: Patch) -> ProgramIR:

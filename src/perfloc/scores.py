@@ -6,8 +6,8 @@ by float rounding; reports convert to float only when writing CSV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 SOURCE_PROFILER = "Profiler"
 SOURCE_DELETION = "Deletion"
@@ -15,8 +15,7 @@ SOURCE_EXHAUSTIVE = "Exhaustive"
 SOURCE_COMBINED = "Combined"
 
 
-@dataclass(frozen=True)
-class NodeScore:
+class NodeScore(NamedTuple):
     node: int
     value: Fraction
     n_reduced: int
@@ -25,8 +24,7 @@ class NodeScore:
     gap_filled: bool = False
 
 
-@dataclass(frozen=True)
-class AnalysisCost:
+class AnalysisCost(NamedTuple):
     """Bookkeeping for the cost-of-analysis comparison."""
     variants_generated: int
     compiled: int

@@ -4,11 +4,13 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import types
 
 import pytest
 
+import perfloc
 from perfloc import __version__
 from perfloc.cli import main
 from perfloc.corpus import CORPUS_VERSION
@@ -696,6 +698,19 @@ def test_version_banner(capsys):
     assert capsys.readouterr().out.strip() == (
         f"perfloc {__version__} (corpus {CORPUS_VERSION}, "
         f"engine {ENGINE_NAME})")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Every record is a NamedTuple: start-up pays for neither module. The
+    # child runs without ``site``, so only perfloc's own imports count.
+    script = ("import sys, perfloc.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(perfloc.__file__)))
+    run = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-500:]
+    assert run.stdout == "[]\n"
 
 
 def test_no_command_is_a_usage_error(capsys):

@@ -165,3 +165,75 @@ def test_the_loop_counter_is_visible_in_the_condition_only():
     assert verdicts(p, bound, i) == (True, [])
     init = child(p, loop, 0)
     assert verdicts(p, init, i) == (False, [UNDECLARED])
+
+
+# Hole classes: each (class, donor) pair is replayed once --------------------
+
+# Of the CORPUS_DESCRIPTORS fits, the distinct (hole class, donor) replays
+# and the fits that reuse one. Fixed with the classes.
+CORPUS_REPLAYS = 13795
+CORPUS_HITS = 28109
+
+CLASSES = """
+void sort(int[] a, int length) {
+  a[0] = length;
+  a[1] = 0;
+  int n = length;
+  a[2] = n;
+  for (int i = 0; i < length; i++) { a[i] = i; }
+  for (int i = 0; i < length; i++) { a[i] = i; }
+}
+"""
+
+
+def test_a_declaration_and_a_statement_share_one_replay():
+    p = parse_program(CLASSES)
+    plain, decl = find(p, "a[1] = 0;"), find(p, "int n = length;")
+    donor = find(p, "a[0] = length;")
+    holes = Holes(p)
+    assert holes.classes[plain] == holes.classes[decl] >= 0
+    accepted, slots = holes.fit(plain, p.nodes[donor], donor)
+    # the replay is clean at both, but a declaration target may change
+    # what the statements after it see
+    unknown, same = holes.fit(decl, p.nodes[donor], donor)
+    assert (accepted, unknown) == (True, None)
+    assert same is slots and len(holes.replays) == 1
+    assert verdicts(p, plain, donor) == (True, [])
+    assert verdicts(p, decl, donor) == (None, [UNDECLARED])
+
+
+def test_holes_whose_variables_take_other_slots_do_not_share_slots():
+    p = parse_program(CLASSES)
+    static_check(p)
+    loops = [find(p, "for (int i = 0; i < length; i++) { a[i] = i; }", k)
+             for k in (0, 1)]
+    # the value `i` of each loop's `a[i] = i;`, an int hole of check_typed
+    holes_at = [child(p, child(p, loop, 2), 1) for loop in loops]
+    holes = Holes(p)
+    assert holes.calls[holes_at[0]][:3] == holes.calls[holes_at[1]][:3]
+    assert holes.classes[holes_at[0]] != holes.classes[holes_at[1]]
+    donor = holes_at[0]
+    found = [holes.fit(at, p.nodes[donor], donor) for at in holes_at]
+    counters = [p.frames.slots[loop] for loop in loops]
+    assert counters[0] != counters[1]
+    assert found == [(True, {donor: counters[0]}),
+                     (True, {donor: counters[1]})]
+
+
+def test_every_corpus_fit_on_a_cache_hit_equals_an_uncached_fit(problems):
+    replays = hits = 0
+    mismatches = []
+    for name, problem in sorted(problems.items()):
+        for program in (problem.original, *problem.improved):
+            holes, fresh = Holes(program), Holes(program)
+            for d in exhaustive_descriptors(program):
+                hit = (holes.classes[d.target], d.donor_id) in holes.replays
+                found = holes.fit(d.target, d.donor, d.donor_id)
+                if hit:
+                    hits += 1
+                    fresh.replays.clear()
+                    if found != fresh.fit(d.target, d.donor, d.donor_id):
+                        mismatches.append((name, d.target, d.donor_label))
+            replays += len(holes.replays)
+    assert mismatches == []
+    assert (replays, hits) == (CORPUS_REPLAYS, CORPUS_HITS)

@@ -33,7 +33,7 @@ from perfloc.runtime.exec import (
     baseline_limits, compile_program, run_suite,
 )
 from perfloc.runtime.exec import TestCase as Case
-from perfloc.runtime.ir import HEAP_LIMIT, apply_patch, build_ir, splice_patch
+from perfloc.runtime.ir import HEAP_LIMIT, Splices, apply_patch, build_ir
 
 from conftest import run_tests
 
@@ -651,6 +651,7 @@ def test_engines_agree_on_a_slice_of_the_corpus_variants(problems, c_engine):
         base, limits = original.ir, original.limits
         prepared = c_engine.prepare(base, suite, limits)
         holes = Holes(program)
+        splices = Splices(base, holes)
         descriptors = exhaustive_descriptors(program)
         for d in descriptors[::PARITY_STRIDE]:
             irs = []
@@ -659,8 +660,7 @@ def test_engines_agree_on_a_slice_of_the_corpus_variants(problems, c_engine):
                 irs.append(compile_program(variant))
             accepted, slots = holes.fit(d.target, d.donor, d.donor_id)
             if accepted:
-                patch = splice_patch(base, program, d.target, d.donor,
-                                     d.donor_id, slots)
+                patch = splices.patch(d.target, d.donor, d.donor_id, slots)
                 irs.append(apply_patch(base, patch))
                 spliced += 1
             for ir in irs:

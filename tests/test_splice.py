@@ -1,6 +1,6 @@
 """Splices: a hole-accepted variant runs as a patch on the original's IR.
 
-``runtime.ir.splice_patch`` describes the variant, and the IR
+``runtime.ir.Splices`` describes the variant, and the IR
 ``apply_patch`` builds from it must give the runs of the built variant.
 For an expression or operator donor that IR is the built variant's, up to
 where the new rows sit; a statement donor's declarations bind fresh slots
@@ -28,7 +28,7 @@ from perfloc.runtime.exec import (
 from perfloc.runtime.exec import TestCase as Case
 from perfloc.runtime.ir import (
     OP_CALL, OP_FOR, OP_FUNC, OP_IDENT, OP_IF, OP_INCDEC, OP_VARDECL,
-    apply_patch, build_ir, empty_patch, splice_patch,
+    Splices, apply_patch, build_ir, empty_patch,
 )
 
 import test_holes
@@ -51,6 +51,11 @@ SOURCE_ACCEPTED = {"holes": 297, "splice": 182}
 SLOT_OPS = (OP_FOR, OP_INCDEC, OP_VARDECL, OP_IDENT)
 
 
+def splice_patch(ir, program, target, donor, donor_id, slots):
+    """The splice patch of one donor, from a ``Splices`` of its own."""
+    return Splices(ir, Holes(program)).patch(target, donor, donor_id, slots)
+
+
 def largest_slot(ir, rows):
     """The largest frame slot the rows ``rows`` of ``ir`` name, or -1."""
     return max((ir.a[i] for i in rows if ir.kind[i] in SLOT_OPS), default=-1)
@@ -60,17 +65,19 @@ def differential(program, suite, limits, mismatches, name):
     """How many of ``program``'s exhaustive descriptors its holes accept,
     and how many of those name a slot past their target function's frame.
     A splice that runs unlike the built variant, changes the frame size or
-    names a slot past it is added to ``mismatches``."""
+    names a slot past it is added to ``mismatches``. The patches come as
+    the exhaustive loop makes them, each donor's rows lowered once per
+    hole class."""
     ir = compile_program(program)
     holes = Holes(program)
+    splices = Splices(ir, holes)
     accepted = past = 0
     for d in exhaustive_descriptors(program):
         verdict, slots = holes.fit(d.target, d.donor, d.donor_id)
         if not verdict:
             continue
         accepted += 1
-        patch = splice_patch(ir, program, d.target, d.donor, d.donor_id,
-                             slots)
+        patch = splices.patch(d.target, d.donor, d.donor_id, slots)
         spliced = apply_patch(ir, patch)
         built = compile_program(replace_node(program, d.target, d.donor))
         # a rewritten parent's slot, an IncDec's, is its new operand's
