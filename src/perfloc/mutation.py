@@ -44,8 +44,9 @@ verdict:
   function where neither statement is a VarDecl): no variant ``Program``
   is built, checked or lowered. ``runtime.ir.Splices`` describes it as a
   patch on the original's IR, with the frame slots the hole check
-  resolved; it lowers a donor's own rows once per (hole class, donor)
-  pair, so a splice then copies only the parent's child row.
+  resolved; it lowers a donor's rows once per (hole class, donor) pair,
+  and each splice of the pair shares them and replaces only its target's
+  row, so a splice copies nothing.
   ``runtime.exec.run_patch`` runs that patch on the
   original, prepared once per analysis. It runs only the tests that reach
   the target in the ``Baseline``: only rows reached through the target's

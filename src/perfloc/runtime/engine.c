@@ -47,26 +47,30 @@
    Patches. prepare lowers the program once and keeps, for every row it
    reached, its jump point (the index of the row's first instruction), the
    end of its code, the steps pending when it began, the operand height
-   there, and its parent. run_patch applies a runtime.ir.Patch to the rows
-   in place and links it: when the rewritten parent differs from the
-   original only in one child's row (a statement or expression splice),
-   and that child has code of its own, only the child's new rows are
-   lowered, after the program's code. Any other rewrite (a new operator,
-   a new assignment target, a new leaf that its parent's op reads) lowers
-   the parent row anew, copying the code of the children it keeps; a
-   parent with no code of its own (an assignment's variable) hands this
-   to the row above it. The old code's jump point then becomes a jump to
-   the new code, which ends with a jump back to the old code's end. After
-   the run both are undone; a whole function is never lowered for a
-   patch.
+   there, and its parent. A runtime.ir.Patch appends rows and replaces one
+   row of the program whole: for a splice the target's own row, whose
+   first points at the appended rows, for an operator its parent's.
+   run_patch swaps the row's five cells in, links the patch, and swaps
+   them back after the run. Linking lowers anew only the replaced row,
+   after the program's code, copying the code of the program's rows it
+   reaches; a row with no code of its own (a leaf its parent's op reads,
+   an assignment's variable) and an assignment's element target hand this
+   to the row above them, whose code reads theirs. The replaced row itself
+   is lowered fresh wherever it is reached. The old code's jump point then
+   becomes a jump to the new code, which ends with a jump back to the old
+   code's end. After the run both are undone; a whole function is never
+   lowered for a patch.
 
-   Validation. run_tests and prepare check every row of the IR, and
-   run_patch the appended rows and the rewritten row, before anything runs:
-   every index the engine follows must stay inside the rows and a frame,
-   and a call must enter a function's row. Lowering also refuses an IR
-   whose code would reach a node twice (a cycle, or a subtree shared by two
-   parents), which no lowered program has. A malformed IR or patch raises
-   ValueError, and a prepared handle is left as it was.
+   Validation. run_tests and prepare check every row of the IR before
+   anything runs, and run_patch the rows a patch can change: the appended
+   rows, the replaced row, and its parent, whose checks read it (an
+   assignment's target kind, an increment's operand slot). Every index the
+   engine follows must stay inside the rows and a frame, and a call must
+   enter a function's row; a patch may not replace a function's row, nor
+   make a row one. Lowering also refuses an IR whose code would reach a
+   node twice (a cycle, or a subtree shared by two parents), which no
+   lowered program has. A malformed IR or patch raises ValueError, and a
+   prepared handle is left as it was.
 
    run_tests(ir, values, layout, counts=None) runs a whole suite in one
    call. ``ir`` is a runtime.ir.ProgramIR; runtime/_engine.py packs the
@@ -618,7 +622,8 @@ static Py_ssize_t put_rows(Program *p, PyObject *src, Py_ssize_t at)
 static int min_children(const Program *p, Py_ssize_t i)
 {
     switch (p->kind[i]) {
-    case OP_ASSIGN: case OP_FOR: case OP_UNARY: case OP_INDEX: return 2;
+    case OP_ASSIGN: case OP_FOR: case OP_UNARY: case OP_INDEX:
+    case OP_INCDEC: return 2;
     case OP_BINARY: return 3;
     case OP_IF: case OP_WHILE: case OP_EXPRSTMT: return 1;
     case OP_VARDECL: return p->b[i] ? 2 : 0;
@@ -647,6 +652,10 @@ static const char *bad_row(const Program *p, Py_ssize_t rows, Py_ssize_t i)
         return "function body";
     if (k == OP_ASSIGN && p->kind[first] != OP_IDENT && p->nch[first] < 2)
         return "assignment target";
+    if (k == OP_INCDEC && (p->kind[first + 1] != OP_IDENT
+                           || p->a[first + 1] < 0
+                           || p->a[first + 1] >= n_slots))
+        return "increment operand";
     if (k == OP_IF && (a < 0 || a >= nch))
         return "then-branch length";
     if (k == OP_CALL && (a < -1 || a >= rows || p->b[i] != nch
@@ -654,8 +663,7 @@ static const char *bad_row(const Program *p, Py_ssize_t rows, Py_ssize_t i)
                          || (a >= 0 && (p->kind[a] != OP_FUNC
                                         || nch > n_slots))))
         return "call";
-    if ((k == OP_FOR || k == OP_INCDEC || k == OP_VARDECL)
-            && (a < 0 || a >= n_slots))
+    if ((k == OP_FOR || k == OP_VARDECL) && (a < 0 || a >= n_slots))
         return "frame slot";
     /* a VarDecl's name holds -1; it is never read */
     if (k == OP_IDENT && (a < -1 || a >= n_slots))
@@ -711,6 +719,7 @@ typedef struct {
     int counting;           /* open every statement with COUNT */
     int patching;           /* keep the rows' places; copy code when not */
     Py_ssize_t divert;      /* patching: the row whose code is replaced */
+    Py_ssize_t replaced;    /* patching: the row the patch replaced */
     int32_t pending;        /* steps not yet taken by an instruction */
     int32_t height;         /* operand height after the last instruction */
     int32_t deepest;        /* the most since the current row began */
@@ -920,11 +929,11 @@ static int operands(Lower *L, Py_ssize_t r, Py_ssize_t lhs, Py_ssize_t rhs,
 }
 
 /* Begin row ``r`` in context ``ctx``: push its steps, in reverse, so that
-   they run in order. A patch's lowering copies the program's code of a row
-   it keeps, unless that code holds the row the patch replaces (then the
-   patched rows hold a cycle). */
-static int begin_row(Lower *L, Py_ssize_t r, int ctx, Py_ssize_t parent,
-                     int fresh)
+   they run in order. A patch's lowering copies the program's code of the
+   rows it reaches, but for the row it diverts at and the row the patch
+   replaced, and refuses to copy code that holds the divert point (then
+   the patched rows hold a cycle). */
+static int begin_row(Lower *L, Py_ssize_t r, int ctx, Py_ssize_t parent)
 {
     Program *p = L->p;
     int k = p->kind[r];
@@ -932,8 +941,8 @@ static int begin_row(Lower *L, Py_ssize_t r, int ctx, Py_ssize_t parent,
     int64_t a = p->a[r];
     int32_t b = p->b[r], seen;
     void *tmp;
-    if (L->patching && !fresh && r < p->n && p->cls[r] == ctx
-            && p->at[r] >= 0) {
+    if (L->patching && r < p->n && r != L->divert && r != L->replaced
+            && p->cls[r] == ctx && p->at[r] >= 0) {
         for (Py_ssize_t up = L->divert; up >= 0; up = p->up[up])
             if (up == r)
                 return fail(L, "a node reached twice", r);
@@ -1076,11 +1085,11 @@ static int begin_row(Lower *L, Py_ssize_t r, int ctx, Py_ssize_t parent,
             if (operands(L, r, first, first + 1, -1) < 0)
                 return -1;
             break;
-        case OP_INCDEC:     /* its operand's slot is its own a */
+        case OP_INCDEC:     /* its operand's row holds the slot */
             for (Py_ssize_t c = first; c < first + nch; c++)
                 if (reach(L, c, CTX_NONE, r) < 0)
                     return -1;
-            EMIT(I_INCDEC, a, b);
+            EMIT(I_INCDEC, p->a[first + 1], b);
             break;
         case OP_CALL:
             if (a < 0) {
@@ -1114,7 +1123,7 @@ static int drain(Lower *L)
         int st = 0;
         switch (act.what) {
         case A_ROW:
-            st = begin_row(L, act.x, act.ctx, (Py_ssize_t)act.y, 0);
+            st = begin_row(L, act.x, act.ctx, (Py_ssize_t)act.y);
             break;
         case A_END:
             if (!L->patching) {
@@ -1164,7 +1173,7 @@ static int drain(Lower *L)
 static int lower_function(Lower *L, Py_ssize_t f)
 {
     L->height = L->deepest = 0;
-    return begin_row(L, f, CTX_FUNC, -1, 1) < 0 ? -1 : drain(L);
+    return begin_row(L, f, CTX_FUNC, -1) < 0 ? -1 : drain(L);
 }
 
 /* Point every fresh CALL at its callee's entry. */
@@ -1497,65 +1506,40 @@ fail:
     return NULL;
 }
 
-/* Swap row ``i``'s a, b and first with ``cells``: once to rewrite the
-   row, and once more to restore it. */
-static void swap_row(Program *p, Py_ssize_t i, int64_t cells[3])
+/* Swap row ``i``'s five cells with ``cells``: once to replace the row,
+   and once more to restore it. */
+static void swap_row(Program *p, Py_ssize_t i, int64_t cells[5])
 {
-    int64_t old[3] = {p->a[i], p->b[i], p->first[i]};
-    p->a[i] = cells[0];
-    p->b[i] = (int32_t)cells[1];
-    p->first[i] = (int32_t)cells[2];
+    int64_t old[5] = {p->kind[i], p->a[i], p->b[i], p->first[i], p->nch[i]};
+    p->kind[i] = (int32_t)cells[0];
+    p->a[i] = cells[1];
+    p->b[i] = (int32_t)cells[2];
+    p->first[i] = (int32_t)cells[3];
+    p->nch[i] = (int32_t)cells[4];
     memcpy(cells, old, sizeof(old));
 }
 
-static int same_row(const Program *p, Py_ssize_t r, Py_ssize_t c)
-{
-    return p->kind[r] == p->kind[c] && p->a[r] == p->a[c]
-           && p->b[r] == p->b[c] && p->first[r] == p->first[c]
-           && p->nch[r] == p->nch[c];
-}
-
-/* Link a patch whose rows follow the program's and whose rewritten row
-   ``parent`` held ``old`` (its a, b and first): lower the new code of
-   the one row whose code changes, and make that row's jump point a jump
-   to it. Returns the jump point, -1 when the patch changes no code the
-   program runs, or -2 with an exception set. ``saved`` keeps the
+/* Link a patch whose rows follow the program's and that replaced row
+   ``row``: lower the new code of the row it diverts at, the replaced row
+   or the row above whose code reads it, and make that row's jump point a
+   jump to it. Returns the jump point, -1 when the patch changes no code
+   the program runs, or -2 with an exception set. ``saved`` keeps the
    instruction the jump replaced. */
-static Py_ssize_t link_patch(Program *p, Py_ssize_t parent,
-                             const int64_t old[3], Ins *saved)
+static Py_ssize_t link_patch(Program *p, Py_ssize_t row, Ins *saved)
 {
-    Lower L = {.p = p, .what = "patch", .patching = 1};
-    Py_ssize_t divert = parent, root = parent, nch, point;
+    Lower L = {.p = p, .what = "patch", .patching = 1, .replaced = row};
+    Py_ssize_t divert = row, point;
     int st;
-    if (parent == -1 || p->cls[parent] == CTX_UNSEEN)
+    if (row == -1 || p->cls[row] == CTX_UNSEEN)
         return -1;
-    nch = p->nch[parent];
-    if (p->a[parent] == old[0] && p->b[parent] == old[1]) {
-        Py_ssize_t differ = 0, k_differ = 0;
-        if (p->first[parent] == old[2])
-            return -1;
-        for (Py_ssize_t k = 0; k < nch; k++)
-            if (!same_row(p, p->first[parent] + k, old[2] + k)) {
-                differ++;
-                k_differ = k;
-            }
-        if (differ == 0)
-            return -1;
-        /* an Assign's store depends on its target's kind */
-        if (differ == 1 && p->at[parent] >= 0
-                && !(p->kind[parent] == OP_ASSIGN && k_differ == 0)
-                && p->at[old[2] + k_differ] >= 0) {
-            divert = old[2] + k_differ;
-            root = p->first[parent] + k_differ;
-        }
-    }
-    while (p->at[divert] < 0)       /* no code of its own: its parent's */
-        root = divert = p->up[divert];
+    /* an Assign's store depends on its target's kind */
+    while (p->at[divert] < 0 || p->cls[divert] == CTX_LVALUE)
+        divert = p->up[divert];
     p->epoch++;
     L.divert = divert;
     L.pending = p->pre[divert];
     L.height = L.deepest = L.top = p->depth[divert];
-    st = begin_row(&L, root, p->cls[divert], -1, 1);
+    st = begin_row(&L, divert, p->cls[divert], -1);
     if (st == 0)
         st = drain(&L);
     if (st == 0)
@@ -1576,6 +1560,47 @@ static Py_ssize_t link_patch(Program *p, Py_ssize_t parent,
     return point;
 }
 
+/* Read the patch's replaced row and its new cells into ``row`` and
+   ``cells``; -1 with an exception set when they are not a row of the
+   program and five cells that fit its columns. */
+static int replaced_row(const Program *p, PyObject *patch, Py_ssize_t *row,
+                        int64_t cells[5])
+{
+    PyObject *obj, *listed;
+    long long r = int_attr(patch, "row");
+    int ok;
+    if (r == -1 && PyErr_Occurred())
+        return -1;
+    *row = (Py_ssize_t)r;
+    if (r == -1)
+        return 0;
+    if ((obj = PyObject_GetAttrString(patch, "cells")) == NULL)
+        return -1;
+    listed = PySequence_Fast(obj, "cells must be a sequence");
+    Py_DECREF(obj);
+    if (listed == NULL)
+        return -1;
+    ok = r >= 0 && r < p->n && PySequence_Fast_GET_SIZE(listed) == 5;
+    for (int k = 0; ok && k < 5; k++) {
+        cells[k] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(listed, k));
+        if (cells[k] == -1 && PyErr_Occurred()) {
+            Py_DECREF(listed);
+            return -1;
+        }
+        ok = k == 1 || (cells[k] >= INT32_MIN && cells[k] <= INT32_MAX);
+    }
+    Py_DECREF(listed);
+    if (!ok) {
+        PyErr_SetString(PyExc_ValueError, "malformed patch: replaced row");
+        return -1;
+    }
+    if (p->kind[r] == OP_FUNC || cells[0] == OP_FUNC) {
+        PyErr_Format(PyExc_ValueError, "malformed patch: function row at "
+                     "node %zd", *row);
+        return -1;
+    }
+    return 0;
+}
 
 /* Add the outcome of a test to the summary (steps, passed, timeout,
    error). */
@@ -1585,15 +1610,11 @@ static Py_ssize_t link_patch(Program *p, Py_ssize_t parent,
 
 static PyObject *run_patch(PyObject *self, PyObject *args)
 {
-    static const char *const FIELDS[4] = {
-        "parent", "parent_a", "parent_b", "parent_first"};
     PyObject *handle, *patch, *tests, *listed, *result = NULL;
     Program *p;
-    Py_ssize_t m, prev = -1, t, parent, point = -1;
-    long long field[4];
-    int64_t cells[3];
+    Py_ssize_t m, prev = -1, t, row, up, point = -1;
+    int64_t cells[5];
     Ins saved;
-    int swapped = 0;
     int64_t steps = 0;
     Py_ssize_t n_passed = 0;
     int any_timeout = 0, any_error = 0;
@@ -1601,36 +1622,21 @@ static PyObject *run_patch(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OOO:run_patch", &handle, &patch, &tests))
         return NULL;
     p = PyCapsule_GetPointer(handle, HANDLE);
-    if (p == NULL)
+    if (p == NULL || replaced_row(p, patch, &row, cells) < 0)
         return NULL;
-    for (int k = 0; k < 4; k++)
-        if ((field[k] = int_attr(patch, FIELDS[k])) == -1 && PyErr_Occurred())
-            return NULL;
-    parent = (Py_ssize_t)field[0];
-    if (parent != -1 && (parent < 0 || parent >= p->n
-                         || field[2] < INT32_MIN || field[2] > INT32_MAX
-                         || field[3] < INT32_MIN || field[3] > INT32_MAX)) {
-        PyErr_SetString(PyExc_ValueError, "malformed patch: parent row");
-        return NULL;
-    }
+    if (row != -1)
+        swap_row(p, row, cells);
     listed = PySequence_Fast(tests, "tests must be a sequence");
-    if (listed == NULL)
-        return NULL;
-    m = put_rows(p, patch, p->n);
-    if (m < 0)
+    if (listed == NULL || (m = put_rows(p, patch, p->n)) < 0)
         goto done;
-    if (parent != -1) {
-        memcpy(cells, field + 1, sizeof(cells));
-        swap_row(p, parent, cells);
-        swapped = 1;
-    }
-    /* prepare validated the program's rows; of those, only the rewritten
-       row has changed */
+    /* prepare validated the program's rows; of those, only the replaced
+       row and the parent whose checks read it can have changed */
+    up = row != -1 ? p->up[row] : -1;
     if (bad_rows(p, "patch", p->n + m, p->n, p->n + m) < 0
-            || (swapped && bad_rows(p, "patch", p->n + m, parent,
-                                    parent + 1) < 0))
+            || (row != -1 && bad_rows(p, "patch", p->n + m, row, row + 1) < 0)
+            || (up >= 0 && bad_rows(p, "patch", p->n + m, up, up + 1) < 0))
         goto done;
-    point = link_patch(p, swapped ? parent : -1, cells, &saved);
+    point = link_patch(p, row, &saved);
     if (point == -2)
         goto done;
 
@@ -1668,9 +1674,9 @@ done:
     if (point >= 0)
         p->ctx.code[point] = saved;
     p->n_code = p->code_len;
-    if (swapped)
-        swap_row(p, parent, cells);
-    Py_DECREF(listed);
+    if (row != -1)
+        swap_row(p, row, cells);
+    Py_XDECREF(listed);
     return result;
 }
 

@@ -230,7 +230,7 @@ def run(ir: ProgramIR, entry: int, args: list, heap: list,
                 raise _Fault(ERR_INDEX)
             return heap[off + idx]
         if k == OP_INCDEC:
-            slot = pa[i]
+            slot = pa[first[i] + 1]
             old = frame[slot]
             frame[slot] = wrap32(old + pb[i])
             return old
@@ -298,12 +298,9 @@ def _run_tests(ir, tests, limits, counts=None):
 
 # the suite as a patch runs it --------------------------------------------
 
-_INT32 = range(-(1 << 31), 1 << 31)
-
-
 def _min_children(k, b):
     """Minimum children of each opcode the engines step into."""
-    if k in (OP_ASSIGN, OP_FOR, OP_UNARY, OP_INDEX):
+    if k in (OP_ASSIGN, OP_FOR, OP_UNARY, OP_INDEX, OP_INCDEC):
         return 2
     if k == OP_BINARY:
         return 3
@@ -332,6 +329,9 @@ def _bad_row(ir, i):
         return "function body"
     if k == OP_ASSIGN and kind[lo] != OP_IDENT and nch[lo] < 2:
         return "assignment target"
+    if k == OP_INCDEC and (kind[lo + 1] != OP_IDENT
+                           or not 0 <= a[lo + 1] < ir.n_slots):
+        return "increment operand"
     if k == OP_IF and not 0 <= ai < width:
         return "then-branch length"
     if k == OP_CALL and (not -1 <= ai < len(kind) or b[i] != width
@@ -339,7 +339,7 @@ def _bad_row(ir, i):
                          or (ai >= 0 and (kind[ai] != OP_FUNC
                                           or width > ir.n_slots))):
         return "call"
-    if k in (OP_FOR, OP_INCDEC, OP_VARDECL) and not 0 <= ai < ir.n_slots:
+    if k in (OP_FOR, OP_VARDECL) and not 0 <= ai < ir.n_slots:
         return "frame slot"
     # a VarDecl's name holds -1; it is never read
     if k == OP_IDENT and not -1 <= ai < ir.n_slots:
@@ -368,9 +368,14 @@ def prepare(ir: ProgramIR, tests, limits):
     """A handle on ``ir`` and ``tests`` for ``run_patch``: each test gets
     its step limit from ``limits``, and every test runs once, through
     ``run_tests``, which validates ``ir``, to record ``ir``'s own outcome
-    on it."""
+    on it. The handle also keeps each row's parent, the row whose child
+    range holds it, or -1."""
     tests, limits = tuple(tests), tuple(limits)
-    return ir, tests, limits, tuple(run_tests(ir, tests, limits))
+    runs = tuple(run_tests(ir, tests, limits))
+    parent = [-1] * len(ir.kind)
+    for i, (lo, width) in enumerate(zip(ir.first, ir.nch)):
+        parent[lo:lo + width] = [i] * width
+    return ir, tests, limits, runs, parent
 
 
 def run_patch(handle, patch: Patch, tests):
@@ -378,18 +383,23 @@ def run_patch(handle, patch: Patch, tests):
     prepared suite) on the prepared program with ``patch`` applied, and
     return (total_steps, n_correct, any_timeout, any_error) over the whole
     suite: a test left out counts the prepared program's own outcome.
-    Only the patch is validated: its appended rows and the row it
-    rewrites. A malformed patch raises ValueError. The handle itself never
-    changes."""
-    ir, suite, limits, base = handle
-    parent = patch.parent
-    if parent != -1 and not (0 <= parent < len(ir.kind)
-                             and patch.parent_b in _INT32
-                             and patch.parent_first in _INT32):
-        raise ValueError("malformed patch: parent row")
+    Only what the patch can change is validated: its appended rows, the
+    row it replaces, which must not be or become a function's, and that
+    row's parent, whose checks read it. A malformed patch raises
+    ValueError. The handle itself never changes."""
+    ir, suite, limits, base, parent = handle
+    row, cells = patch.row, patch.cells
+    rows = list(range(len(ir.kind), len(ir.kind) + len(patch.kind)))
+    if row != -1:
+        if not (0 <= row < len(ir.kind) and len(cells) == 5
+                and all(-1 << 31 <= cells[k] < 1 << 31
+                        for k in (0, 2, 3, 4))):
+            raise ValueError("malformed patch: replaced row")
+        if OP_FUNC in (ir.kind[row], cells[0]):
+            raise ValueError(f"malformed patch: function row at node {row}")
+        rows += [row] if parent[row] == -1 else [row, parent[row]]
     variant = apply_patch(ir, patch)
-    rows = range(len(ir.kind), len(variant.kind))
-    _check_rows(variant, rows if parent == -1 else [*rows, parent], "patch")
+    _check_rows(variant, rows, "patch")
     listed = list(tests)
     if any(not 0 <= t < len(suite) for t in listed) \
             or any(s >= t for s, t in zip(listed, listed[1:])):

@@ -15,9 +15,10 @@ force a choice. Every engine runs a suite in one of two ways:
   ``run_patch`` then runs one ``runtime.ir.Patch`` of it on only the
   tests it is given, counts the original's outcome on every test left
   out, and returns four numbers: total steps, tests passed, and whether
-  any test timed out or failed. The compiled engine lowers only the
-  code the patch changes and links it in with one jump. The exhaustive
-  loop runs its splices this way.
+  any test timed out or failed. A patch appends rows and replaces one
+  row of the original whole; the compiled engine lowers only the code of
+  that row, or of the row above whose code reads it, and links it in
+  with one jump. The exhaustive loop runs its splices this way.
 
 Every suite run comes back as a ``Summary`` of those four numbers, its
 correctness taken from one ``Fraction(k, n)`` table.

@@ -12,17 +12,19 @@ A variant that differs from an accepted program in one expression,
 operator or statement, and that ``lang.check.Holes`` accepts, is not
 lowered afresh: ``Splices`` describes it as a ``Patch`` on the
 original's IR, with no new opcode and no new step event. The patch holds
-only what changes: rows appended after the original's last row, and the
-one row of the original it rewrites, the target's parent (whose ``first``
-points at the new rows, or whose payload holds the new operator). One
-analysis lowers each donor's own rows once per hole class, and each
-splice copies only its parent's child row. Every
+only what changes: rows appended after the original's last row, and one
+row of the original replaced whole. For an expression or statement
+donor that row is the target's own: it takes the donor's cells, and its
+``first`` points at the appended rows, the donor's descendants. For an
+operator it is the parent's, whose payload holds the new operator. One
+analysis lowers each donor's rows once per hole class, and every splice
+of that class and donor shares them; a splice copies nothing. Every
 frame of a program has the same ``n_slots`` cells, which every splice's
 fresh slots fit (see ``build_ir``), so a patch never changes a frame. The
 engines' ``run_patch`` apply a patch to a prepared original in place and
 undo it after the run; ``apply_patch`` builds the whole variant IR, for
-runs of one variant and for the differentials. ``frame_slot`` and
-``operator_code`` are the payload rules lowering and splicing share.
+runs of one variant and for the differentials. ``operator_code`` is the
+payload rule lowering and splicing share.
 
 Function k is row k, and its one child is its body. A Call's ``a`` names
 its callee's row.
@@ -35,12 +37,12 @@ Per-node payload fields ``a`` and ``b``:
     Return                                 b = 1 if it carries a value
     Binary        a = operator code
     Unary         a = 0 (negate) / 1 (not)
-    IncDec        a = variable slot        b = +1 or -1
+    IncDec                                 b = +1 or -1
     Call          a = callee's row, or -1 for newArray
                                            b = argument count
-    Identifier    a = slot; -1 for a VarDecl's name. An IncDec operand
-                  holds its variable's slot, which neither engine reads
-                  (both take it from the IncDec).
+    Identifier    a = slot; -1 for a VarDecl's name. An IncDec reads
+                  its variable's slot here, in its operand, as an
+                  Assign reads its identifier target's.
     IntLiteral    a = value (int32)
     BoolLiteral   a = 0 / 1
 
@@ -114,13 +116,6 @@ def wrap32(v: int) -> int:
     return ((v + 0x80000000) & 0xFFFFFFFF) - 0x80000000
 
 
-def frame_slot(code: int, i: int, first, slots) -> int:
-    """The frame slot row ``i``, an Identifier or an IncDec (opcode
-    ``code``), carries in ``a``: an Identifier its own, an IncDec its
-    operand's. ``first`` and ``slots`` are keyed by the same node ids."""
-    return slots[i] if code == OP_IDENT else slots[first[i] + 1]
-
-
 def operator_code(code: int, op: str) -> int:
     """The payload operator ``op`` gives its parent of opcode ``code``: a
     Binary's or a Unary's ``a``, an IncDec's ``b``."""
@@ -171,7 +166,7 @@ def build_ir(program: Program) -> ProgramIR:
         if children:
             nch[i] = len(children)
         if k == KIND_IDENT:
-            a[i] = frame_slot(code, i, first, slots)
+            a[i] = slots[i]
         elif k == KIND_INT:
             # Literals are int32 like everything else; oversized source
             # literals wrap here so both engines see the same value.
@@ -179,7 +174,6 @@ def build_ir(program: Program) -> ProgramIR:
         elif k == KIND_BINARY or k == KIND_UNARY:
             a[i] = operator_code(code, children[0].op)
         elif k == KIND_INCDEC:
-            a[i] = frame_slot(code, i, first, slots)
             b[i] = operator_code(code, children[0].op)
         elif k == KIND_CALL:
             a[i] = -1 if node.name == BUILTIN_NEWARRAY \
@@ -204,38 +198,37 @@ def build_ir(program: Program) -> ProgramIR:
 
 class Patch(NamedTuple):
     """A variant as a change to a ``ProgramIR``: rows appended after its
-    last row, and at most one of its rows (the target's parent) rewritten
-    whole. The engines' ``run_patch`` apply it in place and undo it."""
+    last row, and at most one of its rows replaced whole. The engines'
+    ``run_patch`` apply it in place and undo it."""
     kind: array     # the appended rows, numbered from len(ir.kind) on
     a: array
     b: array
     first: array
     nch: array
-    parent: int     # the row rewritten, or -1
-    parent_a: int   # its new a, b and first
-    parent_b: int
-    parent_first: int
+    row: int        # the row replaced, or -1
+    cells: tuple    # its new (kind, a, b, first, nch)
 
 
 def empty_patch() -> Patch:
     """The patch that changes nothing."""
     return Patch(array("i"), array("q"), array("i"), array("i"), array("i"),
-                 -1, 0, 0, 0)
+                 -1, ())
 
 
 class Splices:
     """The splice patches of one analysis: variants of the program of
     ``holes``, a ``lang.check.Holes``, as patches on ``ir``, its lowered
-    form. A donor's own rows depend only on the donor and on the slots its
+    form. A donor's rows depend only on the donor and on the slots its
     hole check resolved, which are one per (hole class, donor), so they
-    are lowered once per pair. After that, a splice only copies its
-    parent's child row out of ``ir``."""
+    are lowered once per pair, and every splice of the pair returns the
+    same arrays."""
 
     def __init__(self, ir: ProgramIR, holes):
         self.ir = ir
         self.program = holes.program
         self.classes = holes.classes
         self.rows: dict[tuple[int, int], tuple] = {}
+        self.no_rows = empty_patch()[:5]
 
     def patch(self, target: int, donor: AstNode, donor_id: int,
               slots) -> Patch:
@@ -245,88 +238,61 @@ class Splices:
         its slot. ``slots`` are the slots that hole check resolved, keyed
         by the program's node ids.
 
-        An operator only rewrites its parent's payload. Any other donor
-        gets new rows: the donor's descendants breadth-first, then a copy
-        of the parent's child row with the donor in the target's place;
-        the parent's ``first`` is rewritten to point at that copy. A
-        statement donor's VarDecls and For loops bind the fresh slots the
-        hole check gave them, past the slots of the target's function and
-        inside ``ir.n_slots``. Only the new rows are built; ``ir`` is not
-        copied."""
-        ir = self.ir
-        parent = self.program.parent[target]
-        code = ir.kind[parent]
+        An operator only replaces its parent's row, with the new operator
+        in its payload. Any other donor replaces the target's row with its
+        own, whose ``first`` points at its descendants, appended
+        breadth-first. A statement donor's VarDecls and For loops bind the
+        fresh slots the hole check gave them, past the slots of the
+        target's function and inside ``ir.n_slots``. Neither ``ir`` nor a
+        row of it is copied."""
         if donor.kind == KIND_OPERATOR:
-            new_row = [ir.a[parent], ir.b[parent], ir.first[parent]]
-            new_row[code == OP_INCDEC] = operator_code(code, donor.op)
-            return Patch(*empty_patch()[:5], parent, *new_row)
+            parent = self.program.parent[target]
+            cells = [column[parent] for column in self.ir[:5]]
+            code = cells[0]
+            cells[1 + (code == OP_INCDEC)] = operator_code(code, donor.op)
+            return Patch(*self.no_rows, parent, tuple(cells))
         key = (self.classes[target], donor_id)
         rows = self.rows.get(key)
         if rows is None:
-            rows = self.rows[key] = _donor_rows(ir, donor_id, slots)
-        own, descendants = rows
-        row = ir.first[parent]
-        end = row + ir.nch[parent]
-        at = len(descendants[0]) + target - row   # the donor's new row
-        columns = []
-        for below, column, cell in zip(descendants, ir[:5], own):
-            new = below + column[row:end]
-            new[at] = cell
-            columns.append(new)
-        # the donor of an IncDec is its operand, whose slot the IncDec
-        # carries
-        return Patch(*columns, parent,
-                     own[1] if code == OP_INCDEC else ir.a[parent],
-                     ir.b[parent], len(ir.kind) + len(descendants[0]))
+            rows = self.rows[key] = _donor_rows(self.ir, donor_id, slots)
+        return Patch(*rows[0], target, rows[1])
 
 
 def _donor_rows(ir: ProgramIR, donor_id: int, slots) -> tuple:
-    """Node ``donor_id``'s subtree as a splice appends it after ``ir``'s
-    rows: the donor's own row, as its (kind, a, b, first, nch) cells, and
-    its descendants' rows breadth-first, as five arrays numbered from
-    ``len(ir.kind)`` on, whose ``first`` is remapped. VarDecls and For
-    loops bind their ``slots``, and identifiers take theirs; an
-    identifier the check gave no slot is a VarDecl's name, and keeps the
-    -1 it has in ``ir``."""
+    """Node ``donor_id``'s subtree as a splice lays it out after ``ir``'s
+    rows: its descendants' rows breadth-first, as five arrays numbered
+    from ``len(ir.kind)`` on, and the donor's own row, as its (kind, a, b,
+    first, nch) cells, each with ``first`` remapped. VarDecls, For loops
+    and identifiers take their ``slots``; an identifier the check gave no
+    slot is a VarDecl's name, and keeps the -1 it has in ``ir``."""
     kind, a, b, first, nch = ir[:5]
     # the loop visits what it appends
     order = [donor_id]
     for i in order:
         order.extend(range(first[i], first[i] + nch[i]))
-    new_a = [a[i] for i in order]
+    new_a = [slots.get(i, a[i]) for i in order]
     new_first = [first[i] for i in order]
     child = len(kind)   # new id of the next row's first child
     for j, i in enumerate(order):
         if nch[i]:
             new_first[j] = child
             child += nch[i]
-        k = kind[i]
-        if k == OP_VARDECL or k == OP_FOR:
-            new_a[j] = slots[i]
-        elif k == OP_INCDEC or (k == OP_IDENT and i in slots):
-            new_a[j] = frame_slot(k, i, first, slots)
     below = order[1:]
-    return ((kind[donor_id], new_a[0], b[donor_id], new_first[0],
-             nch[donor_id]),
-            (array("i", [kind[i] for i in below]), array("q", new_a[1:]),
+    return ((array("i", [kind[i] for i in below]), array("q", new_a[1:]),
              array("i", [b[i] for i in below]), array("i", new_first[1:]),
-             array("i", [nch[i] for i in below])))
+             array("i", [nch[i] for i in below])),
+            (kind[donor_id], new_a[0], b[donor_id], new_first[0],
+             nch[donor_id]))
 
 
 def apply_patch(ir: ProgramIR, patch: Patch) -> ProgramIR:
-    """The whole IR ``patch`` describes on ``ir``, in new arrays. Arrays
-    the patch does not change are shared with ``ir``. The patch is not
-    validated; the engines' ``run_patch`` do that."""
-    columns = {}
-    if patch.parent >= 0:
-        for name in ("a", "b", "first"):
-            columns[name] = getattr(ir, name)[:]
-            columns[name][patch.parent] = getattr(patch, f"parent_{name}")
-    if len(patch.kind):
-        for name in ("kind", "a", "b", "first", "nch"):
-            columns[name] = columns.get(name, getattr(ir, name)) \
-                + getattr(patch, name)
-    return ir._replace(**columns)
+    """The whole IR ``patch`` describes on ``ir``, in new arrays. The patch
+    is not validated; the engines' ``run_patch`` do that."""
+    columns = [column + rows for column, rows in zip(ir[:5], patch[:5])]
+    if patch.row >= 0:
+        for column, cell in zip(columns, patch.cells):
+            column[patch.row] = cell
+    return ProgramIR(*columns, ir.entry, ir.n_slots)
 
 
 def pack_array(offset: int, length: int) -> int:

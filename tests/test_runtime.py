@@ -696,9 +696,8 @@ def test_build_ir_copies_the_checkers_slots():
                   if n.kind == KIND_INCDEC)
     decl = next(i for i, n in enumerate(program.nodes)
                 if n.kind == KIND_VARDECL)
-    assert ir.a[incdec] == slots[decl] == 2
-    # the operand holds the slot too; neither engine reads it
-    assert ir.a[program.first[incdec] + 1] == 2
+    # an IncDec reads its variable's slot from its operand
+    assert ir.a[program.first[incdec] + 1] == slots[decl] == 2
     # every frame holds twice the largest function's slots
     assert program.frames.sizes == [0, 3]
     assert ir.n_slots == 6

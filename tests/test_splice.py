@@ -27,8 +27,8 @@ from perfloc.runtime.exec import (
 )
 from perfloc.runtime.exec import TestCase as Case
 from perfloc.runtime.ir import (
-    OP_CALL, OP_FOR, OP_FUNC, OP_IDENT, OP_IF, OP_INCDEC, OP_VARDECL,
-    Splices, apply_patch, build_ir, empty_patch,
+    OP_CALL, OP_FOR, OP_FUNC, OP_IDENT, OP_INTLIT, OP_VARDECL,
+    Patch, Splices, apply_patch, build_ir, empty_patch,
 )
 
 import test_holes
@@ -48,7 +48,7 @@ CORPUS_PAST_THE_FUNCTION = 98
 SOURCE_ACCEPTED = {"holes": 297, "splice": 182}
 
 
-SLOT_OPS = (OP_FOR, OP_INCDEC, OP_VARDECL, OP_IDENT)
+SLOT_OPS = (OP_FOR, OP_VARDECL, OP_IDENT)
 
 
 def splice_patch(ir, program, target, donor, donor_id, slots):
@@ -80,8 +80,9 @@ def differential(program, suite, limits, mismatches, name):
         patch = splices.patch(d.target, d.donor, d.donor_id, slots)
         spliced = apply_patch(ir, patch)
         built = compile_program(replace_node(program, d.target, d.donor))
-        # a rewritten parent's slot, an IncDec's, is its new operand's
-        slot = largest_slot(spliced, range(len(ir.kind), len(spliced.kind)))
+        # the replaced row holds the donor's own slot
+        slot = largest_slot(spliced, [*range(len(ir.kind), len(spliced.kind)),
+                                      patch.row])
         size = program.frames.sizes[function_of(program, d.target)]
         past += slot >= max(size, 1)
         if run_tests(spliced, suite, limits) \
@@ -109,6 +110,29 @@ def test_splices_run_like_built_variants_on_every_corpus_variant(problems):
     assert accepted == CORPUS_ACCEPTED
     assert past == CORPUS_PAST_THE_FUNCTION
     assert sources == SOURCE_ACCEPTED
+
+
+def test_splices_of_one_hole_class_and_donor_share_their_rows():
+    # a splice copies nothing: every splice of one (hole class, donor)
+    # pair returns the arrays lowered for the first, and replaces only its
+    # own target's row
+    p = parse_program(SOURCE)
+    base, holes = build_ir(p), Holes(p)
+    splices = Splices(base, holes)
+    first, shared = {}, 0
+    for d in exhaustive_descriptors(p):
+        verdict, slots = holes.fit(d.target, d.donor, d.donor_id)
+        if not verdict or d.donor.kind == KIND_OPERATOR:
+            continue
+        patch = splices.patch(d.target, d.donor, d.donor_id, slots)
+        assert patch.row == d.target
+        earlier = first.setdefault((holes.classes[d.target], d.donor_id),
+                                   patch)
+        if earlier.row != patch.row:
+            assert all(x is y for x, y in zip(earlier, patch[:5]))
+            assert patch.cells is earlier.cells
+            shared += len(patch.kind) > 0
+    assert shared > 0
 
 
 def tree(ir, i=None):
@@ -228,8 +252,10 @@ def test_an_incdec_operand_gives_the_incdec_its_slot():
     operand = p.first[n_decrement] + 1
     spliced, built, slots = spliced_and_built(p, operand, find(p, "i"))
     assert_same_program(spliced, built)
-    assert spliced.a[n_decrement] == slots[find(p, "i")] \
+    # the IncDec reads its slot from its operand, the one row replaced
+    assert spliced.a[operand] == slots[find(p, "i")] \
         == p.frames.slots[loop]
+    assert changed(spliced, build_ir(p)) == {"a": [operand]}
 
 
 def test_a_donor_that_contains_its_target():
@@ -238,8 +264,8 @@ def test_a_donor_that_contains_its_target():
     target = p.first[donor] + 2   # the `n` inside it
     spliced, built, _ = spliced_and_built(p, target, donor)
     assert_same_program(spliced, built)
-    # a row of three, then the donor's five descendants
-    assert len(spliced.kind) == len(build_ir(p).kind) + 3 + 5
+    # the target's row becomes the donor's; its five descendants follow
+    assert len(spliced.kind) == len(build_ir(p).kind) + 5
 
 
 def test_a_donor_inside_its_target():
@@ -370,28 +396,50 @@ def broken_patches(program):
     base = build_ir(program)
     loop = statement_patch(program, BRANCH, LOOP)
     branch = statement_patch(program, "n--;", BRANCH)
+    less = splice_patch(base, program, operator(program, "n < length"),
+                        AstNode(KIND_OPERATOR, op="<="), -1, {})
     rows = len(base.kind) + len(loop.kind)
-    parent = loop.parent
-    j = list(loop.kind).index(OP_FOR)
-    first, slot = loop.first[:], loop.a[:]
+    j = [k for k, width in enumerate(loop.nch) if width][0]
+    first = loop.first[:]
     first[j] = rows
-    slot[j] = base.n_slots
-    k = list(branch.kind).index(OP_IF)
-    then = branch.a[:]
-    then[k] = branch.nch[k]
+    store = find(program, "a[0] = -n;")
+    decrement = find(program, "n--")
+
+    def replaced(patch, **cells):
+        """``patch`` with some of its replaced row's cells changed."""
+        new = dict(zip(("kind", "a", "b", "first", "nch"), patch.cells))
+        return patch._replace(cells=tuple({**new, **cells}.values()))
+
+    def replacing(row, kind, a):
+        """A patch that replaces ``row`` with a childless row."""
+        return Patch(*empty_patch()[:5], row, (kind, a, 0, 0, 0))
+
     return {
         "a new row's children past the rows":
             (f"child range outside the rows at node {len(base.kind) + j}",
              loop._replace(first=first)),
         "the parent's children past the rows":
-            (f"child range outside the rows at node {parent}",
-             loop._replace(parent_first=rows)),
+            (f"child range outside the rows at node {less.row}",
+             replaced(less, first=rows)),
         "a slot past the patched frame":
-            ("frame slot", loop._replace(a=slot)),
+            (f"frame slot at node {loop.row}",
+             replaced(loop, a=base.n_slots)),
         "a slot 2000 cells past the frame":
             ("frame slot", statement_patch(program, BRANCH, LOOP, 2000)),
         "a then-branch as long as the If":
-            ("then-branch length", branch._replace(a=then)),
+            ("then-branch length",
+             replaced(branch, a=branch.cells[4])),
+        "a replaced function row":
+            ("function row at node 0", loop._replace(row=0)),
+        "an assignment target replaced by a childless non-identifier":
+            (f"assignment target at node {store}",
+             replacing(program.first[store], OP_INTLIT, 0)),
+        "an increment operand replaced by a non-identifier":
+            (f"increment operand at node {decrement}",
+             replacing(program.first[decrement] + 1, OP_INTLIT, 0)),
+        "an increment operand replaced by a slot outside the frame":
+            (f"increment operand at node {decrement}",
+             replacing(program.first[decrement] + 1, OP_IDENT, -1)),
     }
 
 
@@ -400,7 +448,11 @@ def broken_patches(program):
     "the parent's children past the rows",
     "a slot past the patched frame",
     "a slot 2000 cells past the frame",
-    "a then-branch as long as the If"])
+    "a then-branch as long as the If",
+    "a replaced function row",
+    "an assignment target replaced by a childless non-identifier",
+    "an increment operand replaced by a non-identifier",
+    "an increment operand replaced by a slot outside the frame"])
 def test_a_malformed_patch_raises_value_error(engine, name):
     p = parse_program(SOURCE)
     handle = engine.prepare(build_ir(p), SUITE, LIMITS)
@@ -519,6 +571,20 @@ def source_patches():
                                         d.donor_id, slots))
     return p, base, patches + [patch for _, patch
                                in broken_patches(p).values()]
+
+
+def test_each_patch_in_turn_on_one_handle_runs_like_its_whole_ir(engine):
+    # run_patch restores the whole replaced row: a row left changed would
+    # corrupt a later patch that lowers it
+    p, base, patches = source_patches()
+    handle = engine.prepare(base, SUITE, LIMITS)
+    for patch in patches:
+        try:
+            found = engine.run_patch(handle, patch, ALL)
+        except ValueError:
+            continue
+        full = engine.run_tests(apply_patch(base, patch), SUITE, LIMITS)
+        assert found == engine_py.summarize(full, SUITE), patch.row
 
 
 @given(st.lists(st.tuples(st.integers(0, 10 ** 6),
