@@ -5,8 +5,12 @@ baseline, unreadable program, unwritable output), 2 usage error.
 Diagnostics go to stderr; stdout and the output files carry only data.
 
 Every output is deterministic: the same inputs, seed and flags produce
-byte-identical files. Every analysis runs in this one process; evaluate
-still accepts --jobs N (N >= 1), which changes nothing.
+byte-identical files, at any ``evaluate --jobs N``. At N > 1 evaluate
+splits its problems into min(N, problems) bins, largest first, and forks
+one worker process per bin but the first, which it runs itself; each
+worker pipes back one pickled record per problem, and the reports, the
+stderr lines and the first failure are merged in directory order. Every
+other analysis runs in this one process.
 """
 
 from __future__ import annotations
@@ -168,32 +172,141 @@ def _technique_runs(problem, args):
             (combined.scores, combined.cost))
 
 
+def _evaluate_problem(directory, args, say):
+    """(problem name, rank-error report per technique, cost rows) of one
+    problem directory; ``say`` takes its "evaluating" line."""
+    problem = load_problem(directory)
+    if not problem.annotation:
+        raise CliDataError(
+            f"{directory}: invalid problem, no improvement nodes")
+    say(f"evaluating {problem.name} ({len(problem.original.nodes)} nodes)")
+    try:
+        runs = _technique_runs(problem, args)
+    except BaselineDiverged as exc:
+        raise CliDataError(f"{directory}: {exc}") from None
+    reports, cost_rows = {}, []
+    for tag, (scores, cost) in zip(TECHNIQUE_TAGS, runs):
+        reports[tag] = percent_rank_error(fractional_rank(scores),
+                                          problem.annotation, tag)
+        cost_rows.append([problem.name, tag, cost.variants_generated,
+                          cost.compiled, cost.executed, cost.evaluations])
+    return problem.name, reports, cost_rows
+
+
+def _records(chunk, args):
+    """(directory, (stderr lines, result or exception)) of
+    ``_evaluate_problem`` for each directory of ``chunk`` in turn, up to
+    the first that fails."""
+    for directory in chunk:
+        lines = []
+        try:
+            result = _evaluate_problem(directory, args, lines.append)
+        except Exception as exc:
+            yield directory, (lines, exc)
+            return
+        yield directory, (lines, result)
+
+
+def _bins(dirs, n):
+    """``dirs`` in ``n`` bins by Graham's largest-first rule, weighing each
+    problem before it loads by the byte size of its original times that of
+    its suite. The first bin holds the largest problem; each bin keeps
+    directory order, so it can stop at its first failure."""
+    def weight(directory):
+        try:
+            return (os.path.getsize(os.path.join(directory, "original.mini"))
+                    * os.path.getsize(os.path.join(directory, "suite.json")))
+        except OSError:         # load_problem names what is missing
+            return 0
+
+    bins, loads = [[] for _ in range(n)], [0] * n
+    for k, w in sorted(enumerate(map(weight, dirs)), key=lambda kw: -kw[1]):
+        lightest = loads.index(min(loads))
+        bins[lightest].append(k)
+        loads[lightest] += w
+    return [[dirs[k] for k in sorted(b)] for b in bins]
+
+
+def _pooled_problems(dirs, args):
+    """``_evaluate_problem`` of every directory, in directory order, run in
+    min(--jobs, problems) processes. A forked worker per bin but the first
+    pickles each record to its pipe as soon as the problem is done, while
+    this process runs the first bin; every worker is reaped on every path.
+    Each problem's lines are said, and the first failure in directory
+    order is raised, only once every bin is done, as at --jobs 1. A worker
+    that dies fails the first problem of its bin it sent no record for.
+    perfloc starts no thread, so each fork copies a one-thread process;
+    it comes after the imports, which the workers share, and before any
+    problem loads. ``gc.freeze`` keeps the collector off every object
+    alive at the fork, for the rest of the process: no collection writes
+    to their pages, which stay shared, and this process's exit skips
+    them."""
+    import gc
+    import pickle
+    bins = _bins(dirs, min(args.jobs, len(dirs)))
+    records, workers = {}, []
+    sys.stderr.flush()
+    gc.freeze()
+    try:
+        for chunk in bins[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:                            # the worker
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        for _, record in _records(chunk, args):
+                            pickle.dump(record, pipe)
+                            pipe.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            workers.append((pid, open(read, "rb"), chunk))
+        records.update(_records(bins[0], args))
+        for _, pipe, chunk in workers:
+            for directory in chunk:
+                try:
+                    records[directory] = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    break
+    finally:
+        for pid, pipe, chunk in workers:
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            lost = [d for d in chunk if d not in records]
+            if lost:
+                records[lost[0]] = ([], CliDataError(
+                    f"{lost[0]}: worker process ended with exit code "
+                    f"{code} before finishing this problem"))
+    results = []
+    for directory in dirs:
+        lines, outcome = records[directory]
+        for line in lines:
+            _say(line)
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.append(outcome)
+    return results
+
+
 def cmd_evaluate(args) -> int:
     dirs = problem_dirs(args.corpus)
     if not dirs:
         raise CliDataError(f"no problems under {args.corpus}")
     out = args.out
     _claim_out(out)
+    if min(args.jobs, len(dirs)) > 1:
+        results = _pooled_problems(dirs, args)
+    else:
+        results = (_evaluate_problem(d, args, _say) for d in dirs)
     # problem name -> technique -> rank-error report, in directory order
     per_problem: dict[str, dict] = {}
     cost_rows: list[list] = []
-    for directory in dirs:
-        problem = load_problem(directory)
-        if not problem.annotation:
-            raise CliDataError(
-                f"{directory}: invalid problem, no improvement nodes")
-        _say(f"evaluating {problem.name} "
-             f"({len(problem.original.nodes)} nodes)")
-        try:
-            runs = _technique_runs(problem, args)
-        except BaselineDiverged as exc:
-            raise CliDataError(f"{directory}: {exc}") from None
-        reports = per_problem[problem.name] = {}
-        for tag, (scores, cost) in zip(TECHNIQUE_TAGS, runs):
-            reports[tag] = percent_rank_error(fractional_rank(scores),
-                                              problem.annotation, tag)
-            cost_rows.append([problem.name, tag, cost.variants_generated,
-                              cost.compiled, cost.executed, cost.evaluations])
+    for name, reports, rows in results:
+        per_problem[name] = reports
+        cost_rows += rows
 
     names = sorted(per_problem)
     _write_csv(out, "rank_errors.csv",
@@ -318,8 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
                     default=(Fraction("0.025"), Fraction("0.975")),
                     help="confidence-interval quantiles LOW,HIGH")
     se.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility (N >= 1); evaluate "
-                         "always runs in one process")
+                    help="evaluate the problems in N processes, whole "
+                         "problems each (N >= 1); the reports are the same "
+                         "at any N")
     _add_run_flags(se)
     se.set_defaults(func=cmd_evaluate)
 

@@ -54,6 +54,9 @@ class CorpusInvalid(Exception):
         self.failures = failures
         super().__init__("; ".join(failures))
 
+    def __reduce__(self):       # pickled by evaluate's worker processes
+        return CorpusInvalid, (self.failures,)
+
 
 class ProblemSpec(NamedTuple):
     name: str

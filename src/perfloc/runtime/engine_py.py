@@ -32,19 +32,21 @@ enforces. Semantics frozen here:
 ``run_tests`` runs a whole IR on a suite and returns a row per test.
 ``prepare`` and ``run_patch`` run variants given as a ``runtime.ir.Patch``
 on a prepared original, on a subset of the tests, and return a
-four-number summary; ``summarize`` gives the same four numbers for
-``run_tests`` rows, and ``runtime.exec`` builds every ``Summary`` of a
-whole run from it. ``run_tests`` and
+four-number summary; ``runtime.ir.summarize`` gives the same four
+numbers for ``run_tests`` rows, and ``runtime.exec`` builds every
+``Summary`` of a whole run from it. ``run_tests`` and
 ``prepare`` validate the IR, and ``run_patch`` each patch, as ``engine.c``
 does, so that both raise ValueError on the same malformed input.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 
 from .ir import (
-    Patch, ProgramIR, apply_patch,
+    Patch, ProgramIR, apply_patch, summarize,
+    STATUS_COMPLETED, STATUS_TIMEOUT, STATUS_ERROR,
     OP_FUNC, OP_BLOCK, OP_VARDECL, OP_ASSIGN, OP_IF, OP_FOR, OP_WHILE,
     OP_RETURN, OP_EXPRSTMT, OP_BINARY, OP_UNARY, OP_INCDEC, OP_CALL,
     OP_INDEX, OP_IDENT, OP_INTLIT, OP_BOOLLIT, OP_OPER,
@@ -52,10 +54,6 @@ from .ir import (
     BOP_GE, BOP_EQ, BOP_NE, BOP_AND, BOP_OR,
     HEAP_LIMIT, ARRAY_SHIFT, LEN_MASK, STACK_LIMIT, pack_array, wrap32,
 )
-
-STATUS_COMPLETED = 0
-STATUS_TIMEOUT = 1
-STATUS_ERROR = 2
 
 ERR_NONE = 0
 ERR_INDEX = 1
@@ -275,7 +273,8 @@ def run_tests(ir: ProgramIR, tests, limits, counts=None):
     ``counts``, when given, holds one counts array per test, which tests
     may share, and each test's ``run`` bumps its own. ``ir`` is validated
     as ``engine.c`` validates it (ValueError if malformed)."""
-    if ir.n_slots not in range(1, 1 << 31):
+    # a non-int raises TypeError, as engine.c's int conversion does
+    if not 1 <= operator.index(ir.n_slots) < 1 << 31:
         raise ValueError("malformed IR: frame size")
     if not (0 <= ir.entry < len(ir.kind) and ir.kind[ir.entry] == OP_FUNC):
         raise ValueError("malformed IR: entry")
@@ -352,16 +351,6 @@ def _check_rows(ir, rows, what):
         why = _bad_row(ir, i)
         if why is not None:
             raise ValueError(f"malformed {what}: {why} at node {i}")
-
-
-def summarize(runs, tests):
-    """The (total_steps, n_correct, any_timeout, any_error) of
-    ``run_tests`` rows of ``tests``: what ``run_patch`` returns."""
-    return (sum(steps for _, steps, _, _ in runs),
-            sum(final == tuple(test.expected_output)
-                for (_, _, _, final), test in zip(runs, tests)),
-            any(status == STATUS_TIMEOUT for status, _, _, _ in runs),
-            any(status == STATUS_ERROR for status, _, _, _ in runs))
 
 
 def prepare(ir: ProgramIR, tests, limits):

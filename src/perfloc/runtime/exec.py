@@ -2,7 +2,8 @@
 
 Chooses the compiled engine when it builds and imports (see ``_engine``),
 the pure-Python one otherwise; set PERFLOC_ENGINE=py or PERFLOC_ENGINE=c to
-force a choice. Every engine runs a suite in one of two ways:
+force a choice. ``engine_py`` is imported only when it is the one chosen.
+Every engine runs a suite in one of two ways:
 
 - ``run_tests`` takes a whole ``ProgramIR`` and returns every test's
   status, steps, error and final array, counting each test's statement
@@ -32,11 +33,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .ir import Patch, ProgramIR, build_ir
-from . import engine_py
+from .ir import (
+    Patch, ProgramIR, STATUS_COMPLETED, STATUS_ERROR, STATUS_TIMEOUT,
+    build_ir, summarize,
+)
 
-STATUS_NAMES = {engine_py.STATUS_TIMEOUT: "Timeout",
-                engine_py.STATUS_ERROR: "RuntimeError"}
+STATUS_NAMES = {STATUS_TIMEOUT: "Timeout", STATUS_ERROR: "RuntimeError"}
 
 DEFAULT_TIMEOUT_FACTOR = 2.5
 MIN_STEP_LIMIT = 100
@@ -45,15 +47,15 @@ BOOTSTRAP_LIMIT = 10_000_000
 
 def _pick_engine():
     forced = os.environ.get("PERFLOC_ENGINE", "").strip().lower()
-    if forced == "py":
-        return engine_py, "py"
-    try:
-        from . import _engine
-    except ImportError as exc:
-        if forced == "c":
-            raise RuntimeError(f"PERFLOC_ENGINE=c: {exc}") from None
-        return engine_py, "py"
-    return _engine, "c"
+    if forced != "py":
+        try:
+            from . import _engine
+            return _engine, "c"
+        except ImportError as exc:
+            if forced == "c":
+                raise RuntimeError(f"PERFLOC_ENGINE=c: {exc}") from None
+    from . import engine_py
+    return engine_py, "py"
 
 
 _ENGINE, ENGINE_NAME = _pick_engine()
@@ -91,7 +93,7 @@ compile_program = build_ir
 
 
 def _summary(runs, suite: Sequence[TestCase]) -> Summary:
-    steps, passed, timeout, error = engine_py.summarize(runs, suite)
+    steps, passed, timeout, error = summarize(runs, suite)
     return Summary(steps, correctness_table(len(suite))[passed], timeout,
                    error)
 
@@ -139,7 +141,7 @@ def baseline_limits(ir: ProgramIR, suite: Sequence[TestCase],
     runs = _ENGINE.run_tests(ir, suite, [BOOTSTRAP_LIMIT] * len(suite),
                              counts)
     for k, (test, (status, _, _, final)) in enumerate(zip(suite, runs)):
-        if status != engine_py.STATUS_COMPLETED:
+        if status != STATUS_COMPLETED:
             raise BaselineDiverged(f"original program ends in "
                                    f"{STATUS_NAMES[status]} on case {k}")
         if final != test.expected_output:

@@ -24,7 +24,10 @@ fresh slots fit (see ``build_ir``), so a patch never changes a frame. The
 engines' ``run_patch`` apply a patch to a prepared original in place and
 undo it after the run; ``apply_patch`` builds the whole variant IR, for
 runs of one variant and for the differentials. ``operator_code`` is the
-payload rule lowering and splicing share.
+payload rule lowering and splicing share. The run statuses both engines
+return, and ``summarize``, which folds the rows of a ``run_tests`` into
+the four numbers a ``run_patch`` returns, live here too, so that
+``runtime.exec`` imports ``engine_py`` only to run it.
 
 Function k is row k, and its one child is its body. A Call's ``a`` names
 its callee's row.
@@ -109,6 +112,11 @@ LEN_MASK = (1 << ARRAY_SHIFT) - 1
 STACK_LIMIT = 512
 
 INT_MIN = -(1 << 31)
+
+# A test's run ends in one of these (``engine.c`` numbers them alike).
+STATUS_COMPLETED = 0
+STATUS_TIMEOUT = 1
+STATUS_ERROR = 2
 
 
 def wrap32(v: int) -> int:
@@ -297,3 +305,13 @@ def apply_patch(ir: ProgramIR, patch: Patch) -> ProgramIR:
 
 def pack_array(offset: int, length: int) -> int:
     return (offset << ARRAY_SHIFT) | length
+
+
+def summarize(runs, tests):
+    """The (total_steps, n_correct, any_timeout, any_error) of an engine's
+    ``run_tests`` rows of ``tests``: what its ``run_patch`` returns."""
+    return (sum(steps for _, steps, _, _ in runs),
+            sum(final == tuple(test.expected_output)
+                for (_, _, _, final), test in zip(runs, tests)),
+            any(status == STATUS_TIMEOUT for status, _, _, _ in runs),
+            any(status == STATUS_ERROR for status, _, _, _ in runs))

@@ -12,6 +12,7 @@ import pytest
 
 import perfloc
 from perfloc import __version__
+from perfloc import cli
 from perfloc.cli import main
 from perfloc.corpus import CORPUS_VERSION
 from perfloc.runtime import ENGINE_NAME
@@ -275,7 +276,7 @@ def test_evaluate_outputs(mini_corpus, tmp_path):
 
 
 def test_evaluate_never_forks(mini_corpus, tmp_path, monkeypatch):
-    # --jobs is accepted, but every analysis runs in this process
+    # at --jobs 1 every analysis runs in this process
     import multiprocessing.process
 
     def refuse(*args, **kwargs):
@@ -283,14 +284,142 @@ def test_evaluate_never_forks(mini_corpus, tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
-    outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
-    for jobs, out in zip((1, 2), outs):
-        assert main(["evaluate", "--corpus", mini_corpus, "--out", str(out),
-                     "--jobs", str(jobs)]) == 0
-    names = sorted(os.listdir(outs[0]))
-    assert names == sorted(os.listdir(outs[1])) and len(names) == 5
+    assert main(["evaluate", "--corpus", mini_corpus,
+                 "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    assert len(os.listdir(tmp_path / "out")) == 5
+
+
+@pytest.fixture(scope="module")
+def trio(tmp_path_factory):
+    """Three small problems: at --jobs 2 this process runs selection, the
+    largest, and one worker runs bubble and insertion."""
+    import shutil
+    root = tmp_path_factory.mktemp("trio")
+    for name in ("bubble", "insertion", "selection"):
+        shutil.copytree(os.path.join(CORPUS_DIR, name), root / name)
+    return str(root)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _evaluate(corpus, out, jobs, capsys):
+    """(exit code, stderr lines) of one evaluate."""
+    code = main(["evaluate", "--corpus", corpus, "--out", str(out),
+                 "--jobs", str(jobs)])
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_bins_put_the_largest_problem_first():
+    corpus = os.path.join(CORPUS_DIR, "")
+    names = ("bubble", "cocktail", "quick", "radix", "selection", "shell")
+    bins = cli._bins([corpus + name for name in names], 2)
+    assert bins == [[corpus + n for n in ("radix", "selection", "shell")],
+                    [corpus + n for n in ("bubble", "cocktail", "quick")]]
+    assert cli._bins([corpus + "bubble"] * 2 + [corpus + "nowhere"], 3) \
+        == [[corpus + "bubble"], [corpus + "bubble"], [corpus + "nowhere"]]
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_evaluate_forks_a_worker_per_bin_but_the_first(trio, tmp_path,
+                                                       monkeypatch, capsys,
+                                                       jobs):
+    code, err = _evaluate(trio, tmp_path / "jobs1", 1, capsys)
+    assert code == 0
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    code, pooled_err = _evaluate(trio, tmp_path / "pooled", jobs, capsys)
+    _no_child_left()
+    assert code == 0 and len(forks) == min(jobs, 3) - 1
+    # the same lines, in directory order, but for the output path
+    assert pooled_err[:-1] == err[:-1] and len(err) == 4
+    names = sorted(os.listdir(tmp_path / "jobs1"))
+    assert names == sorted(os.listdir(tmp_path / "pooled"))
     for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert (tmp_path / "jobs1" / name).read_bytes() \
+            == (tmp_path / "pooled" / name).read_bytes(), name
+
+
+def test_a_worker_that_dies_names_its_problem(trio, tmp_path, monkeypatch,
+                                              capsys):
+    parent = os.getpid()
+    runs = cli._technique_runs
+
+    def dies_in_a_worker(problem, args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return runs(problem, args)
+
+    monkeypatch.setattr(cli, "_technique_runs", dies_in_a_worker)
+    code, err = _evaluate(trio, tmp_path / "out", 2, capsys)
+    _no_child_left()
+    assert code == 1
+    # bubble, the worker's first problem, is also the first in the corpus
+    assert err == [f"error: {os.path.join(trio, 'bubble')}: worker process "
+                   "ended with exit code 3 before finishing this problem"]
+
+
+def _diverging(corpus, tmp_path, name):
+    """A copy of ``corpus`` whose problem ``name`` expects 91 from its first
+    test, not the 90 it sorts to; the suite keeps its byte size."""
+    import shutil
+    root = tmp_path / "diverging"
+    shutil.copytree(corpus, root)
+    suite = root / name / "suite.json"
+    text = suite.read_text()
+    suite.write_text(text.replace('"expected": [\n   90',
+                                  '"expected": [\n   91', 1))
+    assert suite.read_text() != text
+    return str(root)
+
+
+@pytest.mark.parametrize("name, bin_", [("insertion", 1), ("selection", 0)])
+def test_a_diverging_original_fails_alike_at_any_jobs(trio, tmp_path, capsys,
+                                                      name, bin_):
+    corpus = _diverging(trio, tmp_path, name)
+    dirs = [os.path.join(corpus, n)
+            for n in ("bubble", "insertion", "selection")]
+    assert os.path.join(corpus, name) in cli._bins(dirs, 2)[bin_]
+    failures = [_evaluate(corpus, tmp_path / f"jobs{jobs}", jobs, capsys)
+                for jobs in (1, 2)]
+    _no_child_left()
+    assert failures[0] == failures[1]
+    code, err = failures[0]
+    assert code == 1 and err[-1] == (
+        f"error: {os.path.join(corpus, name)}: original program is "
+        "incorrect on case 0")
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError, "error: out of memory"),
+    (RecursionError, "error: program nested too deeply")])
+def test_an_error_in_this_processs_own_bin_still_reaps_the_workers(
+        trio, tmp_path, monkeypatch, capsys, error, line):
+    parent = os.getpid()
+    runs = cli._technique_runs
+
+    def fails_here(problem, args):
+        if os.getpid() == parent:
+            raise error()
+        return runs(problem, args)
+
+    monkeypatch.setattr(cli, "_technique_runs", fails_here)
+    code, err = _evaluate(trio, tmp_path / "out", 2, capsys)
+    _no_child_left()
+    # selection, this process's problem, fails; the worker's bubble and
+    # insertion come first in directory order, and pass
+    assert code == 1 and err == ["evaluating Bubblesort (52 nodes)",
+                                 "evaluating Insertion Sort (56 nodes)",
+                                 "evaluating Selection Sort (49 nodes)",
+                                 line]
 
 
 def test_evaluate_seed_env_var(mini_corpus, tmp_path, monkeypatch):
@@ -700,13 +829,19 @@ def test_version_banner(capsys):
         f"engine {ENGINE_NAME})")
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # Every record is a NamedTuple: start-up pays for neither module. The
-    # child runs without ``site``, so only perfloc's own imports count.
+def test_importing_the_cli_loads_no_module_it_does_not_use():
+    # Every record is a NamedTuple, evaluate's pool imports pickle only when
+    # it forks, and engine_py loads only when it runs: start-up pays for
+    # none of them. The child runs without ``site``, so only perfloc's own
+    # imports count.
+    unused = {"dataclasses", "inspect", "multiprocessing",
+              "concurrent.futures", "pickle"}
+    if ENGINE_NAME == "c":
+        unused.add("perfloc.runtime.engine_py")
     script = ("import sys, perfloc.cli\n"
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(perfloc.__file__)))
+              f"print(sorted({sorted(unused)} & sys.modules.keys()))\n")
+    env = dict(os.environ, PERFLOC_ENGINE=ENGINE_NAME,
+               PYTHONPATH=os.path.dirname(os.path.dirname(perfloc.__file__)))
     run = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr[-500:]

@@ -522,6 +522,18 @@ def test_a_malformed_function_row_or_frame_size_is_refused(engine, name):
             entry(ir, SUITE, LIMITS)
 
 
+@pytest.mark.parametrize("n_slots", [0.5, "3"])
+def test_a_frame_size_that_is_no_int_raises_type_error_at_once(engine,
+                                                                n_slots):
+    # checked as an int, never searched for in range(1, 2**31), which
+    # is a linear scan for anything but an int
+    ir = build_ir(parse_program(CALLS))._replace(n_slots=n_slots)
+    for entry in (engine.run_tests, engine.prepare):
+        with pytest.raises(TypeError, match="cannot be interpreted as an "
+                                            "integer"):
+            entry(ir, SUITE, LIMITS)
+
+
 WIDEST = """
 void work() {
   if (true) {
